@@ -2,13 +2,7 @@
 
 from .barlines import PostprocConfig, discontinuity_rate, postprocess_barlines
 from .decoder import Transcription, TranscriptionEntry, decode, reconstruct_strums
-from .likelihood import (
-    FORBIDDEN,
-    DecoderConfig,
-    emission_cost,
-    raw_mismatch,
-    transition_cost,
-)
+from .likelihood import DecoderConfig
 from .metrics import (
     MatchResult,
     TranscriptionReport,
@@ -20,27 +14,19 @@ from .metrics import (
 from .onsets import AudioBuffer, OnsetConfig, detect_onsets, load_wav, onset_strength, pick_peaks
 from .render import RenderOptions, render_text
 from .synth import SynthSong, SynthSpec, generate_song
-from .timeline import (
-    BarlineTrack,
-    MeasureStrums,
-    StrumSequence,
-    bin_strums,
-    measure_durations,
-)
+from .timeline import BarlineTrack, MeasureStrums, StrumSequence, bin_strums
 from .vocabulary import (
     RhythmicPattern,
     TimeSignature,
     Vocabulary,
     VocabularyError,
     load_vocabulary,
-    pattern_positions_global,
 )
 
 __all__ = [
     "AudioBuffer",
     "BarlineTrack",
     "DecoderConfig",
-    "FORBIDDEN",
     "MatchResult",
     "MeasureStrums",
     "OnsetConfig",
@@ -60,23 +46,18 @@ __all__ = [
     "decode",
     "detect_onsets",
     "discontinuity_rate",
-    "emission_cost",
     "evaluate_transcription",
     "generate_song",
     "load_vocabulary",
     "load_wav",
     "match_events",
-    "measure_durations",
     "onset_strength",
     "pattern_discontinuity",
-    "pattern_positions_global",
     "pick_peaks",
     "postprocess_barlines",
-    "raw_mismatch",
     "reconstruct_strums",
     "render_text",
     "timesig_discontinuity",
-    "transition_cost",
 ]
 
 __version__ = "0.1.0"

@@ -76,64 +76,87 @@ def load_run_config(path: str) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _override(obj, args: argparse.Namespace, mapping: dict[str, str]):
-    changes = {
-        field: getattr(args, attr)
-        for field, attr in mapping.items()
-        if getattr(args, attr, None) is not None
-    }
-    return dataclasses.replace(obj, **changes) if changes else obj
+# Every tuning flag: {config section: {field: flag}}. A flag parses like its
+# field's default: a bool flag sets the opposite of the default, a tuple
+# takes comma-separated ints, anything else takes the default's type. Fields
+# missing here (onsets.log_compression) are config-file only.
+_FLAGS = {
+    "decoder": {
+        "timing_sigma": "--timing-sigma",
+        "pattern_change_penalty": "--pattern-change-penalty",
+        "timesig_change_penalty": "--timesig-change-penalty",
+    },
+    "barlines": {
+        "subdivision_factors": "--subdivision-factors",
+        "deletion_penalty": "--deletion-penalty",
+        "insertion_penalty": "--insertion-penalty",
+        "tempo_change_penalty": "--tempo-change-penalty",
+        "snap_tolerance_sec": "--snap-tolerance",
+        "lookahead": "--lookahead",
+    },
+    "onsets": {
+        "frame_size": "--frame-size",
+        "hop_size": "--hop-size",
+        "n_mels": "--n-mels",
+        "fmin_hz": "--fmin",
+        "fmax_hz": "--fmax",
+        "delta": "--delta",
+        "pre_max": "--pre-max",
+        "post_max": "--post-max",
+        "pre_avg": "--pre-avg",
+        "post_avg": "--post-avg",
+        "min_gap_sec": "--min-gap",
+    },
+    "render": {
+        "use_repeat_symbol": "--no-repeat-symbol",
+        "grid_resolution": "--grid-resolution",
+        "show_pattern_ids": "--show-pattern-ids",
+    },
+}
 
 
-_DECODER_FLAGS = {
-    "timing_sigma": "timing_sigma",
-    "pattern_change_penalty": "pattern_change_penalty",
-    "timesig_change_penalty": "timesig_change_penalty",
-}
-_POSTPROC_FLAGS = {
-    "deletion_penalty": "deletion_penalty",
-    "insertion_penalty": "insertion_penalty",
-    "tempo_change_penalty": "tempo_change_penalty",
-    "snap_tolerance_sec": "snap_tolerance",
-    "lookahead": "lookahead",
-}
-_ONSET_FLAGS = {
-    "frame_size": "frame_size",
-    "hop_size": "hop_size",
-    "n_mels": "n_mels",
-    "fmin_hz": "fmin",
-    "fmax_hz": "fmax",
-    "delta": "delta",
-    "pre_max": "pre_max",
-    "post_max": "post_max",
-    "pre_avg": "pre_avg",
-    "post_avg": "post_avg",
-    "min_gap_sec": "min_gap",
-}
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _add_common(parser: argparse.ArgumentParser, *sections: str) -> None:
+    """Add --config, --seed and the tuning flags of the named config sections."""
+    parser.add_argument("--config", help="JSON config file; unknown keys are errors")
+    parser.add_argument("--seed", type=int, help="RNG seed")
+    for section in sections:
+        defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[section])}
+        for field, flag in _FLAGS[section].items():
+            default = defaults[field]
+            if isinstance(default, bool):
+                parser.add_argument(flag, action="store_const", const=not default)
+            elif isinstance(default, tuple):
+                parser.add_argument(flag, type=_int_tuple,
+                                    help="comma-separated, e.g. " + ",".join(map(str, default)))
+            else:
+                parser.add_argument(flag, type=type(default))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    decoder_cfg = _override(cfg.decoder, args, _DECODER_FLAGS)
-    postproc_cfg = _override(cfg.barlines, args, _POSTPROC_FLAGS)
-    if getattr(args, "subdivision_factors", None):
-        factors = tuple(int(f) for f in args.subdivision_factors.split(","))
-        postproc_cfg = dataclasses.replace(postproc_cfg, subdivision_factors=factors)
-    onset_cfg = _override(cfg.onsets, args, _ONSET_FLAGS)
-    render_opts = cfg.render
-    if getattr(args, "no_repeat_symbol", False):
-        render_opts = dataclasses.replace(render_opts, use_repeat_symbol=False)
-    if getattr(args, "show_pattern_ids", False):
-        render_opts = dataclasses.replace(render_opts, show_pattern_ids=True)
-    if getattr(args, "grid_resolution", None) is not None:
-        render_opts = dataclasses.replace(render_opts, grid_resolution=args.grid_resolution)
-    changes: dict = {
-        "decoder": decoder_cfg,
-        "barlines": postproc_cfg,
-        "onsets": onset_cfg,
-        "render": render_opts,
-    }
-    if getattr(args, "seed", None) is not None:
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    changes: dict = {}
+    for section, flags in _FLAGS.items():
+        overrides = {
+            field: getattr(args, _dest(flag))
+            for field, flag in flags.items()
+            if getattr(args, _dest(flag), None) is not None
+        }
+        if overrides:
+            changes[section] = dataclasses.replace(getattr(cfg, section), **overrides)
+    if args.seed is not None:
         changes["seed"] = args.seed
     if getattr(args, "tolerance", None) is not None:
         changes["strum_tolerance_sec"] = args.tolerance
@@ -196,7 +219,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_one(record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float) -> dict:
+def _eval_one(
+    record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float
+) -> tuple[str, metrics_mod.TranscriptionReport]:
     def resolve(key: str) -> str:
         try:
             return str((base_dir / record[key]).resolve())
@@ -214,7 +239,7 @@ def _eval_one(record: dict, base_dir: Path, fallback_vocab: str | None, toleranc
     with open(resolve("ground_truth"), encoding="utf-8") as fp:
         ground_truth = timeline.load_strums(fp)
     report = metrics_mod.evaluate_transcription(transcription, bars, vocab, ground_truth, tolerance)
-    return {"song_id": record.get("song_id", "?"), **report.to_dict()}
+    return record.get("song_id", "?"), report
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -224,10 +249,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         base_dir = Path(args.manifest).parent
         with open(args.manifest, encoding="utf-8") as fp:
             records = [json.loads(line) for line in fp if line.strip()]
-        jobs = args.jobs or os.cpu_count() or 1
-        if jobs > 1 and len(records) > 1:
+        jobs = min(args.jobs or os.cpu_count() or 1, len(records))
+        if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                songs = list(
+                results = list(
                     pool.map(
                         _eval_one,
                         records,
@@ -237,7 +262,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     )
                 )
         else:
-            songs = [_eval_one(record, base_dir, args.vocab, tolerance) for record in records]
+            results = [_eval_one(record, base_dir, args.vocab, tolerance) for record in records]
     else:
         for required in ("transcription", "barlines", "vocab", "ground_truth"):
             if getattr(args, required) is None:
@@ -248,19 +273,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "barlines": args.barlines,
             "ground_truth": args.ground_truth,
         }
-        songs = [_eval_one(record, Path("."), args.vocab, tolerance)]
-    reports = [
-        metrics_mod.TranscriptionReport(
-            strum_match=metrics_mod.MatchResult.from_counts(
-                song["true_positives"], song["false_positives"], song["false_negatives"]
-            ),
-            pattern_disc=song["pattern_disc"],
-            timesig_disc=song["timesig_disc"],
-            measure_disc=song["measure_disc"],
-        )
-        for song in songs
-    ]
-    payload = {"songs": songs, "aggregate": metrics_mod.aggregate_reports(reports)}
+        results = [_eval_one(record, Path("."), args.vocab, tolerance)]
+    payload = {
+        "songs": [{"song_id": song_id, **report.to_dict()} for song_id, report in results],
+        "aggregate": metrics_mod.aggregate_reports([report for _, report in results]),
+    }
     _write_json(payload, args.out)
     return 0
 
@@ -348,48 +365,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; unknown keys are errors")
-    parser.add_argument("--seed", type=int, help="RNG seed")
-
-
-def _add_decoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timing-sigma", dest="timing_sigma", type=float)
-    parser.add_argument("--pattern-change-penalty", dest="pattern_change_penalty", type=float)
-    parser.add_argument("--timesig-change-penalty", dest="timesig_change_penalty", type=float)
-
-
-def _add_postproc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--subdivision-factors", dest="subdivision_factors",
-                        help="comma-separated, e.g. 1,2,3,4")
-    parser.add_argument("--deletion-penalty", dest="deletion_penalty", type=float)
-    parser.add_argument("--insertion-penalty", dest="insertion_penalty", type=float)
-    parser.add_argument("--tempo-change-penalty", dest="tempo_change_penalty", type=float)
-    parser.add_argument("--snap-tolerance", dest="snap_tolerance", type=float)
-    parser.add_argument("--lookahead", dest="lookahead", type=int)
-    parser.add_argument("--no-barline-postproc", action="store_true")
-
-
-def _add_onset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frame-size", dest="frame_size", type=int)
-    parser.add_argument("--hop-size", dest="hop_size", type=int)
-    parser.add_argument("--n-mels", dest="n_mels", type=int)
-    parser.add_argument("--fmin", dest="fmin", type=float)
-    parser.add_argument("--fmax", dest="fmax", type=float)
-    parser.add_argument("--delta", dest="delta", type=float)
-    parser.add_argument("--pre-max", dest="pre_max", type=int)
-    parser.add_argument("--post-max", dest="post_max", type=int)
-    parser.add_argument("--pre-avg", dest="pre_avg", type=int)
-    parser.add_argument("--post-avg", dest="post_avg", type=int)
-    parser.add_argument("--min-gap", dest="min_gap", type=float)
-
-
-def _add_render_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-repeat-symbol", dest="no_repeat_symbol", action="store_true")
-    parser.add_argument("--grid-resolution", dest="grid_resolution", type=int)
-    parser.add_argument("--show-pattern-ids", dest="show_pattern_ids", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strumscribe",
@@ -400,15 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("onsets", help="detect strum onsets in a WAV file")
     p.add_argument("--in", "--audio", dest="audio", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    _add_onset_flags(p)
+    _add_common(p, "onsets")
     p.set_defaults(func=cmd_onsets)
 
     p = sub.add_parser("barlines", help="clean up a noisy bar-line track")
     p.add_argument("--raw", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    _add_postproc_flags(p)
+    p.add_argument("--no-barline-postproc", action="store_true")
+    _add_common(p, "barlines")
     p.set_defaults(func=cmd_barlines)
 
     p = sub.add_parser("decode", help="decode strums into a pattern sequence")
@@ -416,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--barlines", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    _add_decoder_flags(p)
+    _add_common(p, "decoder")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="score a transcription against ground truth")
@@ -448,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcription", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out")
-    _add_common(p)
-    _add_render_flags(p)
+    _add_common(p, "render")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("pipeline", help="WAV + raw bar lines to transcription and text")
@@ -459,11 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--out-text", dest="out_text")
     p.add_argument("--dump-dir", dest="dump_dir")
-    _add_common(p)
-    _add_decoder_flags(p)
-    _add_postproc_flags(p)
-    _add_onset_flags(p)
-    _add_render_flags(p)
+    p.add_argument("--no-barline-postproc", action="store_true")
+    _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,4 +1,4 @@
-"""Emission and transition costs for pattern sequence decoding.
+"""Decoder knobs and emission costs for pattern sequence decoding.
 
 The emission cost of observing a measure's strums under a candidate pattern
 is a two-way mismatch: the sum of squared distances from each observed strum
@@ -9,52 +9,19 @@ decoder needs since it minimizes cost differences.
 
 A silent pattern on a silent measure costs zero; a silent pattern against
 played strums (or a played pattern against a silent measure) is impossible
-and yields the FORBIDDEN sentinel.
+and costs np.inf. The change penalties in DecoderConfig are the transition
+costs; the decoder charges them between consecutive pattern instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .timeline import MeasureStrums
-from .vocabulary import RhythmicPattern, Vocabulary
-
-
-class _ForbiddenCost:
-    """Sentinel for impossible emissions. Compares greater than any finite
-    cost, so it never wins a minimization; it must not enter arithmetic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FORBIDDEN"
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
-
-
-FORBIDDEN = _ForbiddenCost()
-
-EmissionCost = Union[float, _ForbiddenCost]
-
-_TIE_BREAK_POLICIES = ("stay-then-index",)
+from .vocabulary import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -65,78 +32,18 @@ class DecoderConfig:
     units. pattern_change_penalty is charged whenever consecutive pattern
     instances differ; timesig_change_penalty is added on top when their time
     signatures differ too. Defaults were fixed by grid search on synthetic
-    data. tie_break names the deterministic policy used among cost-equal
-    decodings: prefer repeating the current pattern, then the lowest
-    vocabulary index.
+    data.
     """
 
     timing_sigma: float = 0.03
     pattern_change_penalty: float = 2.0
     timesig_change_penalty: float = 6.0
-    tie_break: str = "stay-then-index"
 
     def __post_init__(self) -> None:
         if not self.timing_sigma > 0:
             raise ValueError("timing_sigma must be > 0")
         if self.pattern_change_penalty < 0 or self.timesig_change_penalty < 0:
             raise ValueError("change penalties must be >= 0")
-        if self.tie_break not in _TIE_BREAK_POLICIES:
-            raise ValueError(f"tie_break must be one of {_TIE_BREAK_POLICIES}")
-
-
-def raw_mismatch(observed: Sequence[float], pattern_onsets: Sequence[float]) -> float:
-    """Two-way mismatch between observed strum positions and pattern onsets.
-
-    Returns sum_i min_j (observed_i - onset_j)^2 + sum_j min_i (onset_j -
-    observed_i)^2, and 0.0 when both lists are empty. Callers handle the
-    one-side-empty cases; passing one empty list here is an error.
-    """
-    s = np.asarray(observed, dtype=float)
-    r = np.asarray(pattern_onsets, dtype=float)
-    if s.size == 0 and r.size == 0:
-        return 0.0
-    if s.size == 0 or r.size == 0:
-        raise ValueError("raw_mismatch needs both sides non-empty (or both empty)")
-    distances = np.abs(s[:, None] - r[None, :])
-    return float(np.sum(distances.min(axis=1) ** 2) + np.sum(distances.min(axis=0) ** 2))
-
-
-def emission_cost(
-    observed: Sequence[MeasureStrums],
-    pattern: RhythmicPattern,
-    cfg: DecoderConfig,
-) -> EmissionCost:
-    """Cost of a pattern instance against the measures it covers.
-
-    `observed` must hold exactly pattern.measures entries, matched measure
-    by measure against the pattern's onset lists.
-    """
-    if len(observed) != pattern.measures:
-        raise ValueError(
-            f"pattern {pattern.id!r} spans {pattern.measures} measure(s), "
-            f"got {len(observed)} observed"
-        )
-    denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
-    total = 0.0
-    for strums, onsets in zip(observed, pattern.onsets):
-        positions = strums.positions
-        if len(positions) == 0 and len(onsets) == 0:
-            continue
-        if len(positions) == 0 or len(onsets) == 0:
-            return FORBIDDEN
-        total += raw_mismatch(positions, onsets) / denom
-    return total
-
-
-def transition_cost(
-    prev: RhythmicPattern, nxt: RhythmicPattern, cfg: DecoderConfig
-) -> float:
-    """Penalty for following one pattern instance with another."""
-    if nxt.id == prev.id:
-        return 0.0
-    if nxt.time_signature == prev.time_signature:
-        return cfg.pattern_change_penalty
-    return cfg.pattern_change_penalty + cfg.timesig_change_penalty
 
 
 def contribution_tables(
@@ -149,8 +56,9 @@ def contribution_tables(
     Returns (first, second), each of shape (n_measures, n_patterns). first[m, p]
     is the cost contribution of pattern p's first measure matched against
     measure m; second[m, p] is the contribution of its second measure (only
-    meaningful for 2-measure patterns). Forbidden pairings are np.inf, which
-    the decoder treats as pruned. Row sums agree with emission_cost().
+    meaningful for 2-measure patterns). Impossible pairings are np.inf, which
+    the decoder treats as pruned; this is the only place an impossible
+    emission is marked.
     """
     patterns = vocab.patterns
     n_measures, n_patterns = len(measures), len(patterns)

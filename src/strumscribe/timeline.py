@@ -110,11 +110,6 @@ def bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureS
     )
 
 
-def measure_durations(bars: BarlineTrack) -> np.ndarray:
-    """Duration in seconds of each measure."""
-    return np.diff(np.asarray(bars.times_sec))
-
-
 def load_strums(source: IO) -> StrumSequence:
     payload = json.load(source)
     if not isinstance(payload, dict) or set(payload) != {"strums_sec"}:

@@ -184,15 +184,6 @@ class Vocabulary:
         return {"patterns": records}
 
 
-def pattern_positions_global(pattern: RhythmicPattern) -> list[tuple[int, float]]:
-    """Flatten a pattern into (measure_offset, position) pairs in temporal order."""
-    return [
-        (offset, position)
-        for offset, positions in enumerate(pattern.onsets)
-        for position in positions
-    ]
-
-
 _PATTERN_KEYS = {"id", "name", "time_signature", "measures", "onsets"}
 
 

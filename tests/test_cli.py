@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from strumscribe.cli import main
+from strumscribe import cli
+from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
 
 from conftest import make_vocab
 from test_onsets import pluck_train
@@ -37,6 +39,20 @@ def synth_dir(tmp_path, vocab_file):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+# the arguments each subcommand requires, enough to parse its flags
+REQUIRED = {
+    "onsets": ["--audio", "a.wav", "--out", "o.json"],
+    "barlines": ["--raw", "r.json", "--out", "o.json"],
+    "decode": ["--strums", "s.json", "--barlines", "b.json", "--vocab", "v.json",
+               "--out", "o.json"],
+    "eval": ["--out", "o.json"],
+    "synth": ["--vocab", "v.json", "--out-dir", "d"],
+    "render": ["--transcription", "t.json", "--vocab", "v.json"],
+    "pipeline": ["--audio", "a.wav", "--raw-barlines", "r.json", "--vocab", "v.json",
+                 "--out", "o.json"],
+}
 
 
 class TestSynthCommand:
@@ -219,6 +235,36 @@ class TestEvalCommand:
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_jobs_capped_at_record_count(self, tmp_path, vocab_file, synth_dir, monkeypatch):
+        assert run(
+            ["decode", "--strums", synth_dir / "strums.json",
+             "--barlines", synth_dir / "barlines.json",
+             "--vocab", vocab_file, "--out", synth_dir / "decoded.json"]
+        ) == 0
+        record = {
+            "song_id": "song",
+            "transcription": "song/decoded.json",
+            "barlines": "song/barlines.json",
+            "ground_truth": "song/nominal_strums.json",
+        }
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(record) + "\n")
+        serial, capped = tmp_path / "serial.json", tmp_path / "capped.json"
+        assert run(
+            ["eval", "--manifest", manifest, "--vocab", vocab_file, "--out", serial,
+             "--jobs", 1]
+        ) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a 1-record manifest must not start a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert run(
+            ["eval", "--manifest", manifest, "--vocab", vocab_file, "--out", capped,
+             "--jobs", 8]
+        ) == 0
+        assert serial.read_bytes() == capped.read_bytes()
+
 
 class TestRenderCommand:
     def test_render_to_file(self, tmp_path, vocab_file, synth_dir):
@@ -255,6 +301,20 @@ class TestConfigFile:
         cost_base = json.loads(base.read_text())["total_cost"]
         cost_over = json.loads(overridden.read_text())["total_cost"]
         assert cost_base <= cost_over
+
+    def test_config_bool_kept_without_flag(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"render": {"use_repeat_symbol": False}}))
+        args = build_parser().parse_args(
+            ["render", *REQUIRED["render"], "--config", str(config)]
+        )
+        assert _config_from_args(args).render.use_repeat_symbol is False
+
+    def test_malformed_int_list_names_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["barlines", *REQUIRED["barlines"], "--subdivision-factors", "1,x"])
+        assert excinfo.value.code == 2
+        assert "--subdivision-factors" in capsys.readouterr().err
 
 
 def write_wav(path, samples, sr=44100):
@@ -397,3 +457,59 @@ class TestDecodeGoldenCases:
         decoded = json.loads(out.read_text())
         assert [m["pattern_id"] for m in decoded["measures"]] == ["EMPTY_4_4"] * 3
         assert decoded["total_cost"] == 0.0
+
+
+# (subcommand, flag, parsed value, RunConfig field); switches take no value
+FLAG_CASES = [
+    ("decode", "--timing-sigma", 0.1, "decoder.timing_sigma"),
+    ("decode", "--pattern-change-penalty", 3.5, "decoder.pattern_change_penalty"),
+    ("decode", "--timesig-change-penalty", 1.5, "decoder.timesig_change_penalty"),
+    ("barlines", "--subdivision-factors", (1, 2), "barlines.subdivision_factors"),
+    ("barlines", "--deletion-penalty", 2.5, "barlines.deletion_penalty"),
+    ("barlines", "--insertion-penalty", 0.5, "barlines.insertion_penalty"),
+    ("barlines", "--tempo-change-penalty", 4.0, "barlines.tempo_change_penalty"),
+    ("barlines", "--snap-tolerance", 0.02, "barlines.snap_tolerance_sec"),
+    ("barlines", "--lookahead", 6, "barlines.lookahead"),
+    ("onsets", "--frame-size", 4096, "onsets.frame_size"),
+    ("onsets", "--hop-size", 256, "onsets.hop_size"),
+    ("onsets", "--n-mels", 64, "onsets.n_mels"),
+    ("onsets", "--fmin", 40.0, "onsets.fmin_hz"),
+    ("onsets", "--fmax", 8000.0, "onsets.fmax_hz"),
+    ("onsets", "--delta", 5.0, "onsets.delta"),
+    ("onsets", "--pre-max", 2, "onsets.pre_max"),
+    ("onsets", "--post-max", 4, "onsets.post_max"),
+    ("onsets", "--pre-avg", 6, "onsets.pre_avg"),
+    ("onsets", "--post-avg", 10, "onsets.post_avg"),
+    ("onsets", "--min-gap", 0.08, "onsets.min_gap_sec"),
+    ("render", "--no-repeat-symbol", False, "render.use_repeat_symbol"),
+    ("render", "--grid-resolution", 12, "render.grid_resolution"),
+    ("render", "--show-pattern-ids", True, "render.show_pattern_ids"),
+]
+# pipeline takes the tuning flags of decode, barlines, onsets and render
+FLAG_CASES += [("pipeline", *case[1:]) for case in FLAG_CASES]
+FLAG_CASES += [("eval", "--tolerance", 0.1, "strum_tolerance_sec")]
+FLAG_CASES += [(command, "--seed", 9, "seed") for command in REQUIRED]
+
+
+def with_field(cfg, dotted, value):
+    """A copy of cfg with the (dotted) field set to value."""
+    head, _, rest = dotted.partition(".")
+    if rest:
+        value = with_field(getattr(cfg, head), rest, value)
+    return dataclasses.replace(cfg, **{head: value})
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,field", FLAG_CASES, ids=[f"{c[0]}{c[1]}" for c in FLAG_CASES]
+)
+def test_flag_sets_config_field(command, flag, value, field):
+    if isinstance(value, bool):
+        argv = [flag]
+    elif isinstance(value, tuple):
+        argv = [flag, ",".join(map(str, value))]
+    else:
+        argv = [flag, str(value)]
+    expected = with_field(RunConfig(), field, value)
+    assert expected != RunConfig()
+    args = build_parser().parse_args([command, *REQUIRED[command], *argv])
+    assert _config_from_args(args) == expected

@@ -13,14 +13,12 @@ from strumscribe import (
     Vocabulary,
     bin_strums,
     decode,
-    emission_cost,
     reconstruct_strums,
-    transition_cost,
 )
 from strumscribe.decoder import load_transcription, save_transcription
 
 from conftest import make_pattern, make_vocab
-from oracles import enumerate_decode
+from oracles import enumerate_decode, half_cost, transition
 
 
 def measures_from(*position_lists):
@@ -156,10 +154,11 @@ class TestDecodeProperties:
         while i < len(result.entries):
             pattern = vocab.by_id(result.entries[i].pattern_id)
             span = pattern.measures
-            cost = emission_cost(measures[i : i + span], pattern, cfg)
-            total += cost
+            for phase in range(span):
+                observed = list(measures[i + phase].positions)
+                total += half_cost(observed, list(pattern.onsets[phase]), cfg)
             if previous is not None:
-                total += transition_cost(previous, pattern, cfg)
+                total += transition(previous, pattern, cfg)
             previous = pattern
             i += span
         assert total == pytest.approx(result.total_cost, abs=1e-9)

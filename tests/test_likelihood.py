@@ -1,56 +1,77 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strumscribe import (
-    FORBIDDEN,
-    DecoderConfig,
-    MeasureStrums,
-    Vocabulary,
-    emission_cost,
-    raw_mismatch,
-    transition_cost,
-)
+from strumscribe import DecoderConfig, MeasureStrums, Vocabulary, decode
 from strumscribe.likelihood import contribution_tables
 
 from conftest import make_pattern
-from oracles import two_way_mismatch
+from oracles import half_cost
 
 positions = st.lists(st.integers(0, 63), min_size=1, max_size=8).map(
     lambda xs: sorted({x / 64 for x in xs})
 )
 
+# 2 * sigma^2 == 2 exactly, so twice a cell is the raw two-way mismatch
+SIGMA_ONE = DecoderConfig(timing_sigma=1.0)
+
+
+def cells(observed, *halves, cfg=SIGMA_ONE):
+    """Table cells of one pattern whose measures hold `halves`, each half
+    against its own measure of `observed`: [first[0, p]] or
+    [first[0, p], second[1, p]]."""
+    vocab = Vocabulary.build([make_pattern("P", "4/4", *halves)])
+    measures = [MeasureStrums(m, tuple(obs)) for m, obs in enumerate(observed)]
+    first, second = contribution_tables(measures, vocab, cfg)
+    return [first[0, 0]] + ([second[1, 0]] if len(halves) == 2 else [])
+
+
+def cell(observed, onsets, cfg=SIGMA_ONE):
+    return cells([observed], onsets, cfg=cfg)[0]
+
+
+def mismatch(observed, onsets):
+    return 2 * cell(observed, onsets)
+
+
+def table_cell(vocab, measure, pattern_id, cfg):
+    first, _ = contribution_tables([measure], vocab, cfg)
+    return first[0, vocab.patterns.index(vocab.by_id(pattern_id))]
+
 
 class TestRawMismatch:
     def test_missing_onset(self):
         # one pattern onset at 0.25 has nearest observed strum 0.25 away
-        assert raw_mismatch([0.0, 0.5], [0.0, 0.25, 0.5]) == pytest.approx(0.0625)
+        assert mismatch([0.0, 0.5], [0.0, 0.25, 0.5]) == pytest.approx(0.0625)
 
     def test_exact_match_is_zero(self):
-        assert raw_mismatch([0.0, 0.25, 0.5, 0.75], [0.0, 0.25, 0.5, 0.75]) == 0.0
+        assert mismatch([0.0, 0.25, 0.5, 0.75], [0.0, 0.25, 0.5, 0.75]) == 0.0
 
     def test_single_elements(self):
-        assert raw_mismatch([0.1], [0.0]) == pytest.approx(0.02)
+        assert mismatch([0.1], [0.0]) == pytest.approx(0.02)
 
     def test_both_empty(self):
-        assert raw_mismatch([], []) == 0.0
+        assert mismatch([], []) == 0.0
 
     def test_one_empty_rejected(self):
-        with pytest.raises(ValueError):
-            raw_mismatch([], [0.0])
+        assert np.isinf(mismatch([], [0.0]))
 
     @given(a=positions, b=positions)
     def test_matches_naive_oracle(self, a, b):
-        assert raw_mismatch(a, b) == pytest.approx(two_way_mismatch(a, b), abs=1e-12)
+        assert cell(a, b) == pytest.approx(half_cost(a, b, SIGMA_ONE), abs=1e-12)
 
     @given(a=positions, b=positions)
     def test_symmetry(self, a, b):
-        assert raw_mismatch(a, b) == pytest.approx(raw_mismatch(b, a), abs=1e-12)
+        assert cell(a, b) == pytest.approx(half_cost(b, a, SIGMA_ONE), abs=1e-12)
+        assert cell(a, b) == pytest.approx(cell(b, a), abs=1e-12)
 
     @given(a=positions, b=positions)
     def test_zero_iff_set_equal(self, a, b):
-        value = raw_mismatch(a, b)
+        value = cell(a, b)
+        assert value == pytest.approx(half_cost(a, b, SIGMA_ONE), abs=1e-12)
         if set(a) == set(b):
             assert value == 0.0
         else:
@@ -59,100 +80,105 @@ class TestRawMismatch:
 
 class TestEmissionCost:
     def test_empty_pattern_on_empty_measure_is_zero(self, basic_vocab):
-        empty = basic_vocab.by_id("EMPTY_4_4")
         cfg = DecoderConfig()
-        assert emission_cost([MeasureStrums(0, ())], empty, cfg) == 0.0
+        assert table_cell(basic_vocab, MeasureStrums(0, ()), "EMPTY_4_4", cfg) == 0.0
 
     def test_empty_pattern_on_played_measure_forbidden(self, basic_vocab):
-        empty = basic_vocab.by_id("EMPTY_4_4")
         cfg = DecoderConfig()
-        assert emission_cost([MeasureStrums(0, (0.5,))], empty, cfg) is FORBIDDEN
+        assert np.isinf(table_cell(basic_vocab, MeasureStrums(0, (0.5,)), "EMPTY_4_4", cfg))
 
     def test_played_pattern_on_empty_measure_forbidden(self, basic_vocab):
         cfg = DecoderConfig()
-        quarters = basic_vocab.by_id("QUARTERS")
-        assert emission_cost([MeasureStrums(0, ())], quarters, cfg) is FORBIDDEN
+        assert np.isinf(table_cell(basic_vocab, MeasureStrums(0, ()), "QUARTERS", cfg))
 
     def test_scaled_by_sigma(self):
-        pattern = make_pattern("P", "4/4", [0.0, 0.25, 0.5])
         cfg = DecoderConfig(timing_sigma=0.5)
-        cost = emission_cost([MeasureStrums(0, (0.0, 0.5))], pattern, cfg)
+        cost = cell([0.0, 0.5], [0.0, 0.25, 0.5], cfg)
         assert cost == pytest.approx(0.0625 / (2 * 0.25))
         assert cost == pytest.approx(0.125)
 
     def test_two_measure_span(self, basic_vocab):
         two_bar = basic_vocab.by_id("TWOBAR")
         cfg = DecoderConfig(timing_sigma=1.0)
-        observed = [MeasureStrums(0, (0.0, 0.5, 0.75)), MeasureStrums(1, (0.0, 0.25, 0.5))]
-        assert emission_cost(observed, two_bar, cfg) == 0.0
-        with pytest.raises(ValueError):
-            emission_cost(observed[:1], two_bar, cfg)
+        observed = [(0.0, 0.5, 0.75), (0.0, 0.25, 0.5)]
+        assert cells(observed, *two_bar.onsets, cfg=cfg) == [0.0, 0.0]
 
     def test_forbidden_if_any_half_mismatched(self, basic_vocab):
         two_bar = basic_vocab.by_id("TWOBAR")
         cfg = DecoderConfig()
-        observed = [MeasureStrums(0, (0.0,)), MeasureStrums(1, ())]
-        assert emission_cost(observed, two_bar, cfg) is FORBIDDEN
+        first, second = cells([(0.0,), ()], *two_bar.onsets, cfg=cfg)
+        assert first == pytest.approx(half_cost([0.0], list(two_bar.onsets[0]), cfg))
+        assert np.isinf(second)
 
     @given(positions, st.floats(min_value=0.5, max_value=4.0))
     def test_sigma_scale_law(self, obs, k):
-        pattern = make_pattern("P", "4/4", [0.0, 0.25, 0.5, 0.75])
+        onsets = [0.0, 0.25, 0.5, 0.75]
         base = DecoderConfig(timing_sigma=0.05)
         scaled = DecoderConfig(timing_sigma=0.05 * k)
-        measure = [MeasureStrums(0, tuple(obs))]
-        a = emission_cost(measure, pattern, base)
-        b = emission_cost(measure, pattern, scaled)
+        a = cell(obs, onsets, base)
+        b = cell(obs, onsets, scaled)
+        assert a == pytest.approx(half_cost(obs, onsets, base), rel=1e-9)
+        assert b == pytest.approx(half_cost(obs, onsets, scaled), rel=1e-9)
         assert b * k * k == pytest.approx(a, rel=1e-9)
 
     def test_no_per_pattern_prior(self):
         # same onsets, different id and signature: identical finite cost
-        a = make_pattern("A", "4/4", [0.0, 0.5])
-        b = make_pattern("B", "3/4", [0.0, 0.5])
+        vocab = Vocabulary.build(
+            [make_pattern("A", "4/4", [0.0, 0.5]), make_pattern("B", "3/4", [0.0, 0.5])]
+        )
         cfg = DecoderConfig()
-        measure = [MeasureStrums(0, (0.1, 0.6))]
-        assert emission_cost(measure, a, cfg) == emission_cost(measure, b, cfg)
+        measure = MeasureStrums(0, (0.1, 0.6))
+        a = table_cell(vocab, measure, "A", cfg)
+        assert a == table_cell(vocab, measure, "B", cfg)
+        assert a == pytest.approx(half_cost([0.1, 0.6], [0.0, 0.5], cfg), abs=1e-12)
 
 
-class TestForbiddenSentinel:
-    def test_orders_above_any_float(self):
-        assert FORBIDDEN > 1e300
-        assert not (FORBIDDEN < 1e300)
-        assert 1e300 < FORBIDDEN
-        assert min(5.0, FORBIDDEN) == 5.0
-
-    def test_singleton(self):
-        from strumscribe.likelihood import _ForbiddenCost
-
-        assert _ForbiddenCost() is FORBIDDEN
+def decode_pair(vocab, prev_id, next_id, cfg):
+    """Decode two measures played exactly as prev_id then next_id."""
+    measures = [
+        MeasureStrums(m, vocab.by_id(pid).onsets[0]) for m, pid in enumerate((prev_id, next_id))
+    ]
+    return decode(measures, vocab, cfg)
 
 
 class TestTransitionCost:
     def test_same_pattern_free(self, basic_vocab):
         cfg = DecoderConfig()
-        quarters = basic_vocab.by_id("QUARTERS")
-        assert transition_cost(quarters, quarters, cfg) == 0.0
+        result = decode_pair(basic_vocab, "QUARTERS", "QUARTERS", cfg)
+        assert result.pattern_ids() == ["QUARTERS", "QUARTERS"]
+        assert result.total_cost == 0.0
 
     def test_same_signature(self, basic_vocab):
         cfg = DecoderConfig(pattern_change_penalty=2.0, timesig_change_penalty=6.0)
-        assert transition_cost(basic_vocab.by_id("QUARTERS"), basic_vocab.by_id("HALVES"), cfg) == 2.0
+        result = decode_pair(basic_vocab, "QUARTERS", "HALVES", cfg)
+        assert result.pattern_ids() == ["QUARTERS", "HALVES"]
+        assert result.total_cost == 2.0
 
     def test_cross_signature(self, basic_vocab):
         cfg = DecoderConfig(pattern_change_penalty=2.0, timesig_change_penalty=6.0)
-        assert transition_cost(basic_vocab.by_id("QUARTERS"), basic_vocab.by_id("WALTZ"), cfg) == 8.0
+        result = decode_pair(basic_vocab, "QUARTERS", "WALTZ", cfg)
+        assert result.pattern_ids() == ["QUARTERS", "WALTZ"]
+        assert result.total_cost == 8.0
 
     @given(st.data())
     def test_depends_only_on_id_and_signature_equality(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # penalties stay below 10 while onsets on distinct 1/16-grid pairs
+        # mismatch by at least (1/16)^2 / (2 * 0.01^2) > 19, so the decode
+        # always follows the played patterns
         cfg = DecoderConfig(
+            timing_sigma=0.01,
             pattern_change_penalty=float(rng.uniform(0, 5)),
             timesig_change_penalty=float(rng.uniform(0, 5)),
         )
         sigs = ["4/4", "3/4"]
+        grid_pairs = list(itertools.combinations(range(16), 2))
+        picks = rng.choice(len(grid_pairs), size=4, replace=False)
         pats = [
-            make_pattern(f"P{i}", sigs[int(rng.integers(2))],
-                         sorted(rng.uniform(0, 1, size=2).tolist()))
-            for i in range(4)
+            make_pattern(f"P{i}", sigs[int(rng.integers(2))], [x / 16 for x in grid_pairs[pick]])
+            for i, pick in enumerate(picks)
         ]
+        vocab = Vocabulary.build(pats)
         for a in pats:
             for b in pats:
                 expected = (
@@ -161,7 +187,9 @@ class TestTransitionCost:
                     else cfg.pattern_change_penalty
                     + (cfg.timesig_change_penalty if a.time_signature != b.time_signature else 0.0)
                 )
-                assert transition_cost(a, b, cfg) == expected
+                result = decode_pair(vocab, a.id, b.id, cfg)
+                assert result.pattern_ids() == [a.id, b.id]
+                assert result.total_cost == expected
 
 
 class TestDecoderConfig:
@@ -178,7 +206,6 @@ class TestDecoderConfig:
             {"timing_sigma": -1.0},
             {"pattern_change_penalty": -0.1},
             {"timesig_change_penalty": -0.1},
-            {"tie_break": "random"},
         ],
     )
     def test_validation(self, kwargs):
@@ -204,20 +231,14 @@ class TestContributionTables:
             measures.append(
                 MeasureStrums(m, tuple(sorted(rng.uniform(0, 1, size=count).tolist())))
             )
-        first, second = contribution_tables(measures, vocab, cfg)
+        tables = contribution_tables(measures, vocab, cfg)
         for m, measure in enumerate(measures):
             for i, pattern in enumerate(vocab.patterns):
-                if pattern.measures == 1:
-                    expected = emission_cost([measure], pattern, cfg)
-                    if expected is FORBIDDEN:
-                        assert np.isinf(first[m, i])
+                # every half of every pattern, checked on its own
+                for half, onsets in enumerate(pattern.onsets):
+                    expected = half_cost(list(measure.positions), list(onsets), cfg)
+                    got = tables[half][m, i]
+                    if expected is None:
+                        assert np.isinf(got)
                     else:
-                        assert first[m, i] == pytest.approx(expected, abs=1e-12)
-                elif m + 1 < len(measures):
-                    expected = emission_cost([measure, measures[m + 1]], pattern, cfg)
-                    if expected is FORBIDDEN:
-                        assert np.isinf(first[m, i]) or np.isinf(second[m + 1, i])
-                    else:
-                        assert first[m, i] + second[m + 1, i] == pytest.approx(
-                            expected, abs=1e-12
-                        )
+                        assert got == pytest.approx(expected, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strumscribe import BarlineTrack, MeasureStrums, StrumSequence, bin_strums, measure_durations
+from strumscribe import BarlineTrack, MeasureStrums, StrumSequence, bin_strums
 from strumscribe.timeline import load_barlines, load_strums, save_barlines, save_strums
 
 
@@ -129,19 +129,6 @@ def test_partition(times):
     bars = BarlineTrack((0.0, 1.5, 3.0, 4.5))
     measures, discarded = bin_strums(strums, bars)
     assert sum(len(m.positions) for m in measures) + discarded == len(strums)
-
-
-class TestMeasureDurations:
-    @pytest.mark.parametrize(
-        "times,expected",
-        [
-            ((0, 2, 4, 5), [2, 2, 1]),
-            ((0, 2), [2]),
-            ((0.0, 1.987, 3.974), [1.987, 1.987]),
-        ],
-    )
-    def test_examples(self, times, expected):
-        assert measure_durations(BarlineTrack(times)) == pytest.approx(expected)
 
 
 class TestJson:

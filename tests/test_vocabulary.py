@@ -11,7 +11,6 @@ from strumscribe import (
     Vocabulary,
     VocabularyError,
     load_vocabulary,
-    pattern_positions_global,
 )
 from strumscribe.vocabulary import dump_vocabulary, empty_pattern
 
@@ -179,23 +178,6 @@ def test_round_trip_property(specs):
 
 def test_empty_pattern_id_format():
     assert empty_pattern(TimeSignature(6, 8)).id == "EMPTY_6_8"
-
-
-class TestPatternPositionsGlobal:
-    def test_one_measure(self):
-        assert pattern_positions_global(make_pattern("P", "4/4", [0.0, 0.5])) == [
-            (0, 0.0),
-            (0, 0.5),
-        ]
-
-    def test_two_measures(self):
-        assert pattern_positions_global(make_pattern("P", "4/4", [0.0], [0.5])) == [
-            (0, 0.0),
-            (1, 0.5),
-        ]
-
-    def test_empty(self):
-        assert pattern_positions_global(empty_pattern(TimeSignature(4, 4))) == []
 
 
 def test_vocabulary_requires_empties_for_raw_constructor():
