@@ -86,60 +86,49 @@ def postprocess_barlines_with_cost(
 ) -> tuple[BarlineTrack, float]:
     """postprocess_barlines plus the objective value the DP achieved.
 
-    The DP state is (index of last kept estimate, incoming measure length);
-    lengths are carried as exact values, so only lengths reachable through
-    some (previous kept, factor) choice ever appear.
+    The DP keeps one layer per estimate index i, mapping each incoming
+    measure length to its best (cost, inserted, deleted) tuple, the parent
+    (kept index, length) and the subdivision factor of the span ending at i.
+    Lengths are carried as exact values, so only lengths reachable through
+    some (previous kept, factor) choice ever appear. Ties keep the first
+    candidate in layer order, then factor order.
     """
     cfg = cfg or PostprocConfig()
     times = np.asarray(raw.times_sec, dtype=float)
-    n = len(times)
-    last = n - 1
+    last = len(times) - 1
 
-    # states[(i, incoming_len)] = (cost_tuple, parent_state, factor_used)
+    # layers[i][incoming_len] = (cost_tuple, parent (j, incoming_len), factor)
     # cost_tuple = (cost, inserted, deleted), compared lexicographically
-    states: dict[tuple[int, float], tuple[tuple[float, int, int], tuple | None, int]] = {
-        (0, 0.0): ((0.0, 0, 0), None, 0)
-    }
-    frontier = [(0, 0.0)]
-    for j in range(n - 1):
-        layer = [key for key in frontier if key[0] == j]
-        if not layer:
-            frontier = [key for key in frontier if key[0] > j]
-            continue
-        for key in layer:
-            (cost, inserted, deleted), _, _ = states[key]
-            _, incoming = key
-            for i in range(j + 1, min(j + cfg.lookahead, last) + 1):
-                step_deleted = span_deletions(times, j, i, cfg)
-                for k in cfg.subdivision_factors:
-                    length = (times[i] - times[j]) / k
-                    step_cost = (
-                        cfg.deletion_penalty * step_deleted
-                        + cfg.insertion_penalty * (k - 1)
-                    )
+    layers: list[dict[float, tuple]] = [{} for _ in range(last + 1)]
+    layers[0][0.0] = ((0.0, 0, 0), None, 0)
+    for j in range(last):
+        for i in range(j + 1, min(j + cfg.lookahead, last) + 1):
+            step_deleted = span_deletions(times, j, i, cfg)
+            steps = [
+                (k, (times[i] - times[j]) / k,
+                 cfg.deletion_penalty * step_deleted + cfg.insertion_penalty * (k - 1))
+                for k in cfg.subdivision_factors
+            ]
+            target = layers[i]
+            for incoming, ((cost, inserted, deleted), _, _) in layers[j].items():
+                for k, length, step_cost in steps:
                     if incoming > 0.0:
                         step_cost += tempo_step_cost(incoming, length, cfg)
-                    new_key = (i, length)
                     new_cost = (cost + step_cost, inserted + k - 1, deleted + step_deleted)
-                    known = states.get(new_key)
+                    known = target.get(length)
                     if known is None or new_cost < known[0]:
-                        states[new_key] = (new_cost, key, k)
-                        if known is None:
-                            frontier.append(new_key)
-        frontier = [key for key in frontier if key[0] > j]
+                        target[length] = (new_cost, (j, incoming), k)
 
-    finals = [key for key in states if key[0] == last]
-    if not finals:
-        raise ValueError("bar-line cleanup found no path to the final estimate")
-    best = min(finals, key=lambda key: states[key][0])
+    final = layers[last]
+    best = min(final, key=lambda length: final[length][0])
 
     # walk parents to recover kept estimates and their subdivision factors
     spans: list[tuple[int, int]] = []  # (kept index, factor of the span ending there)
-    key: tuple[int, float] | None = best
+    key: tuple[int, float] | None = (last, best)
     while key is not None:
-        entry = states[key]
-        spans.append((key[0], entry[2]))
-        key = entry[1]
+        i, length = key
+        _, key, k = layers[i][length]
+        spans.append((i, k))
     spans.reverse()
 
     output: list[float] = [times[0]]
@@ -147,7 +136,7 @@ def postprocess_barlines_with_cost(
         a, b = times[j], times[i]
         output.extend(a + step * (b - a) / k for step in range(1, k))
         output.append(b)
-    return BarlineTrack(tuple(output)), states[best][0][0]
+    return BarlineTrack(tuple(output)), final[best][0][0]
 
 
 def discontinuity_rate(bars: BarlineTrack) -> float:

@@ -36,7 +36,6 @@ class RunConfig:
     onsets: onsets_mod.OnsetConfig = onsets_mod.OnsetConfig()
     render: render_mod.RenderOptions = render_mod.RenderOptions()
     strum_tolerance_sec: float = 0.05
-    barline_tolerance_sec: float = 0.07
     seed: int = 0
 
 
@@ -46,7 +45,7 @@ _SECTIONS = {
     "onsets": onsets_mod.OnsetConfig,
     "render": render_mod.RenderOptions,
 }
-_SCALARS = ("strum_tolerance_sec", "barline_tolerance_sec", "seed")
+_SCALARS = ("strum_tolerance_sec", "seed")
 
 
 def load_run_config(path: str) -> RunConfig:

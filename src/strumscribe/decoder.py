@@ -219,11 +219,12 @@ def decode(
     c1 = cfg.pattern_change_penalty
     c2 = cfg.timesig_change_penalty
 
-    # end_*[m, p]: best tiling of measures[0..m] whose last instance is
-    # pattern p ending exactly at measure m
-    end_cost = np.full((n_measures, n), np.inf)
-    end_sw = np.zeros((n_measures, n), dtype=np.int64)
-    end_prev = np.full((n_measures, n), -1, dtype=np.int64)
+    # end_cost/end_sw: best tiling of measures[0..m] whose last instance is
+    # pattern p ending exactly at measure m, one row rolled forward per
+    # measure; end_prev[m, p] keeps every row's backpointer for the backtrack
+    end_cost = np.full(n, np.inf)
+    end_sw = np.zeros(n, dtype=np.int64)
+    end_prev = np.full((n_measures, n), -1, dtype=np.int32)
     start_before = None  # entry stats of the previous measure, for 2-measure spans
 
     for m in range(n_measures):
@@ -232,26 +233,23 @@ def decode(
             s_sw = np.zeros(n, dtype=np.int64)
             s_prev = np.full(n, -1, dtype=np.int64)
         else:
-            s_cost, s_sw, s_prev = _relax_entry(
-                end_cost[m - 1], end_sw[m - 1], sig_codes, pattern_index, c1, c2
-            )
+            s_cost, s_sw, s_prev = _relax_entry(end_cost, end_sw, sig_codes, pattern_index, c1, c2)
         cand = s_cost + first[m]
-        end_cost[m, is_one] = cand[is_one]
-        end_sw[m, is_one] = s_sw[is_one]
+        end_cost[is_one] = cand[is_one]
+        end_sw[is_one] = s_sw[is_one]
         end_prev[m, is_one] = s_prev[is_one]
         if m >= 1:
             p_cost, p_sw, p_prev = start_before
             cand2 = (p_cost + first[m - 1]) + second[m]
-            end_cost[m, is_two] = cand2[is_two]
-            end_sw[m, is_two] = p_sw[is_two]
+            end_cost[is_two] = cand2[is_two]
+            end_sw[is_two] = p_sw[is_two]
             end_prev[m, is_two] = p_prev[is_two]
         start_before = (s_cost, s_sw, s_prev)
 
-    final_cost = end_cost[n_measures - 1]
-    if not np.isfinite(final_cost).any():
+    if not np.isfinite(end_cost).any():
         raise ValueError("no feasible pattern assignment covers all measures")
-    best = int(np.lexsort((pattern_index, end_sw[n_measures - 1], final_cost))[0])
-    total_cost = float(final_cost[best])
+    best = int(np.lexsort((pattern_index, end_sw, end_cost))[0])
+    total_cost = float(end_cost[best])
 
     entries: list[TranscriptionEntry | None] = [None] * n_measures
     m, p = n_measures - 1, best

@@ -1,14 +1,16 @@
 """Evaluation metrics: tolerance-based event matching and readability rates.
 
-Event matching is maximum-cardinality one-to-one matching on the bipartite
-graph that connects a reference event to an estimated event whenever their
-times differ by at most the tolerance. Greedy matching can undercount, so a
-Hopcroft-Karp search is used instead.
+Event matching counts the maximum number of one-to-one pairs of a reference
+and an estimated event whose times differ by at most the tolerance. Both
+lists are ascending and every tolerance window has the same width, so one
+sweep that pairs each reference with the earliest estimate still inside its
+window is exact: an estimate too early for one reference is too early for
+every later one, and taking the earliest never costs a later reference its
+match. This differs from nearest-first greedy matching, which can undercount.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +20,6 @@ from .barlines import discontinuity_rate
 from .decoder import Transcription, reconstruct_strums
 from .timeline import BarlineTrack, StrumSequence
 from .vocabulary import Vocabulary
-
-_UNMATCHED = -1
 
 
 @dataclass(frozen=True)
@@ -39,66 +39,6 @@ class MatchResult:
         return cls(tp, fp, fn, precision, recall, f1)
 
 
-def _tolerance_graph(
-    reference: Sequence[float], estimate: Sequence[float], tolerance: float
-) -> list[list[int]]:
-    """Adjacency lists from reference events to estimated events within
-    tolerance. Both inputs are ascending, so each reference sees a
-    contiguous window of estimates."""
-    est = np.asarray(estimate, dtype=float)
-    graph = []
-    for r in reference:
-        lo = int(np.searchsorted(est, r - tolerance, side="left"))
-        hi = int(np.searchsorted(est, r + tolerance, side="right"))
-        graph.append([j for j in range(lo, hi) if abs(est[j] - r) <= tolerance])
-    return graph
-
-
-def _hopcroft_karp(graph: list[list[int]], n_right: int) -> int:
-    """Maximum matching size for a bipartite graph given as left-to-right
-    adjacency lists."""
-    match_left = [_UNMATCHED] * len(graph)
-    match_right = [_UNMATCHED] * n_right
-    inf = float("inf")
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        dist.clear()
-        queue = deque()
-        for u in range(len(graph)):
-            if match_left[u] == _UNMATCHED:
-                dist[u] = 0
-                queue.append(u)
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in graph[u]:
-                w = match_right[v]
-                if w == _UNMATCHED:
-                    found = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in graph[u]:
-            w = match_right[v]
-            if w == _UNMATCHED or (dist.get(w, inf) == dist.get(u, inf) + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    matching = 0
-    while bfs():
-        for u in range(len(graph)):
-            if match_left[u] == _UNMATCHED and dfs(u):
-                matching += 1
-    return matching
-
-
 def match_events(
     reference: Sequence[float], estimate: Sequence[float], tolerance_sec: float
 ) -> MatchResult:
@@ -116,8 +56,17 @@ def match_events(
         raise ValueError("reference events must be ascending")
     if any(b < a for a, b in zip(estimate, estimate[1:])):
         raise ValueError("estimated events must be ascending")
-    graph = _tolerance_graph(reference, estimate, tolerance_sec)
-    tp = _hopcroft_karp(graph, len(estimate))
+    tp = i = j = 0
+    while i < len(reference) and j < len(estimate):
+        gap = estimate[j] - reference[i]
+        if gap < -tolerance_sec:
+            j += 1
+        elif gap > tolerance_sec:
+            i += 1
+        else:
+            tp += 1
+            i += 1
+            j += 1
     return MatchResult.from_counts(tp, len(estimate) - tp, len(reference) - tp)
 
 

@@ -110,11 +110,22 @@ def bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureS
     )
 
 
+def _load_times(source: IO, what: str, key: str) -> tuple[float, ...]:
+    """Read a JSON object whose single key holds a list of numbers."""
+    # integers parse as floats, so one too large for a float reads as inf
+    payload = json.load(source, parse_int=float)
+    if not isinstance(payload, dict) or set(payload) != {key}:
+        raise ValueError(f'{what} JSON must be an object with a single "{key}" key')
+    values = payload[key]
+    if not isinstance(values, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ValueError(f"{key!r} must be a list of numbers")
+    return tuple(values)
+
+
 def load_strums(source: IO) -> StrumSequence:
-    payload = json.load(source)
-    if not isinstance(payload, dict) or set(payload) != {"strums_sec"}:
-        raise ValueError('strum JSON must be an object with a single "strums_sec" key')
-    return StrumSequence(tuple(payload["strums_sec"]))
+    return StrumSequence(_load_times(source, "strum", "strums_sec"))
 
 
 def save_strums(strums: StrumSequence, fp: IO[str]) -> None:
@@ -123,10 +134,7 @@ def save_strums(strums: StrumSequence, fp: IO[str]) -> None:
 
 
 def load_barlines(source: IO) -> BarlineTrack:
-    payload = json.load(source)
-    if not isinstance(payload, dict) or set(payload) != {"barlines_sec"}:
-        raise ValueError('bar-line JSON must be an object with a single "barlines_sec" key')
-    return BarlineTrack(tuple(payload["barlines_sec"]))
+    return BarlineTrack(_load_times(source, "bar-line", "barlines_sec"))
 
 
 def save_barlines(bars: BarlineTrack, fp: IO[str]) -> None:

@@ -120,14 +120,26 @@ class TestDecodeCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_invalid_json_exit_1(self, tmp_path, vocab_file):
+    @pytest.mark.parametrize("which", ["strums", "barlines"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{broken", '{"KEY": null}', '{"KEY": 5}', '{"KEY": "0.1"}',
+         '{"KEY": [0.1, null]}', '{"KEY": [0.1, true]}', '{"KEY": [0.1, 1%s]}' % ("0" * 400)],
+        ids=["broken", "null", "number", "string", "null_item", "bool_item", "huge_int"],
+    )
+    def test_invalid_json_exit_1(self, tmp_path, vocab_file, synth_dir, capsys, which, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
+        bad.write_text(text.replace("KEY", f"{which}_sec"))
+        files = {"strums": synth_dir / "strums.json", "barlines": synth_dir / "barlines.json"}
+        files[which] = bad
         code = run(
-            ["decode", "--strums", bad, "--barlines", bad,
+            ["decode", "--strums", files["strums"], "--barlines", files["barlines"],
              "--vocab", vocab_file, "--out", tmp_path / "o.json"]
         )
         assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestBarlinesCommand:
@@ -278,9 +290,14 @@ class TestRenderCommand:
 
 
 class TestConfigFile:
-    def test_unknown_key_rejected(self, tmp_path, vocab_file, synth_dir):
+    @pytest.mark.parametrize(
+        "payload",
+        [{"decoder": {"sigma_typo": 1}}, {"barline_tolerance_sec": 0.07}],
+        ids=["section_field", "removed_barline_tolerance"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, vocab_file, synth_dir, payload):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"decoder": {"sigma_typo": 1}}))
+        config.write_text(json.dumps(payload))
         code = run(
             ["decode", "--strums", synth_dir / "strums.json",
              "--barlines", synth_dir / "barlines.json",

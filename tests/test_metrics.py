@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from strumscribe import (
@@ -69,7 +69,17 @@ class TestMatchEvents:
         with pytest.raises(ValueError):
             match_events([], [2.0, 1.0], 0.05)
 
-    @given(ref=event_lists, est=event_lists, tol=st.sampled_from([0.03, 0.1, 0.5]))
+    @given(ref=event_lists, est=event_lists, tol=st.sampled_from([0.03, 0.05, 0.1, 0.5]))
+    # pairs exactly at the tolerance, where r - tol rounds above the estimate
+    @example(ref=[0.07], est=[0.02], tol=0.05)
+    @example(ref=[0.28], est=[0.08], tol=0.2)
+    @example(ref=[0.04], est=[0.01], tol=0.03)
+    @example(ref=[0.43], est=[0.93], tol=0.5)
+    @example(
+        ref=[0.26, 0.67, 0.79, 1.13, 1.53, 1.73, 1.78, 1.86, 2.98],
+        est=[0.11, 0.21, 0.29, 0.99, 1.45, 1.97, 2.42, 2.44, 2.56, 2.66, 2.74],
+        tol=0.5,
+    )
     def test_matches_brute_force(self, ref, est, tol):
         result = match_events(ref, est, tol)
         assert result.true_positives == brute_max_matching(ref, est, tol)
