@@ -48,8 +48,39 @@ _SECTIONS = {
 _SCALARS = ("strum_tolerance_sec", "seed")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(name: str, value, default):
+    """A config value checked against the type of its field's default: a
+    float field takes a JSON int or float, an int field an int, a bool field
+    a bool, and subdivision_factors a list of ints. JSON booleans are never
+    numbers. Raises ValueError naming the field."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_int(value) or isinstance(value, float), "a number"
+    else:
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    if not ok:
+        raise ValueError(f"config field {name} must be {kind}, got {json.dumps(value)}")
+    if isinstance(default, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"config field {name} is out of range") from None
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
 def load_run_config(path: str) -> RunConfig:
-    """Parse a JSON config file, rejecting any unknown key."""
+    """Parse a JSON config file, rejecting any unknown key or mistyped value."""
     with open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
     if not isinstance(payload, dict):
@@ -62,16 +93,20 @@ def load_run_config(path: str) -> RunConfig:
         overrides = payload.get(section, {})
         if not isinstance(overrides, dict):
             raise ValueError(f"config section {section!r} must be an object")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        bad = set(overrides) - fields
+        defaults = _defaults(cls)
+        bad = set(overrides) - set(defaults)
         if bad:
             raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
-        if "subdivision_factors" in overrides:
-            overrides = dict(overrides, subdivision_factors=tuple(overrides["subdivision_factors"]))
-        kwargs[section] = cls(**overrides)
+        kwargs[section] = cls(
+            **{
+                field: _typed(f"{section}.{field}", value, defaults[field])
+                for field, value in overrides.items()
+            }
+        )
+    defaults = _defaults(RunConfig)
     for key in _SCALARS:
         if key in payload:
-            kwargs[key] = payload[key]
+            kwargs[key] = _typed(key, payload[key], defaults[key])
     return RunConfig(**kwargs)
 
 
@@ -132,7 +167,7 @@ def _add_common(parser: argparse.ArgumentParser, *sections: str) -> None:
     parser.add_argument("--config", help="JSON config file; unknown keys are errors")
     parser.add_argument("--seed", type=int, help="RNG seed")
     for section in sections:
-        defaults = {f.name: f.default for f in dataclasses.fields(_SECTIONS[section])}
+        defaults = _defaults(_SECTIONS[section])
         for field, flag in _FLAGS[section].items():
             default = defaults[field]
             if isinstance(default, bool):
@@ -226,8 +261,10 @@ def _eval_one(
             return str((base_dir / record[key]).resolve())
         except KeyError:
             raise ValueError(f"manifest record missing {key!r}") from None
+        except TypeError:
+            raise ValueError(f"manifest record {key!r} must be a path string") from None
 
-    vocab_path = str((base_dir / record["vocab"]).resolve()) if "vocab" in record else fallback_vocab
+    vocab_path = resolve("vocab") if "vocab" in record else fallback_vocab
     if not vocab_path:
         raise ValueError("manifest record has no vocab and no --vocab fallback was given")
     vocab = _read_vocab(vocab_path)
@@ -241,19 +278,51 @@ def _eval_one(
     return record.get("song_id", "?"), report
 
 
+def _read_manifest(path: str) -> list[tuple[int, dict]]:
+    """The manifest's (line number, record) pairs, skipping blank lines."""
+    records = []
+    with open(path, encoding="utf-8") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"manifest line {line_no}: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"manifest line {line_no}: a record must be a JSON object")
+            records.append((line_no, record))
+    return records
+
+
+def _eval_record(
+    numbered: tuple[int, dict], base_dir: Path, fallback_vocab: str | None, tolerance: float
+) -> tuple[str, metrics_mod.TranscriptionReport]:
+    """_eval_one on a manifest record. An error names the record's song_id,
+    or its manifest line when it has none, and keeps its exit code: OSError
+    stays OSError, bad content becomes ValueError."""
+    line_no, record = numbered
+    label = f"song_id {record['song_id']!r}" if "song_id" in record else f"manifest line {line_no}"
+    try:
+        return _eval_one(record, base_dir, fallback_vocab, tolerance)
+    except OSError as exc:
+        raise OSError(f"{label}: {exc}") from None
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     tolerance = cfg.strum_tolerance_sec
     if args.manifest:
         base_dir = Path(args.manifest).parent
-        with open(args.manifest, encoding="utf-8") as fp:
-            records = [json.loads(line) for line in fp if line.strip()]
+        records = _read_manifest(args.manifest)
         jobs = min(args.jobs or os.cpu_count() or 1, len(records))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(
                     pool.map(
-                        _eval_one,
+                        _eval_record,
                         records,
                         [base_dir] * len(records),
                         [args.vocab] * len(records),
@@ -261,7 +330,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     )
                 )
         else:
-            results = [_eval_one(record, base_dir, args.vocab, tolerance) for record in records]
+            results = [_eval_record(record, base_dir, args.vocab, tolerance) for record in records]
     else:
         for required in ("transcription", "barlines", "vocab", "ground_truth"):
             if getattr(args, required) is None:

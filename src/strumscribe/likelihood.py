@@ -59,6 +59,23 @@ def contribution_tables(
     meaningful for 2-measure patterns). Impossible pairings are np.inf, which
     the decoder treats as pruned; this is the only place an impossible
     emission is marked.
+
+    Each half works over its onset alphabet U, the sorted distinct onsets of
+    the patterns that play in that half. Per pattern it tabulates, over U
+    extended by -inf and +inf, the nearest own onset at or below and at or
+    above each alphabet position. A strum s then needs only two lookups
+    around searchsorted(U, s): since fl(s - u) is monotone in u, the nearest
+    onset below s and the nearest above it hold the minimum |s - u| exactly,
+    and a minimum does not depend on evaluation order. The onset side takes
+    each alphabet member's distance to its nearest strum and gathers it into
+    the pattern's onset slots, padding with 0.
+
+    The tables match a dense pattern x strum x onset evaluation bit for bit
+    because the squared distances are summed over C-contiguous rows of the
+    same lengths (the measure's strum count; the half's longest onset list).
+    numpy's pairwise sum groups a row's terms by its length and layout, and
+    a fancy-indexed gather need not come back C-contiguous, hence the
+    np.ascontiguousarray before each sum.
     """
     patterns = vocab.patterns
     n_measures, n_patterns = len(measures), len(patterns)
@@ -67,27 +84,44 @@ def contribution_tables(
     tables = []
     for half in (0, 1):
         halves = [p.onsets[half] if half < p.measures else None for p in patterns]
-        lengths = np.array([-1 if h is None else len(h) for h in halves])
-        max_len = max(1, int(lengths.max(initial=0)))
-        onset_grid = np.full((n_patterns, max_len), np.nan)
-        for i, h in enumerate(halves):
-            if h:
-                onset_grid[i, : len(h)] = h
-        pad = np.arange(max_len)[None, :] >= lengths[:, None]
-
+        silent_half = np.array([h == () for h in halves], dtype=bool)
+        rows = np.flatnonzero([bool(h) for h in halves])
         table = np.full((n_measures, n_patterns), np.inf)
-        has_onsets = lengths > 0
-        silent_half = lengths == 0
-        for m, strums in enumerate(measures):
-            s = np.asarray(strums.positions)
-            if s.size == 0:
-                table[m, silent_half] = 0.0
-                continue
-            distances = np.abs(s[None, :, None] - onset_grid[:, None, :])
-            distances[np.broadcast_to(pad[:, None, :], distances.shape)] = np.inf
-            to_pattern = distances.min(axis=2)
-            from_pattern = np.where(pad, 0.0, distances.min(axis=1))
-            mismatch = np.sum(to_pattern**2, axis=1) + np.sum(from_pattern**2, axis=1)
-            table[m, has_onsets] = mismatch[has_onsets] / denom
         tables.append(table)
+        for m, strums in enumerate(measures):
+            if not strums.positions:
+                table[m, silent_half] = 0.0
+        if rows.size == 0:
+            continue
+
+        alphabet = np.unique(np.concatenate([halves[i] for i in rows]))
+        max_len = max(len(halves[i]) for i in rows)
+        # slot index of each onset in the alphabet; padding points one past
+        # it, at the 0 appended to the per-member distances below
+        slots = np.full((len(rows), max_len), len(alphabet))
+        member = np.zeros((len(rows), len(alphabet) + 2), dtype=bool)
+        member[:, [0, -1]] = True
+        for r, i in enumerate(rows):
+            slot = np.searchsorted(alphabet, halves[i])
+            slots[r, : len(slot)] = slot
+            member[r, slot + 1] = True
+        extended = np.concatenate(([-np.inf], alphabet, [np.inf]))
+        # the nearest member at or below, and at or above, each position
+        position = np.arange(len(extended))
+        below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=1)]
+        reversed_above = np.where(member, position, len(extended) - 1)[:, ::-1]
+        above = extended[np.minimum.accumulate(reversed_above, axis=1)[:, ::-1]]
+
+        for m, strums in enumerate(measures):
+            if not strums.positions:
+                continue
+            s = np.asarray(strums.positions)
+            at = np.searchsorted(alphabet, s)
+            to_pattern = np.ascontiguousarray(
+                np.minimum(np.abs(s - below[:, at]), np.abs(s - above[:, at + 1]))
+            )
+            nearest = np.append(np.abs(s[:, None] - alphabet).min(axis=0), 0.0)
+            from_pattern = np.ascontiguousarray(nearest[slots])
+            mismatch = np.sum(to_pattern**2, axis=1) + np.sum(from_pattern**2, axis=1)
+            table[m, rows] = mismatch / denom
     return tables[0], tables[1]

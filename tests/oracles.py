@@ -1,12 +1,16 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
-Everything here is deliberately plain Python: exhaustive recursion and naive
-arithmetic, sharing no code path with the library internals it verifies.
+Everything here shares no code path with the library internals it verifies:
+exhaustive recursion and naive arithmetic in plain Python, plus the dense
+numpy emission tables that the library's onset-alphabet lookup must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def nearest_sq(x, ys):
@@ -37,6 +41,44 @@ def transition(prev, cur, cfg):
     if prev.time_signature == cur.time_signature:
         return cfg.pattern_change_penalty
     return cfg.pattern_change_penalty + cfg.timesig_change_penalty
+
+
+def dense_contribution_tables(measures, vocab, cfg):
+    """Reference emission tables from one dense pattern x strum x onset
+    distance block per measure. The library's alphabet lookup must match
+    these tables bit for bit (`tobytes()` equality), not just to a tolerance.
+    """
+    patterns = vocab.patterns
+    n_measures, n_patterns = len(measures), len(patterns)
+    denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
+
+    tables = []
+    for half in (0, 1):
+        halves = [p.onsets[half] if half < p.measures else None for p in patterns]
+        lengths = np.array([-1 if h is None else len(h) for h in halves])
+        max_len = max(1, int(lengths.max(initial=0)))
+        onset_grid = np.full((n_patterns, max_len), np.nan)
+        for i, h in enumerate(halves):
+            if h:
+                onset_grid[i, : len(h)] = h
+        pad = np.arange(max_len)[None, :] >= lengths[:, None]
+
+        table = np.full((n_measures, n_patterns), np.inf)
+        has_onsets = lengths > 0
+        silent_half = lengths == 0
+        for m, strums in enumerate(measures):
+            s = np.asarray(strums.positions)
+            if s.size == 0:
+                table[m, silent_half] = 0.0
+                continue
+            distances = np.abs(s[None, :, None] - onset_grid[:, None, :])
+            distances[np.broadcast_to(pad[:, None, :], distances.shape)] = np.inf
+            to_pattern = distances.min(axis=2)
+            from_pattern = np.where(pad, 0.0, distances.min(axis=1))
+            mismatch = np.sum(to_pattern**2, axis=1) + np.sum(from_pattern**2, axis=1)
+            table[m, has_onsets] = mismatch[has_onsets] / denom
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def enumerate_decode(measures, vocab, cfg):

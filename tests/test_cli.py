@@ -247,6 +247,49 @@ class TestEvalCommand:
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "fault, code, label",
+        [
+            ("missing_file", 2, "song_id 'broken'"),
+            ("bad_content", 1, "manifest line 3"),
+            ("path_not_string", 1, "song_id 'broken'"),
+            ("broken_json", 1, "manifest line 3"),
+            ("not_an_object", 1, "manifest line 3"),
+        ],
+        ids=["missing_file", "bad_content", "path_not_string", "broken_json", "not_an_object"],
+    )
+    def test_manifest_error_names_record(
+        self, tmp_path, vocab_file, synth_dir, capsys, jobs, fault, code, label
+    ):
+        good = {
+            "song_id": "good",
+            "transcription": str(synth_dir / "transcription.json"),
+            "barlines": str(synth_dir / "barlines.json"),
+            "ground_truth": str(synth_dir / "nominal_strums.json"),
+        }
+        (tmp_path / "bad.json").write_text('{"strums_sec": [0.1, null]}')
+        no_id = {key: value for key, value in good.items() if key != "song_id"}
+        bad = {
+            "missing_file": json.dumps(dict(good, song_id="broken",
+                                            transcription=str(tmp_path / "nope.json"))),
+            "bad_content": json.dumps(dict(no_id, ground_truth=str(tmp_path / "bad.json"))),
+            "path_not_string": json.dumps(dict(good, song_id="broken", barlines=5)),
+            "broken_json": "{broken",
+            "not_an_object": "[1, 2]",
+        }[fault]
+        manifest = tmp_path / "m.jsonl"
+        # the blank line counts: the bad record is on manifest line 3
+        manifest.write_text(json.dumps(good) + "\n\n" + bad + "\n")
+        out = tmp_path / "report.json"
+        assert run(
+            ["eval", "--manifest", manifest, "--vocab", vocab_file, "--out", out, "--jobs", jobs]
+        ) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {label}: ")
+        assert not out.exists()
+
     def test_jobs_capped_at_record_count(self, tmp_path, vocab_file, synth_dir, monkeypatch):
         assert run(
             ["decode", "--strums", synth_dir / "strums.json",
@@ -305,6 +348,44 @@ class TestConfigFile:
              "--config", config]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"decoder": {"timing_sigma": "0.1"}}, "decoder.timing_sigma"),
+            ({"decoder": {"timing_sigma": True}}, "decoder.timing_sigma"),
+            ({"decoder": {"timing_sigma": int("1" + "0" * 400)}}, "decoder.timing_sigma"),
+            ({"barlines": {"lookahead": "3"}}, "barlines.lookahead"),
+            ({"barlines": {"lookahead": True}}, "barlines.lookahead"),
+            ({"barlines": {"lookahead": 3.0}}, "barlines.lookahead"),
+            ({"barlines": {"subdivision_factors": [1, "2"]}}, "barlines.subdivision_factors"),
+            ({"barlines": {"subdivision_factors": 2}}, "barlines.subdivision_factors"),
+            ({"render": {"use_repeat_symbol": 0}}, "render.use_repeat_symbol"),
+            ({"seed": 1.5}, "seed"),
+            ({"strum_tolerance_sec": None}, "strum_tolerance_sec"),
+        ],
+        ids=["float_str", "float_bool", "float_huge", "int_str", "int_bool", "int_float",
+             "int_list_item", "int_list_scalar", "bool_int", "top_int", "top_float_null"],
+    )
+    def test_mistyped_value_names_field(self, tmp_path, capsys, payload, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"barlines_sec": [0.0, 2.0, 4.0]}))
+        out = tmp_path / "o.json"
+        assert run(["barlines", "--raw", raw, "--out", out, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert f" {field} " in err
+        assert not out.exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"decoder": {"timing_sigma": 1}, "strum_tolerance_sec": 0}))
+        cfg = cli.load_run_config(str(config))
+        assert type(cfg.decoder.timing_sigma) is float and cfg.decoder.timing_sigma == 1.0
+        assert type(cfg.strum_tolerance_sec) is float
 
     def test_config_applies_and_flag_overrides(self, tmp_path, vocab_file, synth_dir):
         config = tmp_path / "config.json"

@@ -2,18 +2,75 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from strumscribe import DecoderConfig, MeasureStrums, Vocabulary, decode
+from strumscribe import (
+    DecoderConfig,
+    MeasureStrums,
+    RhythmicPattern,
+    SynthSpec,
+    TimeSignature,
+    Vocabulary,
+    bin_strums,
+    decode,
+    generate_song,
+)
 from strumscribe.likelihood import contribution_tables
 
 from conftest import make_pattern
-from oracles import half_cost
+from oracles import dense_contribution_tables, half_cost
 
 positions = st.lists(st.integers(0, 63), min_size=1, max_size=8).map(
     lambda xs: sorted({x / 64 for x in xs})
 )
+
+anywhere = st.floats(0.0, 1.0, exclude_max=True)
+onset_kinds = [st.integers(0, n - 1).map(lambda k, n=n: k / n) for n in (16, 12)] + [anywhere]
+# one half: up to 16 onsets on the 16th grid, the triplet grid, anywhere, or mixed
+half_onsets = (
+    st.sampled_from(onset_kinds + [st.one_of(onset_kinds)])
+    .flatmap(lambda kind: st.lists(kind, max_size=16))
+    .map(lambda xs: tuple(sorted(set(xs))))
+)
+
+
+@st.composite
+def emission_cases(draw):
+    """(measures, vocab, cfg): 1- and 2-measure patterns, silent halves and
+    measures, and up to 12 strums per measure placed on onsets, at midpoints
+    between neighbouring onsets, or anywhere."""
+    shapes = draw(
+        st.lists(
+            st.lists(half_onsets, min_size=1, max_size=2).map(tuple).filter(any),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    vocab = Vocabulary.build(make_pattern(f"P{i}", "4/4", *shape) for i, shape in enumerate(shapes))
+    alphabet = sorted({u for shape in shapes for half in shape for u in half})
+    midpoints = [(a + b) / 2 for a, b in zip(alphabet, alphabet[1:])]
+    strum = st.one_of(
+        [anywhere, st.sampled_from(alphabet)] + ([st.sampled_from(midpoints)] if midpoints else [])
+    )
+    strums = draw(st.lists(st.lists(strum, max_size=12), min_size=1, max_size=4))
+    measures = [MeasureStrums(m, tuple(sorted(s))) for m, s in enumerate(strums)]
+    return measures, vocab, DecoderConfig(timing_sigma=draw(st.sampled_from([0.01, 0.03, 0.5])))
+
+
+def assert_bit_exact(measures, vocab, cfg):
+    got = contribution_tables(measures, vocab, cfg)
+    want = dense_contribution_tables(measures, vocab, cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+SIXTEENTHS = [k / 16 for k in range(16)]
+# 12 strums: on the first six 16ths and at the midpoints after them
+ON_AND_BETWEEN = tuple(sorted(SIXTEENTHS[:6] + [k / 16 + 1 / 32 for k in range(6)]))
+
 
 # 2 * sigma^2 == 2 exactly, so twice a cell is the raw two-way mismatch
 SIGMA_ONE = DecoderConfig(timing_sigma=1.0)
@@ -242,3 +299,48 @@ class TestContributionTables:
                         assert np.isinf(got)
                     else:
                         assert got == pytest.approx(expected, abs=1e-12)
+
+    @given(emission_cases())
+    # 2-measure patterns, silent halves, a silent measure, 16-onset rows
+    @example(
+        (
+            [
+                MeasureStrums(0, ON_AND_BETWEEN),
+                MeasureStrums(1, ()),
+                MeasureStrums(2, (0.0, 1 / 3, 0.5, 0.5, 2 / 3, 0.99)),
+            ],
+            Vocabulary.build(
+                [
+                    make_pattern("FULL", "4/4", SIXTEENTHS),
+                    make_pattern("TWO", "4/4", [0.0, 0.5], []),
+                    make_pattern("LATE", "3/4", [], [0.0, 1 / 3, 2 / 3]),
+                ]
+            ),
+            DecoderConfig(),
+        )
+    )
+    def test_bit_exact_against_dense(self, case):
+        assert_bit_exact(*case)
+
+    def test_bit_exact_at_c10_size(self):
+        # the c10 vocabulary recipe at seed 0: 998 random 16th-grid patterns
+        # in 4/4 or 3/4 plus two 2-measure ones, and 300 measures played from it
+        rng = np.random.default_rng(0)
+        signatures = [TimeSignature(4, 4), TimeSignature(3, 4)]
+        patterns, seen = [], set()
+        while len(patterns) < 998:
+            size = int(rng.integers(1, 9))
+            grid = tuple(sorted(rng.choice(16, size=size, replace=False) / 16))
+            sig = signatures[int(rng.integers(2))]
+            if (sig, grid) not in seen:
+                seen.add((sig, grid))
+                patterns.append(RhythmicPattern(f"P{len(patterns)}", sig, (grid,)))
+        patterns.append(RhythmicPattern("T1", signatures[0], ((0.0, 0.5), (0.25, 0.75))))
+        patterns.append(RhythmicPattern("T2", signatures[1], ((0.0,), (0.5,))))
+        vocab = Vocabulary.build(patterns)
+        song = generate_song(
+            SynthSpec(seed=1, vocab=vocab, measures=300, sigma_norm=0.02, switch_prob=0.2,
+                      miss_rate=0.02, spurious_rate=0.02)
+        )
+        measures, _ = bin_strums(song.observed, song.barlines)
+        assert_bit_exact(measures, vocab, DecoderConfig())
