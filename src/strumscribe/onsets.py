@@ -76,8 +76,16 @@ class OnsetConfig:
 
 def load_wav(path: str) -> AudioBuffer:
     """Read a PCM WAV file (16/24-bit int or 32-bit float); multichannel
-    audio is mixed down by channel averaging."""
-    sample_rate, data = wavfile.read(path)
+    audio is mixed down by channel averaging. A file that cannot be opened
+    raises OSError; one that is not a readable WAV raises ValueError."""
+    try:
+        sample_rate, data = wavfile.read(path)
+    except OSError:
+        raise
+    except Exception as exc:
+        # scipy's parser fails on a malformed header with whatever it trips
+        # on (struct.error, ZeroDivisionError, ValueError, ...)
+        raise ValueError(f"cannot read WAV file {path!r}: {exc}") from exc
     if data.dtype == np.int16:
         samples = data / 32768.0
     elif data.dtype == np.int32:
@@ -113,6 +121,10 @@ def _mel_filterbank(sample_rate: int, n_fft: int, cfg: OnsetConfig) -> np.ndarra
     return bank
 
 
+# frames per block of STFT magnitudes in onset_strength
+_MAGNITUDE_BLOCK_FRAMES = 256
+
+
 def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.ndarray:
     """Per-frame onset-strength envelope (non-negative, first frame 0).
 
@@ -120,11 +132,25 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     spans [t*hop - (frame - hop), t*hop + hop). Energy arriving during hop t
     therefore raises the envelope at index t, which keeps attack times
     aligned with the t*hop/sample_rate convention used by pick_peaks.
+
+    The STFT magnitudes are filled in blocks of _MAGNITUDE_BLOCK_FRAMES
+    frames, so the windowed frames and the complex spectrum never exist for
+    the whole song at once. Windowing, rfft along a row and abs each act on
+    one frame alone, so the magnitude matrix is bit-for-bit the whole-array
+    one. The mel projection stays one matrix product over all frames:
+    BLAS can give a row different bits depending on how many rows the
+    product has, so a blocked product could move a peak pick.
     """
     cfg = cfg or OnsetConfig()
     samples = audio.samples
     if len(samples) < cfg.frame_size:
         raise ValueError(f"audio shorter than one frame ({cfg.frame_size} samples)")
+    nyquist = audio.sample_rate / 2.0
+    if cfg.fmin_hz >= nyquist:
+        raise ValueError(
+            f"onsets.fmin_hz ({cfg.fmin_hz:g} Hz) must be below the audio's "
+            f"Nyquist frequency ({nyquist:g} Hz)"
+        )
     left = cfg.frame_size - cfg.hop_size
     padded = np.concatenate([np.zeros(left), samples, np.zeros(cfg.hop_size)])
     n_frames = 1 + (len(padded) - cfg.frame_size) // cfg.hop_size
@@ -132,7 +158,10 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_size)[
         :: cfg.hop_size
     ][:n_frames]
-    spectra = np.abs(np.fft.rfft(frames * window, axis=1))
+    spectra = np.empty((n_frames, cfg.frame_size // 2 + 1))
+    for start in range(0, n_frames, _MAGNITUDE_BLOCK_FRAMES):
+        block = slice(start, start + _MAGNITUDE_BLOCK_FRAMES)
+        np.abs(np.fft.rfft(frames[block] * window, axis=1), out=spectra[block])
     mel = spectra @ _mel_filterbank(audio.sample_rate, cfg.frame_size, cfg).T
     # floor relative to the signal peak: spectral-leakage bins oscillate by
     # orders of magnitude and would otherwise dominate the log-scale flux

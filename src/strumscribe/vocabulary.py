@@ -187,6 +187,17 @@ class Vocabulary:
 _PATTERN_KEYS = {"id", "name", "time_signature", "measures", "onsets"}
 
 
+def _position(pattern_id, measure: int, index: int, value) -> float:
+    """One JSON onset position as a float: an int or a float, not a bool."""
+    where = f"pattern {pattern_id!r}: onsets[{measure}][{index}]"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise VocabularyError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise VocabularyError(f"{where} is out of range") from None
+
+
 def _pattern_from_record(record: dict) -> RhythmicPattern:
     if not isinstance(record, dict):
         raise VocabularyError(f"pattern record must be an object, got {type(record).__name__}")
@@ -202,7 +213,10 @@ def _pattern_from_record(record: dict) -> RhythmicPattern:
     pattern = RhythmicPattern(
         id=record["id"],
         time_signature=TimeSignature.parse(record["time_signature"]),
-        onsets=tuple(tuple(m) for m in onsets),
+        onsets=tuple(
+            tuple(_position(record.get("id"), m, i, p) for i, p in enumerate(measure))
+            for m, measure in enumerate(onsets)
+        ),
         name=record.get("name"),
     )
     if record["measures"] != pattern.measures:

@@ -3,7 +3,8 @@
 Everything here shares no code path with the library internals it verifies:
 exhaustive recursion and naive arithmetic in plain Python, plus the dense
 numpy emission tables that the library's onset-alphabet lookup must
-reproduce bit for bit.
+reproduce bit for bit, and the whole-array onset envelope that the
+library's blocked STFT must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from strumscribe.onsets import OnsetConfig, _mel_filterbank
 
 
 def nearest_sq(x, ys):
@@ -79,6 +82,32 @@ def dense_contribution_tables(measures, vocab, cfg):
             table[m, has_onsets] = mismatch[has_onsets] / denom
         tables.append(table)
     return tables[0], tables[1]
+
+
+def dense_onset_strength(audio, cfg=None):
+    """Reference onset envelope from one whole-song windowed copy, complex
+    spectrum and magnitude matrix. The library's blocked magnitudes must
+    give this envelope bit for bit (`tobytes()` equality). Only the mel
+    filterbank is shared with the library."""
+    cfg = cfg or OnsetConfig()
+    samples = audio.samples
+    if len(samples) < cfg.frame_size:
+        raise ValueError(f"audio shorter than one frame ({cfg.frame_size} samples)")
+    left = cfg.frame_size - cfg.hop_size
+    padded = np.concatenate([np.zeros(left), samples, np.zeros(cfg.hop_size)])
+    n_frames = 1 + (len(padded) - cfg.frame_size) // cfg.hop_size
+    window = np.hanning(cfg.frame_size)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_size)[
+        :: cfg.hop_size
+    ][:n_frames]
+    spectra = np.abs(np.fft.rfft(frames * window, axis=1))
+    mel = spectra @ _mel_filterbank(audio.sample_rate, cfg.frame_size, cfg).T
+    # floor relative to the signal peak: spectral-leakage bins oscillate by
+    # orders of magnitude and would otherwise dominate the log-scale flux
+    floor = mel.max() * 1e-4
+    log_mel = np.log1p(cfg.log_compression * (mel + floor))
+    flux = np.maximum(np.diff(log_mel, axis=0), 0.0).sum(axis=1)
+    return np.concatenate(([0.0], flux))
 
 
 def enumerate_decode(measures, vocab, cfg):

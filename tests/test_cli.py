@@ -142,6 +142,32 @@ class TestDecodeCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["null", "1" + "0" * 400, '"0.0"', "false", "true"],
+        ids=["null", "huge_int", "string", "false", "true"],
+    )
+    def test_mistyped_vocab_onset_exit_1(
+        self, tmp_path, basic_vocab, synth_dir, capsys, literal
+    ):
+        payload = basic_vocab.to_dict()
+        twobar = next(p for p in payload["patterns"] if p["id"] == "TWOBAR")
+        twobar["onsets"][1][0] = "SLOT"
+        vocab = tmp_path / "bad_vocab.json"
+        vocab.write_text(json.dumps(payload).replace('"SLOT"', literal))
+        out = tmp_path / "o.json"
+        code = run(
+            ["decode", "--strums", synth_dir / "strums.json",
+             "--barlines", synth_dir / "barlines.json", "--vocab", vocab, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "'TWOBAR'" in err and "onsets[1][0]" in err
+        assert not out.exists()
+
+
 class TestBarlinesCommand:
     def test_cleanup(self, tmp_path):
         raw = tmp_path / "raw.json"
@@ -432,6 +458,29 @@ class TestOnsetsAndPipeline:
         assert run(["onsets", "--audio", wav, "--out", out]) == 0
         detected = json.loads(out.read_text())["strums_sec"]
         assert len(detected) == 6
+
+    @pytest.mark.parametrize("fault", ["truncated_header", "zero_channels", "below_fmin"])
+    def test_unreadable_audio_exit_1(self, tmp_path, capsys, fault):
+        wav = tmp_path / "a.wav"
+        if fault == "below_fmin":
+            # 40 Hz audio has a 20 Hz Nyquist frequency, below the 30 Hz fmin
+            write_wav(wav, np.zeros(40 * 200), sr=40)
+        else:
+            write_wav(wav, np.zeros(4096))
+            data = wav.read_bytes()
+            if fault == "truncated_header":
+                data = data[:30]
+            else:
+                # the fmt chunk's channel count sits at byte 22
+                data = data[:22] + struct.pack("<H", 0) + data[24:]
+            wav.write_bytes(data)
+        out = tmp_path / "strums.json"
+        assert run(["onsets", "--audio", wav, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert ("onsets.fmin_hz" if fault == "below_fmin" else str(wav)) in err
+        assert not out.exists()
 
     def test_pipeline_recovers_known_pattern(self, tmp_path, capsys):
         # quarter-note strums at 120 bpm, 8 measures of 2 s each

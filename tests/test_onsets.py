@@ -1,7 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strumscribe import (
     AudioBuffer,
@@ -12,10 +15,13 @@ from strumscribe import (
     onset_strength,
     pick_peaks,
 )
-from strumscribe.onsets import tune_peak_picking
+from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, tune_peak_picking
+
+from oracles import dense_onset_strength
 
 SR = 44100
 HOP = 512
+BLOCK = _MAGNITUDE_BLOCK_FRAMES
 
 
 def pluck_train(times, sr=SR, decay=0.03, seed=0, amp=0.5, tail=1.0):
@@ -62,6 +68,12 @@ class TestOnsetStrength:
             env = onset_strength(AudioBuffer(samples, SR))
             assert abs(int(env.argmax()) - k / HOP) <= 1.0
 
+    @pytest.mark.parametrize("sample_rate", [40, 60])
+    def test_fmin_at_or_above_nyquist_rejected(self, sample_rate):
+        audio = AudioBuffer(np.zeros(200 * sample_rate), sample_rate)
+        with pytest.raises(ValueError, match=rf"onsets\.fmin_hz.*Nyquist.*\({sample_rate // 2} Hz\)"):
+            onset_strength(audio)
+
     def test_steady_sine_quiet_after_attack(self):
         sine = AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * np.arange(SR) / SR), SR)
         env = onset_strength(sine)
@@ -70,6 +82,83 @@ class TestOnsetStrength:
         # genuine transient; steady state is everything in between
         steady = env[8:-4].max()
         assert steady < 0.05 * attack
+
+
+@st.composite
+def envelope_cases(draw):
+    """(cfg, n_samples, sample_rate, signal kind, seed) with a frame count
+    on, around or away from the magnitude block size. The envelope has
+    1 + n_samples // hop frames and n_samples >= frame_size, so it always
+    has at least 2; the hop is drawn large enough to reach the count."""
+    frame = draw(st.integers(64, 4096))
+    n_frames = draw(
+        st.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+        | st.integers(2, 2 * BLOCK + 1)
+    )
+    hop = draw(st.integers(-(-(frame + 1) // n_frames), frame))
+    n_samples = draw(st.integers(max(frame, (n_frames - 1) * hop), n_frames * hop - 1))
+    sample_rate = draw(st.sampled_from([8000, 22050, 44100]))
+    nyquist = sample_rate / 2.0
+    fmin = draw(st.floats(1.0, nyquist, exclude_max=True))
+    fmax = draw(st.floats(fmin, 2.0 * nyquist, exclude_min=True))
+    cfg = OnsetConfig(frame_size=frame, hop_size=hop, n_mels=draw(st.integers(1, 200)),
+                      fmin_hz=fmin, fmax_hz=fmax)
+    kind = draw(st.sampled_from(["noise", "clicks", "silence"]))
+    return cfg, n_samples, sample_rate, kind, draw(st.integers(0, 2**32 - 1))
+
+
+def make_signal(n_samples, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        return rng.standard_normal(n_samples) * rng.uniform(0.01, 0.5)
+    samples = np.zeros(n_samples)
+    if kind == "clicks":
+        samples[rng.integers(0, n_samples, 1 + n_samples // 4096)] = rng.uniform(-1, 1)
+    return samples
+
+
+def assert_bit_exact(audio, cfg):
+    got = onset_strength(audio, cfg)
+    want = dense_onset_strength(audio, cfg)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBlockedMagnitudes:
+    @settings(max_examples=60, deadline=None)
+    @given(envelope_cases())
+    @example(case=(OnsetConfig(), BLOCK * HOP - 1, SR, "noise", 0))
+    @example(case=(OnsetConfig(), (BLOCK - 2) * HOP, SR, "noise", 1))
+    @example(case=(OnsetConfig(), BLOCK * HOP, 22050, "clicks", 2))
+    @example(case=(OnsetConfig(), 2 * BLOCK * HOP, 8000, "noise", 3))
+    @example(case=(OnsetConfig(frame_size=64, hop_size=64), 64, 44100, "noise", 4))
+    def test_bit_exact_against_dense(self, case):
+        cfg, n_samples, sample_rate, kind, seed = case
+        audio = AudioBuffer(make_signal(n_samples, kind, seed), sample_rate)
+        assert_bit_exact(audio, cfg)
+
+    def test_bit_exact_at_bench_size(self):
+        # 140 s of 22.05 kHz strumming, the length of a long benchmark song
+        rng = np.random.default_rng(140)
+        times = np.cumsum(rng.uniform(0.12, 0.6, 400))
+        times = times[times < 139.0]
+        audio = pluck_train(times.tolist(), sr=22050, seed=140, tail=140.0 - times[-1])
+        assert len(audio.samples) == 140 * 22050
+        assert_bit_exact(audio, OnsetConfig())
+
+    def test_peak_memory_below_dense(self):
+        audio = AudioBuffer(make_signal(60 * 22050, "noise", 60), 22050)
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                fn(audio)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(onset_strength) < 0.6 * traced_peak(dense_onset_strength)
 
 
 class TestPickPeaks:
