@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.ndimage
 from scipy.io import wavfile
 
 from .timeline import StrumSequence
@@ -180,6 +179,12 @@ def _clipped_moving_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return (cumulative[hi] - cumulative[lo]) / (hi - lo)
 
 
+def _window_max(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Max of x over [t - before, t + after], clipped at the array edges."""
+    padded = np.concatenate((np.full(before, -np.inf), x, np.full(after, -np.inf)))
+    return np.lib.stride_tricks.sliding_window_view(padded, before + after + 1).max(axis=1)
+
+
 def pick_peaks(
     envelope: np.ndarray, sample_rate: int, cfg: OnsetConfig | None = None
 ) -> StrumSequence:
@@ -194,13 +199,8 @@ def pick_peaks(
     if envelope.size == 0:
         return StrumSequence(())
     size = cfg.pre_max + cfg.post_max + 1
-    local_max = scipy.ndimage.maximum_filter1d(
-        envelope,
-        size=size,
-        origin=size // 2 - cfg.pre_max,
-        mode="constant",
-        cval=-np.inf,
-    )
+    before = 2 * (size // 2) - cfg.pre_max
+    local_max = _window_max(envelope, before, size - 1 - before)
     local_mean = _clipped_moving_mean(envelope, cfg.pre_avg, cfg.post_avg)
     candidates = np.flatnonzero((envelope >= local_max) & (envelope >= local_mean + cfg.delta))
     gap_frames = cfg.min_gap_sec * sample_rate / cfg.hop_size

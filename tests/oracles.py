@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.ndimage
 
 from strumscribe.onsets import OnsetConfig, _mel_filterbank
 
@@ -108,6 +109,19 @@ def dense_onset_strength(audio, cfg=None):
     log_mel = np.log1p(cfg.log_compression * (mel + floor))
     flux = np.maximum(np.diff(log_mel, axis=0), 0.0).sum(axis=1)
     return np.concatenate(([0.0], flux))
+
+
+def scipy_local_max(envelope, pre_max, post_max):
+    """pick_peaks' local-max window as scipy.ndimage computed it before the
+    library moved to a numpy-only sliding-window max."""
+    size = pre_max + post_max + 1
+    return scipy.ndimage.maximum_filter1d(
+        envelope,
+        size=size,
+        origin=size // 2 - pre_max,
+        mode="constant",
+        cval=-np.inf,
+    )
 
 
 def enumerate_decode(measures, vocab, cfg):

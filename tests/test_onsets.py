@@ -15,9 +15,9 @@ from strumscribe import (
     onset_strength,
     pick_peaks,
 )
-from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, tune_peak_picking
+from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, _window_max, tune_peak_picking
 
-from oracles import dense_onset_strength
+from oracles import dense_onset_strength, scipy_local_max
 
 SR = 44100
 HOP = 512
@@ -189,6 +189,20 @@ class TestPickPeaks:
         detected = detect_onsets(audio)
         result = match_events(times.tolist(), detected.times_sec, 0.05)
         assert result.f1 == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # few distinct levels, so windows often hold ties
+        envelope=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.25]), min_size=1, max_size=40),
+        pre=st.integers(1, 9),
+        post=st.integers(1, 9),
+    )
+    def test_window_max_matches_scipy(self, envelope, pre, post):
+        env = np.asarray(envelope)
+        size = pre + post + 1
+        before = 2 * (size // 2) - pre
+        got = _window_max(env, before, size - 1 - before)
+        assert got.tobytes() == scipy_local_max(env, pre, post).tobytes()
 
 
 class TestRobustness:
