@@ -190,17 +190,16 @@ def pick_peaks(
 ) -> StrumSequence:
     """Select onset times from an onset-strength envelope.
 
-    A frame is an onset when it is the maximum of its local window, exceeds
-    the local moving average by delta, and arrives at least min_gap_sec
+    A frame t is an onset when it is the maximum of its local window
+    [t - pre_max, t + post_max], exceeds the moving average over
+    [t - pre_avg, t + post_avg] by delta, and arrives at least min_gap_sec
     after the previously accepted onset.
     """
     cfg = cfg or OnsetConfig()
     envelope = np.asarray(envelope, dtype=float)
     if envelope.size == 0:
         return StrumSequence(())
-    size = cfg.pre_max + cfg.post_max + 1
-    before = 2 * (size // 2) - cfg.pre_max
-    local_max = _window_max(envelope, before, size - 1 - before)
+    local_max = _window_max(envelope, cfg.pre_max, cfg.post_max)
     local_mean = _clipped_moving_mean(envelope, cfg.pre_avg, cfg.post_avg)
     candidates = np.flatnonzero((envelope >= local_max) & (envelope >= local_mean + cfg.delta))
     gap_frames = cfg.min_gap_sec * sample_rate / cfg.hop_size

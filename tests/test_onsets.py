@@ -197,13 +197,24 @@ class TestPickPeaks:
         pre=st.integers(1, 9),
         post=st.integers(1, 9),
     )
-    def test_window_max_matches_scipy(self, envelope, pre, post):
+    def test_window_max_is_brute_force_max(self, envelope, pre, post):
         env = np.asarray(envelope)
-        size = pre + post + 1
-        before = 2 * (size // 2) - pre
-        got = _window_max(env, before, size - 1 - before)
-        assert got.tobytes() == scipy_local_max(env, pre, post).tobytes()
+        got = _window_max(env, pre, post)
+        want = np.array([env[max(0, t - pre) : t + post + 1].max() for t in range(len(env))])
+        assert got.tobytes() == want.tobytes()
+        if pre == post:
+            assert got.tobytes() == scipy_local_max(env, pre, post).tobytes()
 
+    @pytest.mark.parametrize("pre_max, post_max", [(1, 4), (4, 1), (2, 5), (3, 3)])
+    def test_impulse_suppresses_pre_max_before_and_post_max_after(self, pre_max, post_max):
+        # a frame is no local max while the big impulse at frame 20 lies
+        # within pre_max frames before it or post_max frames after it
+        env = np.ones(41)
+        env[20] = 100.0
+        cfg = OnsetConfig(pre_max=pre_max, post_max=post_max, delta=-1e3, min_gap_sec=0.0)
+        picked = np.round(np.asarray(pick_peaks(env, SR, cfg).times_sec) * SR / HOP).astype(int)
+        suppressed = set(range(20 - post_max, 20)) | set(range(21, 21 + pre_max))
+        assert set(picked) == set(range(41)) - suppressed
 
 class TestRobustness:
     def test_amplitude_scaling_moves_onsets_at_most_one_hop(self, pluck_fixture):
