@@ -81,18 +81,41 @@ class Transcription:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Transcription":
-        if set(payload) != {"total_cost", "measures"}:
+        if not isinstance(payload, dict) or set(payload) != {"total_cost", "measures"}:
             raise ValueError('transcription JSON needs exactly "total_cost" and "measures"')
-        entries = tuple(
-            TranscriptionEntry(
-                measure_index=rec["index"],
-                pattern_id=rec["pattern_id"],
-                phase=rec["phase"],
-                time_signature=TimeSignature.parse(rec["time_signature"]),
-            )
-            for rec in payload["measures"]
-        )
-        return cls(entries, float(payload["total_cost"]))
+        total_cost = payload["total_cost"]
+        if isinstance(total_cost, bool) or not isinstance(total_cost, (int, float)):
+            raise ValueError(f"transcription total_cost must be a number, got {total_cost!r}")
+        try:
+            total_cost = float(total_cost)
+        except OverflowError:
+            raise ValueError("transcription total_cost is out of range") from None
+        records = payload["measures"]
+        if not isinstance(records, list):
+            raise ValueError(f"transcription measures must be a list, got {records!r}")
+        return cls(tuple(_entry_from_record(i, rec) for i, rec in enumerate(records)), total_cost)
+
+
+# the JSON type of each field of a transcription's measure record
+_ENTRY_FIELDS = {"index": int, "pattern_id": str, "phase": int, "time_signature": str}
+
+
+def _entry_from_record(i: int, rec) -> TranscriptionEntry:
+    where = f"transcription measures[{i}]"
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} must be an object, got {rec!r}")
+    for key, kind in _ENTRY_FIELDS.items():
+        if key not in rec:
+            raise ValueError(f"{where} is missing {key!r}")
+        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
+            article = "an integer" if kind is int else "a string"
+            raise ValueError(f"{where}.{key} must be {article}, got {rec[key]!r}")
+    return TranscriptionEntry(
+        measure_index=rec["index"],
+        pattern_id=rec["pattern_id"],
+        phase=rec["phase"],
+        time_signature=TimeSignature.parse(rec["time_signature"]),
+    )
 
 
 def load_transcription(source: IO) -> Transcription:

@@ -11,11 +11,12 @@ recordings; it makes no attempt at polyphonic mixtures.
 from __future__ import annotations
 
 import dataclasses
+import io
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .timeline import StrumSequence
 
@@ -73,29 +74,172 @@ class OnsetConfig:
             raise ValueError("need 0 < fmin_hz < fmax_hz")
 
 
-def load_wav(path: str) -> AudioBuffer:
-    """Read a PCM WAV file (16/24-bit int or 32-bit float); multichannel
-    audio is mixed down by channel averaging. A file that cannot be opened
-    raises OSError; one that is not a readable WAV raises ValueError."""
-    try:
-        sample_rate, data = wavfile.read(path)
-    except OSError:
-        raise
-    except Exception as exc:
-        # scipy's parser fails on a malformed header with whatever it trips
-        # on (struct.error, ZeroDivisionError, ValueError, ...)
-        raise ValueError(f"cannot read WAV file {path!r}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(float)
+# WAVE format tags: integer PCM, IEEE float, and WAVE_FORMAT_EXTENSIBLE,
+# whose sub-format GUID ends in _GUID_TAIL and starts with one of the others
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _unpack(fp: BinaryIO, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fp.read(size)
+    if len(raw) != size:
+        raise ValueError("unexpected end of file")
+    return struct.unpack(fmt, raw)
+
+
+def _read_fmt_chunk(fp: BinaryIO) -> tuple[int, int, int, int, int]:
+    """(format tag, channels, sample rate, block align, bits per sample)."""
+    (size,) = _unpack(fp, "<I")
+    if size < 16:
+        raise ValueError(f"fmt chunk of {size} bytes is shorter than 16")
+    tag, channels, rate, byte_rate, block_align, bits = _unpack(fp, "<HHIIHH")
+    consumed = 16
+    if tag == _EXTENSIBLE and size >= 18:
+        (extension_size,) = _unpack(fp, "<H")
+        if extension_size < 22:
+            raise ValueError("WAVE_FORMAT_EXTENSIBLE extension is shorter than 22 bytes")
+        guid = fp.read(22)[6:]
+        consumed += 24
+        if guid.endswith(_GUID_TAIL):
+            (tag,) = struct.unpack("<I", guid[:4])
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise ValueError(f"unsupported WAV format tag {tag:#06x}")
+    if size > consumed:
+        fp.read(size - consumed)
+    fp.seek(size % 2, io.SEEK_CUR)
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise ValueError(
+            f"byte rate {byte_rate} is not sample rate {rate} times block align {block_align}"
+        )
+    return tag, channels, rate, block_align, bits
+
+
+def _read_data_chunk(fp: BinaryIO, fmt: tuple, rf64_size: int | None) -> np.ndarray:
+    """The chunk's samples as stored, frames x channels when multichannel.
+    Integer samples of 3, 5, 6 or 7 bytes are left-justified into int32 or
+    int64; 8-bit and smaller PCM is unsigned."""
+    tag, channels, _, block_align, bits = fmt
+    if rf64_size is None:
+        (size,) = _unpack(fp, "<I")
     else:
-        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
-    if samples.ndim > 1:
-        samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(sample_rate))
+        size = rf64_size
+        fp.read(4)
+    if channels == 0 or block_align < channels:
+        raise ValueError(f"block align {block_align} leaves no bytes per sample "
+                         f"for {channels} channel(s)")
+    width = block_align // channels
+    if tag == _PCM and width in (3, 5, 6, 7) and not 1 <= bits <= 8:
+        raw = fp.read(size)
+        if len(raw) % width:
+            raise ValueError(f"data chunk is not a whole number of {width}-byte samples")
+        itemsize = 4 if width == 3 else 8
+        wide = np.zeros((len(raw) // width, itemsize), np.uint8)
+        wide[:, itemsize - width :] = np.frombuffer(raw, np.uint8).reshape(-1, width)
+        data = wide.view(f"<i{itemsize}").reshape(-1)
+    else:
+        if tag == _PCM and 1 <= bits <= 8:
+            name = "u1"
+        elif tag == _PCM and bits <= 64:
+            name = f"<i{width}"
+        elif tag == _IEEE_FLOAT and bits in (32, 64):
+            name = f"<f{width}"
+        else:
+            raise ValueError(f"unsupported bit depth {bits}")
+        try:
+            dtype = np.dtype(name)
+        except TypeError:
+            raise ValueError(f"unsupported {width}-byte sample width") from None
+        raw = fp.read(size // width * dtype.itemsize)
+        data = np.frombuffer(raw, dtype, count=len(raw) // dtype.itemsize)
+    fp.seek(size % 2, io.SEEK_CUR)
+    return data.reshape(-1, channels) if channels > 1 else data
+
+
+def _read_wav(fp: BinaryIO) -> tuple[int, np.ndarray]:
+    """Sample rate and samples of a little-endian RIFF or RF64 WAV stream.
+
+    Chunks are read in file order: the last fmt and data chunks win, other
+    chunks are skipped over their pad byte, and a file cut short after a
+    data chunk keeps the samples read.
+    """
+    signature = fp.read(4)
+    rf64_size = None
+    if signature == b"RIFF":
+        (riff_size,) = _unpack(fp, "<I")
+        form = fp.read(4)
+    elif signature == b"RF64":
+        # the RIFF and data sizes are 64-bit fields of a ds64 chunk
+        fp.read(4)
+        form = fp.read(4)
+        if fp.read(4) != b"ds64":
+            raise ValueError("RF64 file has no ds64 chunk")
+        ds64_size, riff_size, rf64_size = _unpack(fp, "<IQQ")
+        fp.seek(ds64_size - 16, io.SEEK_CUR)
+    elif signature == b"RIFX":
+        raise ValueError("big-endian RIFX files are not supported")
+    else:
+        raise ValueError(f"not a RIFF file (starts with {signature!r})")
+    if form != b"WAVE":
+        raise ValueError(f"RIFF form type is {form!r}, not b'WAVE'")
+    fmt = data = None
+    while fp.tell() < riff_size + 8:
+        chunk_id = fp.read(4)
+        if len(chunk_id) < 4:
+            if data is None:
+                raise ValueError("file ends before a data chunk")
+            break
+        if chunk_id == b"fmt ":
+            fmt = _read_fmt_chunk(fp)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before the fmt chunk")
+            data = _read_data_chunk(fp, fmt, rf64_size)
+        else:
+            size_field = fp.read(4)
+            if len(size_field) == 4:
+                (size,) = struct.unpack("<I", size_field)
+                fp.seek(size + size % 2, io.SEEK_CUR)
+            elif size_field:
+                raise ValueError("unexpected end of file")
+    if data is None:
+        raise ValueError("no data chunk")
+    return fmt[2], data
+
+
+def load_wav(path: str) -> AudioBuffer:
+    """Read a WAV file as mono audio in [-1, 1].
+
+    Accepted: little-endian RIFF (or RF64) WAV with a plain or
+    WAVE_FORMAT_EXTENSIBLE header and any channel count (mixed down by
+    averaging), holding integer PCM in 2-, 3- or 4-byte samples or IEEE
+    float in 4- or 8-byte samples. WAV keeps samples left-justified in their
+    container and 3-byte samples are widened to 32 bits at the left, so a
+    12-bit or 20-bit file scales to [-1, 1] too. Rejected: 8-bit and 64-bit
+    PCM, compressed formats and big-endian RIFX. A file that cannot be
+    opened raises OSError; any other failure raises ValueError naming the
+    file.
+    """
+    # read from memory: a header can claim a chunk far longer than the file,
+    # and a read from memory returns what there is without allocating more
+    with open(path, "rb") as fp:
+        content = fp.read()
+    try:
+        sample_rate, data = _read_wav(io.BytesIO(content))
+        if data.dtype == np.int16:
+            samples = data / 32768.0
+        elif data.dtype == np.int32:
+            samples = data / 2147483648.0
+        elif data.dtype in (np.float32, np.float64):
+            samples = data.astype(float)
+        else:
+            raise ValueError(f"unsupported sample format {data.dtype}")
+        if samples.ndim > 1:
+            samples = samples.mean(axis=1)
+        return AudioBuffer(samples, int(sample_rate))
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an RF64 data size too large to be a read length
+        raise ValueError(f"cannot read WAV file {path!r}: {exc}") from None
 
 
 def _hz_to_mel(f):

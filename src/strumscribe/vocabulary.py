@@ -57,19 +57,22 @@ class RhythmicPattern:
 
     `onsets` holds one position list per measure; positions are fractions of
     the measure in [0, 1), strictly ascending within each measure. A pattern
-    with no onsets at all represents a silent measure.
+    with no onsets at all represents a silent measure; `is_empty` says so
+    and is set once, at construction.
     """
 
     id: str
     time_signature: TimeSignature
     onsets: tuple[tuple[float, ...], ...]
     name: str | None = None
+    is_empty: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise VocabularyError(f"pattern id must be a non-empty string, got {self.id!r}")
-        normalized = tuple(tuple(float(p) for p in measure) for measure in self.onsets)
+        normalized = tuple(tuple(map(float, measure)) for measure in self.onsets)
         object.__setattr__(self, "onsets", normalized)
+        object.__setattr__(self, "is_empty", not any(normalized))
         if len(normalized) not in (1, 2):
             raise VocabularyError(f"pattern {self.id!r}: measures must be 1 or 2, got {len(normalized)}")
         for positions in normalized:
@@ -82,10 +85,6 @@ class RhythmicPattern:
     @property
     def measures(self) -> int:
         return len(self.onsets)
-
-    @property
-    def is_empty(self) -> bool:
-        return all(len(positions) == 0 for positions in self.onsets)
 
 
 def empty_pattern(signature: TimeSignature) -> RhythmicPattern:
@@ -198,6 +197,15 @@ def _position(pattern_id, measure: int, index: int, value) -> float:
         raise VocabularyError(f"{where} is out of range") from None
 
 
+def _positions(pattern_id, measure: int, values: list) -> list:
+    """One measure of JSON onset positions. A list of floats is passed on as
+    it is, for RhythmicPattern to convert once; anything else is read one
+    position at a time."""
+    if set(map(type, values)) <= {float}:
+        return values
+    return [_position(pattern_id, measure, i, p) for i, p in enumerate(values)]
+
+
 def _pattern_from_record(record: dict) -> RhythmicPattern:
     if not isinstance(record, dict):
         raise VocabularyError(f"pattern record must be an object, got {type(record).__name__}")
@@ -207,21 +215,24 @@ def _pattern_from_record(record: dict) -> RhythmicPattern:
     for key in ("id", "time_signature", "measures", "onsets"):
         if key not in record:
             raise VocabularyError(f"pattern record missing {key!r}")
+    where = f"pattern {record.get('id')!r}"
+    measures = record["measures"]
+    if isinstance(measures, bool) or not isinstance(measures, int):
+        raise VocabularyError(f"{where}: measures must be an integer, got {measures!r}")
+    if "name" in record and not isinstance(record["name"], str):
+        raise VocabularyError(f"{where}: name must be a string, got {record['name']!r}")
     onsets = record["onsets"]
     if not isinstance(onsets, list) or not all(isinstance(m, list) for m in onsets):
-        raise VocabularyError(f"pattern {record.get('id')!r}: onsets must be a list of lists")
+        raise VocabularyError(f"{where}: onsets must be a list of lists")
     pattern = RhythmicPattern(
         id=record["id"],
         time_signature=TimeSignature.parse(record["time_signature"]),
-        onsets=tuple(
-            tuple(_position(record.get("id"), m, i, p) for i, p in enumerate(measure))
-            for m, measure in enumerate(onsets)
-        ),
+        onsets=[_positions(record.get("id"), m, measure) for m, measure in enumerate(onsets)],
         name=record.get("name"),
     )
-    if record["measures"] != pattern.measures:
+    if measures != pattern.measures:
         raise VocabularyError(
-            f"pattern {pattern.id!r}: measures field is {record['measures']} "
+            f"pattern {pattern.id!r}: measures field is {measures} "
             f"but onsets define {pattern.measures} measure(s)"
         )
     return pattern

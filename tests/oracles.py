@@ -3,8 +3,9 @@
 Everything here shares no code path with the library internals it verifies:
 exhaustive recursion and naive arithmetic in plain Python, plus the dense
 numpy emission tables that the library's onset-alphabet lookup must
-reproduce bit for bit, and the whole-array onset envelope that the
-library's blocked STFT must reproduce bit for bit.
+reproduce bit for bit, the whole-array onset envelope that the library's
+blocked STFT must reproduce bit for bit, and the scipy peak-picking window
+and WAV reader that the library's numpy-only ones replace.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.ndimage
+from scipy.io import wavfile
 
-from strumscribe.onsets import OnsetConfig, _mel_filterbank
+from strumscribe.onsets import AudioBuffer, OnsetConfig, _mel_filterbank
 
 
 def nearest_sq(x, ys):
@@ -122,6 +124,31 @@ def scipy_local_max(envelope, pre_max, post_max):
         mode="constant",
         cval=-np.inf,
     )
+
+
+def scipy_read_wav(path):
+    """load_wav as it was when it read through scipy.io.wavfile. The
+    library's own RIFF reader must accept exactly the files this accepts
+    and give the same samples bit for bit."""
+    try:
+        sample_rate, data = wavfile.read(path)
+    except OSError:
+        raise
+    except Exception as exc:
+        # scipy's parser fails on a malformed header with whatever it trips
+        # on (struct.error, ZeroDivisionError, ValueError, ...)
+        raise ValueError(f"cannot read WAV file {path!r}: {exc}") from exc
+    if data.dtype == np.int16:
+        samples = data / 32768.0
+    elif data.dtype == np.int32:
+        samples = data / 2147483648.0
+    elif data.dtype in (np.float32, np.float64):
+        samples = data.astype(float)
+    else:
+        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
+    if samples.ndim > 1:
+        samples = samples.mean(axis=1)
+    return AudioBuffer(samples, int(sample_rate))
 
 
 def enumerate_decode(measures, vocab, cfg):

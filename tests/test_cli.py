@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from strumscribe import cli
 from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
 
 from conftest import make_vocab
-from test_onsets import pluck_train
+from test_onsets import chunk, fmt_chunk, pluck_train, riff
 
 
 @pytest.fixture
@@ -166,6 +171,78 @@ class TestDecodeCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "'TWOBAR'" in err and "onsets[1][0]" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [("measures", "true"), ("measures", "1.0"), ("measures", '"1"'), ("measures", "null"),
+         ("name", '{"x": 1}'), ("name", "5"), ("name", "null")],
+        ids=["measures_true", "measures_float", "measures_str", "measures_null",
+             "name_object", "name_number", "name_null"],
+    )
+    def test_mistyped_vocab_field_exit_1(
+        self, tmp_path, basic_vocab, synth_dir, capsys, key, literal
+    ):
+        payload = basic_vocab.to_dict()
+        quarters = next(p for p in payload["patterns"] if p["id"] == "QUARTERS")
+        quarters[key] = "SLOT"
+        vocab = tmp_path / "bad_vocab.json"
+        vocab.write_text(json.dumps(payload).replace('"SLOT"', literal))
+        out = tmp_path / "o.json"
+        code = run(
+            ["decode", "--strums", synth_dir / "strums.json",
+             "--barlines", synth_dir / "barlines.json", "--vocab", vocab, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert f"pattern 'QUARTERS': {key}" in err
+        assert not out.exists()
+
+
+# malformed transcription payloads, as (edit, field named in the error); an
+# edit maps a valid transcription dict to a broken one
+BAD_TRANSCRIPTIONS = {
+    "measures_number": (lambda t: {**t, "measures": 5}, "measures"),
+    "measures_item_number": (lambda t: {**t, "measures": [5]}, "measures[0]"),
+    "pattern_id_list": (lambda t: _edit_first(t, pattern_id=["Q"]), "measures[0].pattern_id"),
+    "index_false": (lambda t: _edit_first(t, index=False), "measures[0].index"),
+    "phase_false": (lambda t: _edit_first(t, phase=False), "measures[0].phase"),
+    "index_float": (lambda t: _edit_first(t, index=0.0), "measures[0].index"),
+    "time_signature_number": (lambda t: _edit_first(t, time_signature=4), "time_signature"),
+    "index_missing": (lambda t: _edit_first(t, index=None), "measures[0]"),
+    "total_cost_string": (lambda t: {**t, "total_cost": "1.5"}, "total_cost"),
+    "total_cost_null": (lambda t: {**t, "total_cost": None}, "total_cost"),
+    "not_an_object": (lambda t: [t], "total_cost"),
+}
+
+
+def _edit_first(transcription, **fields):
+    """Set fields of the first measure record; a field set to None is removed."""
+    first = dict(transcription["measures"][0], **fields)
+    first = {k: v for k, v in first.items() if v is not None}
+    return {**transcription, "measures": [first] + transcription["measures"][1:]}
+
+
+@pytest.mark.parametrize("command", ["render", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_TRANSCRIPTIONS))
+def test_malformed_transcription_exit_1(tmp_path, vocab_file, synth_dir, capsys, command, case):
+    edit, field = BAD_TRANSCRIPTIONS[case]
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(edit(json.loads((synth_dir / "transcription.json").read_text()))))
+    out = tmp_path / "out"
+    if command == "render":
+        args = ["render", "--transcription", bad, "--vocab", vocab_file, "--out", out]
+    else:
+        args = ["eval", "--transcription", bad, "--barlines", synth_dir / "barlines.json",
+                "--vocab", vocab_file, "--ground-truth", synth_dir / "nominal_strums.json",
+                "--out", out]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert field in err
+    assert not out.exists()
 
 
 class TestBarlinesCommand:
@@ -481,6 +558,67 @@ class TestOnsetsAndPipeline:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert ("onsets.fmin_hz" if fault == "below_fmin" else str(wav)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault", ["truncated_header", "zero_channels", "no_fmt", "no_data", "uint8", "int64",
+                  "rifx", "zero_rate", "nan_float"],
+    )
+    def test_malformed_wav_exit_1(self, tmp_path, capsys, fault):
+        wav = tmp_path / "a.wav"
+        samples = np.zeros(4096, "<i2").tobytes()
+        if fault == "uint8":
+            with wave.open(str(wav), "wb") as fp:
+                fp.setnchannels(1)
+                fp.setsampwidth(1)
+                fp.setframerate(44100)
+                fp.writeframes(bytes([128]) * 4096)
+        elif fault == "rifx":
+            body = (b"WAVE" + b"fmt " + struct.pack(">IHHIIHH", 16, 1, 1, 44100, 88200, 2, 16)
+                    + b"data" + struct.pack(">I", len(samples)) + samples)
+            wav.write_bytes(b"RIFX" + struct.pack(">I", len(body)) + body)
+        else:
+            wav.write_bytes({
+                "truncated_header": riff(fmt_chunk(), chunk(b"data", samples))[:24],
+                "zero_channels": riff(fmt_chunk(channels=0), chunk(b"data", samples)),
+                "no_fmt": riff(chunk(b"data", samples)),
+                "no_data": riff(fmt_chunk()),
+                "int64": riff(fmt_chunk(width=8), chunk(b"data", samples)),
+                "zero_rate": riff(fmt_chunk(rate=0), chunk(b"data", samples)),
+                "nan_float": riff(fmt_chunk(3, width=4),
+                                  chunk(b"data", np.full(2048, np.nan, "<f4").tobytes())),
+            }[fault])
+        out = tmp_path / "strums.json"
+        assert run(["onsets", "--audio", wav, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(wav) in err
+        assert not out.exists()
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # the CLI must start and read a WAV file with numpy and the standard
+        # library alone; a fresh interpreter shows what it imported
+        wav, out = tmp_path / "a.wav", tmp_path / "strums.json"
+        audio = pluck_train([0.25, 0.75, 1.25], seed=2)
+        with wave.open(str(wav), "wb") as fp:
+            fp.setnchannels(1)
+            fp.setsampwidth(2)
+            fp.setframerate(audio.sample_rate)
+            fp.writeframes((np.clip(audio.samples, -1, 1) * 32767).astype("<i2").tobytes())
+        script = (
+            "import sys\n"
+            "import strumscribe.cli as cli\n"
+            f"assert cli.main(['onsets', '--audio', {str(wav)!r}, '--out', {str(out)!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(json.loads(out.read_text())["strums_sec"]) == 3
 
     def test_pipeline_recovers_known_pattern(self, tmp_path, capsys):
         # quarter-note strums at 120 bpm, 8 measures of 2 s each

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from strumscribe import (
 )
 from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, _window_max, tune_peak_picking
 
-from oracles import dense_onset_strength, scipy_local_max
+from oracles import dense_onset_strength, scipy_local_max, scipy_read_wav
 
 SR = 44100
 HOP = 512
@@ -216,6 +217,7 @@ class TestPickPeaks:
         suppressed = set(range(20 - post_max, 20)) | set(range(21, 21 + pre_max))
         assert set(picked) == set(range(41)) - suppressed
 
+
 class TestRobustness:
     def test_amplitude_scaling_moves_onsets_at_most_one_hop(self, pluck_fixture):
         _, audio = pluck_fixture
@@ -240,7 +242,198 @@ class TestRobustness:
         )
 
 
+# the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE sub-format GUID
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(chunk_id, body, size=None):
+    """A RIFF chunk with its pad byte; `size` overrides the size field."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag=1, channels=1, rate=SR, width=2, bits=None, extension=b""):
+    block_align = channels * width
+    bits = 8 * width if bits is None else bits
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block_align, block_align, bits)
+    return chunk(b"fmt ", body + extension)
+
+
+def extensible(sub_format, valid_bits):
+    """The 24 bytes a WAVE_FORMAT_EXTENSIBLE fmt chunk adds."""
+    return struct.pack("<HHII", 22, valid_bits, 0, sub_format) + GUID_TAIL
+
+
+def riff(*chunks, signature=b"RIFF"):
+    body = b"WAVE" + b"".join(chunks)
+    return signature + struct.pack("<I", len(body)) + body
+
+
+def rf64(fmt, samples):
+    """An RF64 file: its RIFF and data sizes live in a 36-byte ds64 chunk."""
+    data = chunk(b"data", samples, size=0xFFFFFFFF)
+    riff_size = len(b"WAVE") + 36 + len(fmt) + len(data)
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", riff_size, len(samples), 0, 0))
+    return b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + fmt + data
+
+
+WAV_FAULTS = [
+    "rifx", "byte_rate", "unsigned_8bit", "int64", "bits_65", "adpcm_tag", "unknown_sub_format",
+    "short_extension", "zero_channels", "narrow_block_align", "short_fmt", "no_fmt", "no_data",
+    "data_first", "second_data", "data_size_plus_1", "data_size_minus_1", "riff_size_short",
+    "riff_size_long", "truncated", "chunk_after_data", "foreign_guid", "bits_8", "second_fmt",
+]
+
+
+def scipy_or_none(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return scipy_read_wav(path)
+        except ValueError:
+            return None
+
+
+def load_or_none(path):
+    try:
+        return load_wav(path)
+    except ValueError:
+        return None
+
+
+def parity_case(name, tmp_path):
+    from scipy.io import wavfile
+
+    rng = np.random.default_rng(3)
+    signal = np.sin(2 * np.pi * 220 * np.arange(1000) / SR) * 0.4
+    noise = rng.integers(0, 256, 6000, dtype=np.uint8).tobytes()
+    path = tmp_path / f"{name}.wav"
+    if name in ("int16", "int32", "float32", "float64", "stereo"):
+        dtype = {"stereo": np.int16}.get(name, name)
+        data = signal if name != "stereo" else np.stack([signal, -0.5 * signal], axis=1)
+        if np.dtype(dtype).kind == "i":
+            data = (data * np.iinfo(dtype).max).astype(dtype)
+        wavfile.write(path, SR, data.astype(dtype))
+        return path
+    if name == "int24":
+        wav = riff(fmt_chunk(width=3), chunk(b"data", noise[:3000]))
+    elif name == "extensible":
+        fmt = fmt_chunk(0xFFFE, channels=2, width=3, extension=extensible(1, 24))
+        wav = riff(fmt, chunk(b"data", noise))
+    elif name == "extensible_float":
+        fmt = fmt_chunk(0xFFFE, channels=1, width=4, extension=extensible(3, 32))
+        wav = riff(fmt, chunk(b"data", signal.astype("<f4").tobytes()))
+    elif name == "12bit_in_16":
+        twelve = (rng.integers(-2048, 2048, 1000) << 4).astype("<i2").tobytes()
+        wav = riff(fmt_chunk(width=2, bits=12), chunk(b"data", twelve))
+    elif name == "list_and_odd_chunk":
+        wav = riff(fmt_chunk(), chunk(b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"),
+                   chunk(b"odd ", b"x"), chunk(b"data", noise[:2000]))
+    else:
+        wav = rf64(fmt_chunk(channels=2), noise[:4000])
+    path.write_bytes(wav)
+    return path
+
+
 class TestWavIO:
+    # scipy warns about the chunks it skips
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize(
+        "name",
+        ["int16", "int24", "int32", "float32", "float64", "stereo", "extensible",
+         "extensible_float", "12bit_in_16", "list_and_odd_chunk", "rf64"],
+    )
+    def test_samples_match_scipy(self, tmp_path, name):
+        path = str(parity_case(name, tmp_path))
+        want = scipy_read_wav(path)
+        got = load_wav(path)
+        assert got.sample_rate == want.sample_rate
+        assert len(got.samples) >= 1000
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kind=st.sampled_from([(1, 2), (1, 3), (1, 4), (3, 4), (3, 8)]),
+        extensible_header=st.booleans(),
+        channels=st.integers(1, 3),
+        rate=st.sampled_from([8000, SR]),
+        frames=st.integers(0, 12),
+        junk=st.sampled_from([None, b"a", b"abcd"]),
+        faults=st.lists(st.sampled_from(WAV_FAULTS), max_size=2, unique=True),
+        cut=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+    )
+    # 8-bit samples in a 3-byte container are unsigned, not left-justified
+    @example(kind=(1, 3), extensible_header=False, channels=1, rate=SR, frames=4, junk=None,
+             faults=["bits_8"], cut=0, seed=0)
+    def test_accepts_exactly_what_scipy_accepts(
+        self, tmp_path_factory, kind, extensible_header, channels, rate, frames, junk, faults,
+        cut, seed,
+    ):
+        # a valid file, then up to two faults; scipy is the judge of each
+        tag, width = kind
+        bits = 8 * width
+        rng = np.random.default_rng(seed)
+        if "unsigned_8bit" in faults:
+            tag, width, bits = 1, 1, 8
+        if "int64" in faults:
+            tag, width, bits = 1, 8, 64
+        if "bits_65" in faults:
+            bits = 65
+        if "bits_8" in faults:
+            bits = 8
+        if "zero_channels" in faults:
+            channels = 0
+        if tag == 3:
+            payload = (rng.standard_normal(frames * channels) * 0.3).astype(f"<f{width}")
+            payload = payload.tobytes()
+        else:
+            payload = rng.integers(0, 256, frames * channels * width, dtype=np.uint8).tobytes()
+        block_align = max(channels * width - ("narrow_block_align" in faults) * (channels + 1), 0)
+        byte_rate = rate * block_align + ("byte_rate" in faults)
+        header_tag = 2 if "adpcm_tag" in faults else tag
+        extension = b""
+        if extensible_header or {"unknown_sub_format", "short_extension", "foreign_guid"} & set(
+            faults
+        ):
+            sub_format = 2 if "unknown_sub_format" in faults else header_tag
+            extension = extensible(sub_format, bits)
+            if "short_extension" in faults:
+                extension = struct.pack("<H", 21) + extension[2:]
+            if "foreign_guid" in faults:
+                extension = extension[:-1] + b"\x72"
+            header_tag = 0xFFFE
+        fields = struct.pack("<HHIIHH", header_tag, channels, rate, byte_rate, block_align, bits)
+        fmt = chunk(b"fmt ", fields[:14] if "short_fmt" in faults else fields + extension)
+        size = len(payload) + ("data_size_plus_1" in faults) - ("data_size_minus_1" in faults)
+        data = chunk(b"data", payload, size=max(size, 0))
+        blocks = [fmt] + ([chunk(b"LIST", junk)] if junk is not None else []) + [data]
+        if "no_fmt" in faults:
+            blocks.remove(fmt)
+        if "no_data" in faults:
+            blocks.remove(data)
+        if "data_first" in faults:
+            blocks.reverse()
+        if "second_data" in faults:
+            blocks.append(chunk(b"data", payload[: len(payload) // 2]))
+        if "chunk_after_data" in faults:
+            blocks.append(chunk(b"cue ", b"xyz"))
+        if "second_fmt" in faults:
+            blocks.append(fmt)
+        wav = riff(*blocks, signature=b"RIFX" if "rifx" in faults else b"RIFF")
+        riff_size = struct.unpack("<I", wav[4:8])[0]
+        riff_size += 40 * ("riff_size_long" in faults) - 30 * ("riff_size_short" in faults)
+        wav = wav[:4] + struct.pack("<I", max(riff_size, 0)) + wav[8:]
+        if "truncated" in faults:
+            wav = wav[: cut % (len(wav) + 1)]
+        path = tmp_path_factory.mktemp("wav") / "f.wav"
+        path.write_bytes(wav)
+        want, got = scipy_or_none(str(path)), load_or_none(str(path))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.sample_rate == want.sample_rate
+            assert got.samples.tobytes() == want.samples.tobytes()
+
     def write_wav_24bit(self, path, samples, sr):
         data = b"".join(
             struct.pack("<i", int(np.clip(s, -1, 1) * 8388607) << 8)[1:4] for s in samples
