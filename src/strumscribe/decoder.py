@@ -10,10 +10,21 @@ measure.
 
 Cost ties are broken deterministically: among minimum-cost tilings, the one
 with the fewest pattern changes wins, and remaining ties go to the
-lexicographically smallest per-measure sequence of vocabulary indices. The
-implementation is a first-order Viterbi pass over (pattern, phase) states,
-with per-time-signature group minima so each step costs O(patterns) instead
-of O(patterns^2).
+lexicographically smallest per-measure sequence of vocabulary indices.
+
+The implementation is a first-order Viterbi pass over (pattern, phase)
+states. A transition costs nothing for a repeat, c1 within a time-signature
+group and c1+c2 across groups, so at each measure only one state per group
+can be a switch predecessor: its champion, the member with the smallest
+(cost, switches, index) key. The switch candidates are resolved on these
+champions as Python scalars, one key for a group's other members and one
+for its champion, then broadcast over the states and compared once with the
+repeat. Each step thus costs O(patterns) with a fixed number of numpy calls
+instead of O(patterns^2). This is exact, not an approximation: the key order
+is total, so the minimum does not depend on the order in which candidates
+are compared, and each candidate's cost is the same floating-point
+expression (`cost + c1`, `cost + (c1 + c2)`) as in a full pairwise
+relaxation.
 """
 
 from __future__ import annotations
@@ -127,91 +138,57 @@ def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
     fp.write("\n")
 
 
-def _better(cost_a, sw_a, bit_a, idx_a, cost_b, sw_b, bit_b, idx_b):
-    """Elementwise: does key A = (cost, switches, stay-bit, index) beat key B?"""
-    cost_eq = cost_a == cost_b
-    sw_eq = cost_eq & (sw_a == sw_b)
-    bit_eq = sw_eq & (bit_a == bit_b)
-    return (
-        (cost_a < cost_b)
-        | (cost_eq & (sw_a < sw_b))
-        | (sw_eq & (bit_a < bit_b))
-        | (bit_eq & (idx_a < idx_b))
-    )
+def _champion(cost, sw, members):
+    """The member with the smallest (cost, switches, index) key. `members`
+    ascends, so the first argmin of the switch counts among the cheapest
+    members also breaks the index tie."""
+    c = cost[members]
+    tied = members[(c == c.min()).nonzero()[0]]
+    return int(tied[sw[tied].argmin()])
 
 
-def _group_top2(cost, sw, members):
-    """Best and runner-up of a group by (cost, switches, index); inf-padded."""
-    order = members[np.lexsort((members, sw[members], cost[members]))]
-    best = order[0]
-    second = order[1] if len(order) > 1 else -1
-    return best, second
+# a switch key that loses to every repeat and every other switch
+_NO_SWITCH = (np.inf, np.iinfo(np.int64).max, -1)
 
 
-def _relax_entry(prev_cost, prev_sw, sig_codes, pattern_index, c1, c2):
+def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
     """Best way to enter a new pattern instance, given the costs of ending
-    the previous instance at the preceding measure.
+    the previous instance at the preceding measure and each signature
+    group's `_champion` of them. Returns per-state (cost, switches,
+    predecessor).
 
-    Exploits the transition structure (0 to repeat, c1 for a same-signature
-    change, c1+c2 across signatures): only each signature group's two best
-    end states and the two best groups overall can ever be optimal
-    predecessors.
+    Repeating the pattern costs nothing and wins ties; a switch costs c1
+    within the group and c1+c2 across groups. A member's best switch within
+    its group is from the champion. A champion never gains by switching
+    within its group: every other member costs at least as much and, at
+    equal cost, has at least as many switches, so its switch loses to the
+    champion's repeat. The best switch across groups is from the champion of
+    the best group other than the state's own. So every state but a
+    champion shares its group's switch key, and a champion has only the
+    cross-group one.
     """
-    n = len(prev_cost)
-    n_groups = int(sig_codes.max()) + 1
-    group_best = np.full(n_groups, -1, dtype=np.int64)
-    group_second = np.full(n_groups, -1, dtype=np.int64)
-    for g in range(n_groups):
-        members = np.flatnonzero(sig_codes == g)
-        if members.size:
-            group_best[g], group_second[g] = _group_top2(prev_cost, prev_sw, members)
-
-    def stats(state_idx):
-        valid = state_idx >= 0
-        safe = np.where(valid, state_idx, 0)
-        cost = np.where(valid, prev_cost[safe], np.inf)
-        sw = np.where(valid, prev_sw[safe], 0)
-        return cost, sw, np.where(valid, state_idx, -1)
-
-    # champion group and runner-up group, ordered by their champions' keys
-    gb_cost, gb_sw, gb_idx = stats(group_best)
-    group_order = np.lexsort((gb_idx, gb_sw, gb_cost))
-    top_g = group_order[0] if n_groups else -1
-    next_g = group_order[1] if n_groups > 1 else -1
-
-    # candidate 1: repeat the same pattern (no transition cost)
-    best_cost = prev_cost.copy()
-    best_sw = prev_sw.copy()
-    best_bit = np.zeros(n, dtype=np.int64)
-    best_prev = pattern_index.copy()
-
-    # candidate 2: switch within the same signature group
-    own_g = sig_codes
-    champ = group_best[own_g]
-    use_second = champ == pattern_index
-    same_idx = np.where(use_second, group_second[own_g], champ)
-    same_cost, same_sw, same_idx = stats(same_idx)
-    cand_cost = same_cost + c1
-    cand_sw = same_sw + 1
-    take = _better(cand_cost, cand_sw, 1, same_idx, best_cost, best_sw, best_bit, best_prev)
-    best_cost = np.where(take, cand_cost, best_cost)
-    best_sw = np.where(take, cand_sw, best_sw)
-    best_bit = np.where(take, 1, best_bit)
-    best_prev = np.where(take, same_idx, best_prev)
-
-    # candidate 3: switch across signature groups
-    if n_groups > 1:
-        other_g = np.where(own_g == top_g, next_g, top_g)
-        other_idx = group_best[other_g]
-        other_cost, other_sw, other_idx = stats(other_idx)
-        cand_cost = other_cost + (c1 + c2)
-        cand_sw = other_sw + 1
-        take = _better(cand_cost, cand_sw, 1, other_idx, best_cost, best_sw, best_bit, best_prev)
-        best_cost = np.where(take, cand_cost, best_cost)
-        best_sw = np.where(take, cand_sw, best_sw)
-        best_prev = np.where(take, other_idx, best_prev)
-
-    return best_cost, best_sw, best_prev
+    n_groups = len(champions)
+    keys = [(prev_cost[b], prev_sw[b], b) for b in champions]
+    order = sorted(range(n_groups), key=keys.__getitem__)
+    # slot g: the switch of group g's other members, slot n_groups + g: of
+    # its champion
+    rest, champ = [], []
+    for g, b in enumerate(champions):
+        cross = _NO_SWITCH
+        if n_groups > 1:
+            o = champions[order[1] if g == order[0] else order[0]]
+            cross = (prev_cost[o] + (c1 + c2), prev_sw[o] + 1, o)
+        rest.append(min((prev_cost[b] + c1, prev_sw[b] + 1, b), cross))
+        champ.append(cross)
+    slot = sig_codes.copy()
+    slot[champions] = range(n_groups, 2 * n_groups)
+    cc, cs, cp = (np.array(col)[slot] for col in zip(*rest, *champ))
+    take = (cc < prev_cost) | ((cc == prev_cost) & (cs < prev_sw))
+    return (
+        np.where(take, cc, prev_cost),
+        np.where(take, cs, prev_sw),
+        np.where(take, cp, pattern_index),
+    )
 
 
 def decode(
@@ -219,7 +196,9 @@ def decode(
     vocab: Vocabulary,
     cfg: DecoderConfig | None = None,
 ) -> Transcription:
-    """Find the minimum-cost pattern tiling of the given measures."""
+    """Find the minimum-cost pattern tiling of the given measures. Raises
+    ValueError naming the first measure that no feasible tiling of a song
+    prefix covers when the whole song has no feasible tiling."""
     cfg = cfg or DecoderConfig()
     n_measures = len(measures)
     if n_measures == 0:
@@ -236,8 +215,8 @@ def decode(
         [sig_ids.setdefault(p.time_signature, len(sig_ids)) for p in patterns],
         dtype=np.int64,
     )
+    members = [np.flatnonzero(sig_codes == g) for g in range(len(sig_ids))]
     is_one = spans == 1
-    is_two = spans == 2
     first, second = contribution_tables(measures, vocab, cfg)
     c1 = cfg.pattern_change_penalty
     c2 = cfg.timesig_change_penalty
@@ -245,34 +224,33 @@ def decode(
     # end_cost/end_sw: best tiling of measures[0..m] whose last instance is
     # pattern p ending exactly at measure m, one row rolled forward per
     # measure; end_prev[m, p] keeps every row's backpointer for the backtrack
-    end_cost = np.full(n, np.inf)
-    end_sw = np.zeros(n, dtype=np.int64)
     end_prev = np.full((n_measures, n), -1, dtype=np.int32)
-    start_before = None  # entry stats of the previous measure, for 2-measure spans
-
+    live = []  # does any feasible tiling of measures[0..m] end at m?
     for m in range(n_measures):
         if m == 0:
             s_cost = np.zeros(n)
             s_sw = np.zeros(n, dtype=np.int64)
             s_prev = np.full(n, -1, dtype=np.int64)
+            two_cost, p_sw, p_prev = np.inf, 0, -1
         else:
-            s_cost, s_sw, s_prev = _relax_entry(end_cost, end_sw, sig_codes, pattern_index, c1, c2)
-        cand = s_cost + first[m]
-        end_cost[is_one] = cand[is_one]
-        end_sw[is_one] = s_sw[is_one]
-        end_prev[m, is_one] = s_prev[is_one]
-        if m >= 1:
+            s_cost, s_sw, s_prev = _enter(
+                end_cost, end_sw, champions, sig_codes, pattern_index, c1, c2
+            )
             p_cost, p_sw, p_prev = start_before
-            cand2 = (p_cost + first[m - 1]) + second[m]
-            end_cost[is_two] = cand2[is_two]
-            end_sw[is_two] = p_sw[is_two]
-            end_prev[m, is_two] = p_prev[is_two]
+            two_cost = (p_cost + first[m - 1]) + second[m]
+        end_cost = np.where(is_one, s_cost + first[m], two_cost)
+        end_sw = np.where(is_one, s_sw, p_sw)
+        end_prev[m] = np.where(is_one, s_prev, p_prev)
         start_before = (s_cost, s_sw, s_prev)
+        champions = [_champion(end_cost, end_sw, g) for g in members]
+        live.append(min(end_cost[b] for b in champions) < np.inf)
 
-    if not np.isfinite(end_cost).any():
-        raise ValueError("no feasible pattern assignment covers all measures")
-    best = int(np.lexsort((pattern_index, end_sw, end_cost))[0])
-    total_cost = float(end_cost[best])
+    if not live[-1]:
+        # measure m is covered by an instance ending at m or, as phase 0, at m+1
+        m = next(m for m in range(n_measures) if not any(live[m : m + 2]))
+        raise ValueError(f"no feasible pattern assignment: measure {m} cannot be covered")
+    total_cost, _, best = min((end_cost[b], end_sw[b], b) for b in champions)
+    total_cost = float(total_cost)
 
     entries: list[TranscriptionEntry | None] = [None] * n_measures
     m, p = n_measures - 1, best

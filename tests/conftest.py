@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from strumscribe import RhythmicPattern, TimeSignature, Vocabulary
+
+
+# CI runs `pytest --hypothesis-profile=ci`: shared runners are too slow and
+# uneven for the default 200 ms deadline, and a failure must reproduce from
+# the commit alone
+settings.register_profile("ci", deadline=None, derandomize=True)
 
 
 def make_pattern(pattern_id, sig_text, *measure_onsets):

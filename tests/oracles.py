@@ -4,19 +4,26 @@ Everything here shares no code path with the library internals it verifies:
 exhaustive recursion and naive arithmetic in plain Python, plus the dense
 numpy emission tables that the library's onset-alphabet lookup must
 reproduce bit for bit, the whole-array onset envelope that the library's
-blocked STFT must reproduce bit for bit, and the scipy peak-picking window
-and WAV reader that the library's numpy-only ones replace.
+blocked STFT must reproduce bit for bit, the lexsort Viterbi pass that the
+library's per-group champion relaxation must reproduce bit for bit, and the
+scipy peak-picking window and WAV reader that the library's numpy-only ones
+replace.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import scipy.ndimage
 from scipy.io import wavfile
 
+from strumscribe.decoder import Transcription, TranscriptionEntry
+from strumscribe.likelihood import DecoderConfig, contribution_tables
 from strumscribe.onsets import AudioBuffer, OnsetConfig, _mel_filterbank
+from strumscribe.timeline import MeasureStrums
+from strumscribe.vocabulary import TimeSignature, Vocabulary
 
 
 def nearest_sq(x, ys):
@@ -200,6 +207,171 @@ def enumerate_decode(measures, vocab, cfg):
     if best[0] is None:
         return None
     return best[0][0], best[0][3]
+
+
+def _better(cost_a, sw_a, bit_a, idx_a, cost_b, sw_b, bit_b, idx_b):
+    """Elementwise: does key A = (cost, switches, stay-bit, index) beat key B?"""
+    cost_eq = cost_a == cost_b
+    sw_eq = cost_eq & (sw_a == sw_b)
+    bit_eq = sw_eq & (bit_a == bit_b)
+    return (
+        (cost_a < cost_b)
+        | (cost_eq & (sw_a < sw_b))
+        | (sw_eq & (bit_a < bit_b))
+        | (bit_eq & (idx_a < idx_b))
+    )
+
+
+def _group_top2(cost, sw, members):
+    """Best and runner-up of a group by (cost, switches, index); inf-padded."""
+    order = members[np.lexsort((members, sw[members], cost[members]))]
+    best = order[0]
+    second = order[1] if len(order) > 1 else -1
+    return best, second
+
+
+def _relax_entry(prev_cost, prev_sw, sig_codes, pattern_index, c1, c2):
+    """Best way to enter a new pattern instance, given the costs of ending
+    the previous instance at the preceding measure.
+
+    Exploits the transition structure (0 to repeat, c1 for a same-signature
+    change, c1+c2 across signatures): only each signature group's two best
+    end states and the two best groups overall can ever be optimal
+    predecessors.
+    """
+    n = len(prev_cost)
+    n_groups = int(sig_codes.max()) + 1
+    group_best = np.full(n_groups, -1, dtype=np.int64)
+    group_second = np.full(n_groups, -1, dtype=np.int64)
+    for g in range(n_groups):
+        members = np.flatnonzero(sig_codes == g)
+        if members.size:
+            group_best[g], group_second[g] = _group_top2(prev_cost, prev_sw, members)
+
+    def stats(state_idx):
+        valid = state_idx >= 0
+        safe = np.where(valid, state_idx, 0)
+        cost = np.where(valid, prev_cost[safe], np.inf)
+        sw = np.where(valid, prev_sw[safe], 0)
+        return cost, sw, np.where(valid, state_idx, -1)
+
+    # champion group and runner-up group, ordered by their champions' keys
+    gb_cost, gb_sw, gb_idx = stats(group_best)
+    group_order = np.lexsort((gb_idx, gb_sw, gb_cost))
+    top_g = group_order[0] if n_groups else -1
+    next_g = group_order[1] if n_groups > 1 else -1
+
+    # candidate 1: repeat the same pattern (no transition cost)
+    best_cost = prev_cost.copy()
+    best_sw = prev_sw.copy()
+    best_bit = np.zeros(n, dtype=np.int64)
+    best_prev = pattern_index.copy()
+
+    # candidate 2: switch within the same signature group
+    own_g = sig_codes
+    champ = group_best[own_g]
+    use_second = champ == pattern_index
+    same_idx = np.where(use_second, group_second[own_g], champ)
+    same_cost, same_sw, same_idx = stats(same_idx)
+    cand_cost = same_cost + c1
+    cand_sw = same_sw + 1
+    take = _better(cand_cost, cand_sw, 1, same_idx, best_cost, best_sw, best_bit, best_prev)
+    best_cost = np.where(take, cand_cost, best_cost)
+    best_sw = np.where(take, cand_sw, best_sw)
+    best_bit = np.where(take, 1, best_bit)
+    best_prev = np.where(take, same_idx, best_prev)
+
+    # candidate 3: switch across signature groups
+    if n_groups > 1:
+        other_g = np.where(own_g == top_g, next_g, top_g)
+        other_idx = group_best[other_g]
+        other_cost, other_sw, other_idx = stats(other_idx)
+        cand_cost = other_cost + (c1 + c2)
+        cand_sw = other_sw + 1
+        take = _better(cand_cost, cand_sw, 1, other_idx, best_cost, best_sw, best_bit, best_prev)
+        best_cost = np.where(take, cand_cost, best_cost)
+        best_sw = np.where(take, cand_sw, best_sw)
+        best_prev = np.where(take, other_idx, best_prev)
+
+    return best_cost, best_sw, best_prev
+
+
+def lexsort_decode(
+    measures: Sequence[MeasureStrums],
+    vocab: Vocabulary,
+    cfg: DecoderConfig | None = None,
+) -> Transcription:
+    """`strumscribe.decode` as it was before its relaxation moved to
+    per-group champion scalars: each measure lexsorts every signature group
+    and compares full-width candidate keys. The library's decode must give
+    the same transcription and a bit-identical total_cost."""
+    cfg = cfg or DecoderConfig()
+    n_measures = len(measures)
+    if n_measures == 0:
+        raise ValueError("cannot decode an empty measure list")
+    patterns = vocab.patterns
+    if not patterns:
+        raise ValueError("cannot decode with an empty vocabulary")
+
+    n = len(patterns)
+    pattern_index = np.arange(n, dtype=np.int64)
+    spans = np.array([p.measures for p in patterns], dtype=np.int64)
+    sig_ids: dict[TimeSignature, int] = {}
+    sig_codes = np.array(
+        [sig_ids.setdefault(p.time_signature, len(sig_ids)) for p in patterns],
+        dtype=np.int64,
+    )
+    is_one = spans == 1
+    is_two = spans == 2
+    first, second = contribution_tables(measures, vocab, cfg)
+    c1 = cfg.pattern_change_penalty
+    c2 = cfg.timesig_change_penalty
+
+    # end_cost/end_sw: best tiling of measures[0..m] whose last instance is
+    # pattern p ending exactly at measure m, one row rolled forward per
+    # measure; end_prev[m, p] keeps every row's backpointer for the backtrack
+    end_cost = np.full(n, np.inf)
+    end_sw = np.zeros(n, dtype=np.int64)
+    end_prev = np.full((n_measures, n), -1, dtype=np.int32)
+    start_before = None  # entry stats of the previous measure, for 2-measure spans
+
+    for m in range(n_measures):
+        if m == 0:
+            s_cost = np.zeros(n)
+            s_sw = np.zeros(n, dtype=np.int64)
+            s_prev = np.full(n, -1, dtype=np.int64)
+        else:
+            s_cost, s_sw, s_prev = _relax_entry(end_cost, end_sw, sig_codes, pattern_index, c1, c2)
+        cand = s_cost + first[m]
+        end_cost[is_one] = cand[is_one]
+        end_sw[is_one] = s_sw[is_one]
+        end_prev[m, is_one] = s_prev[is_one]
+        if m >= 1:
+            p_cost, p_sw, p_prev = start_before
+            cand2 = (p_cost + first[m - 1]) + second[m]
+            end_cost[is_two] = cand2[is_two]
+            end_sw[is_two] = p_sw[is_two]
+            end_prev[m, is_two] = p_prev[is_two]
+        start_before = (s_cost, s_sw, s_prev)
+
+    if not np.isfinite(end_cost).any():
+        raise ValueError("no feasible pattern assignment covers all measures")
+    best = int(np.lexsort((pattern_index, end_sw, end_cost))[0])
+    total_cost = float(end_cost[best])
+
+    entries: list[TranscriptionEntry | None] = [None] * n_measures
+    m, p = n_measures - 1, best
+    while m >= 0:
+        span = int(spans[p])
+        start = m - span + 1
+        pat = patterns[p]
+        for phase in range(span):
+            entries[start + phase] = TranscriptionEntry(
+                start + phase, pat.id, phase, pat.time_signature
+            )
+        p_prev = int(end_prev[m, p])
+        m, p = start - 1, p_prev
+    return Transcription(tuple(entries), total_cost)  # type: ignore[arg-type]
 
 
 def brute_max_matching(reference, estimate, tolerance):

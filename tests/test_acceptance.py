@@ -418,7 +418,9 @@ def test_c09_onset_detector():
 # criterion 10: determinism and performance
 
 
-def test_c10_determinism_and_performance():
+def c10_instance():
+    """300 measures of a seed-1 song against about 1000 random seed-0
+    patterns in 4/4 and 3/4, two of them 2-measure: (measures, vocab)."""
     rng = np.random.default_rng(0)
     patterns, seen = [], set()
     signatures = [TimeSignature(4, 4), TimeSignature(3, 4)]
@@ -433,12 +435,17 @@ def test_c10_determinism_and_performance():
     patterns.append(RhythmicPattern("T1", signatures[0], ((0.0, 0.5), (0.25, 0.75))))
     patterns.append(RhythmicPattern("T2", signatures[1], ((0.0,), (0.5,))))
     vocab = Vocabulary.build(patterns)
-    assert len(vocab) >= 1000
-
     song = generate_song(
         SynthSpec(seed=1, vocab=GEN_44, measures=300, sigma_norm=0.02, switch_prob=0.2)
     )
     measures, _ = bin_strums(song.observed, song.barlines)
+    return measures, vocab
+
+
+def test_c10_determinism_and_performance():
+    measures, vocab = c10_instance()
+    assert len(vocab) >= 1000
+
     started = time.perf_counter()
     first = decode(measures, vocab, DecoderConfig())
     elapsed = time.perf_counter() - started

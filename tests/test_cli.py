@@ -147,6 +147,27 @@ class TestDecodeCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+    def test_uncoverable_measure_exit_1(self, tmp_path, capsys):
+        # the only played pattern spans 2 measures: it covers measures 0-1 of
+        # a 3-measure played song and cannot start at the final measure
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(make_vocab(("TWO", "4/4", [0.0], [0.5])).to_dict()))
+        strums = tmp_path / "strums.json"
+        strums.write_text(json.dumps({"strums_sec": [0.0, 2.0, 4.0]}))
+        barlines = tmp_path / "barlines.json"
+        barlines.write_text(json.dumps({"barlines_sec": [0.0, 2.0, 4.0, 6.0]}))
+        out = tmp_path / "o.json"
+        code = run(
+            ["decode", "--strums", strums, "--barlines", barlines, "--vocab", vocab, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: no feasible pattern assignment: measure 2 cannot be covered"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "literal",
         ["null", "1" + "0" * 400, '"0.0"', "false", "true"],

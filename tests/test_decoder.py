@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strumscribe import (
     BarlineTrack,
@@ -15,30 +17,36 @@ from strumscribe import (
     decode,
     reconstruct_strums,
 )
-from strumscribe.decoder import load_transcription, save_transcription
+from strumscribe.decoder import _champion, _enter, load_transcription, save_transcription
 
 from conftest import make_pattern, make_vocab
-from oracles import enumerate_decode, half_cost, transition
+from oracles import _relax_entry, enumerate_decode, half_cost, lexsort_decode, transition
+from test_acceptance import c10_instance
 
 
 def measures_from(*position_lists):
     return [MeasureStrums(i, tuple(ps)) for i, ps in enumerate(position_lists)]
 
 
-def random_instance(rng, max_measures=8, sigma_choices=(0.03, 0.1, 0.5)):
+def random_instance(
+    rng, max_measures=8, sigma_choices=(0.03, 0.1, 0.5), signatures=("4/4", "3/4")
+):
     """A random decode problem: small vocabulary (one 2-measure pattern,
     empties included) plus measures drawn from it with optional noise."""
-    signatures = ["4/4", "3/4"]
     patterns = []
     n_one = int(rng.integers(2, 4))
     for i in range(n_one):
         size = int(rng.integers(1, 5))
         grid = rng.choice(16, size=size, replace=False)
         patterns.append(
-            make_pattern(f"P{i}", signatures[int(rng.integers(2))], sorted(grid / 16))
+            make_pattern(
+                f"P{i}", signatures[int(rng.integers(len(signatures)))], sorted(grid / 16)
+            )
         )
     halves = [sorted(rng.choice(16, size=2, replace=False) / 16) for _ in range(2)]
-    patterns.append(make_pattern("TWO", signatures[int(rng.integers(2))], *halves))
+    patterns.append(
+        make_pattern("TWO", signatures[int(rng.integers(len(signatures)))], *halves)
+    )
     vocab = Vocabulary.build(patterns)
     cfg = DecoderConfig(
         timing_sigma=float(rng.choice(sigma_choices)),
@@ -105,6 +113,25 @@ class TestDecodeExamples:
         with pytest.raises(ValueError):
             decode(measures_from([0.0]), vocab, DecoderConfig())
 
+    @pytest.mark.parametrize(
+        "played, uncovered",
+        [
+            ("x", 0),
+            ("xxx", 2),  # TWO covers 0-1 and cannot start at the final measure
+            ("xx-x", 3),  # the silent measure 2 is covered by the empty pattern
+            ("x-xx", 0),  # TWO's second half cannot cover a silent measure
+            ("-xxx", 3),
+            ("xx-xxx-", 5),  # the prefix up to measure 4 is covered, measure 5 not
+        ],
+    )
+    def test_infeasible_names_first_uncovered_measure(self, played, uncovered):
+        # the only played pattern spans 2 measures; "x" is a played measure
+        vocab = make_vocab(("TWO", "4/4", [0.0], [0.5]))
+        measures = measures_from(*([0.0] if c == "x" else [] for c in played))
+        message = f"no feasible pattern assignment: measure {uncovered} cannot be covered"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decode(measures, vocab, DecoderConfig())
+
 
 class TestOracleEquivalence:
     def test_small_random_instances(self):
@@ -117,11 +144,147 @@ class TestOracleEquivalence:
             assert result.total_cost == pytest.approx(expected[0], abs=1e-9)
             assert [(e.pattern_id, e.phase) for e in result.entries] == expected[1]
 
+    def test_three_and_four_signatures(self):
+        # three or more signature groups: a state in the champion group takes
+        # its cross-signature switch from the best of two or more other groups
+        rng = np.random.default_rng(4321)
+        for _ in range(60):
+            n_sigs = int(rng.integers(3, 5))
+            measures, vocab, cfg = random_instance(
+                rng, max_measures=6, signatures=("4/4", "3/4", "6/8", "5/4")[:n_sigs]
+            )
+            expected = enumerate_decode(measures, vocab, cfg)
+            result = decode(measures, vocab, cfg)
+            assert expected is not None
+            assert result.total_cost == pytest.approx(expected[0], abs=1e-9)
+            assert [(e.pattern_id, e.phase) for e in result.entries] == expected[1]
+
     def test_tie_breaks_prefer_stay_then_index(self):
         # two identical-cost empties: constant run of the lower-index one wins
         vocab = make_vocab(("A", "4/4", [0.0]), ("B", "3/4", [0.0]))
         result = decode(measures_from((), (), ()), vocab, DecoderConfig())
         assert result.pattern_ids() == ["EMPTY_4_4"] * 3
+
+
+SIGNATURES = ("4/4", "3/4", "6/8", "5/4")
+
+grid_half = st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True).map(
+    lambda xs: tuple(sorted(x / 16 for x in xs))
+)
+
+
+@st.composite
+def relaxation_cases(draw):
+    """(measures, vocab, cfg) built for exact ties: 1 to 4 time signatures,
+    1 to 12 patterns (some of them 2-measure), change penalties that may be
+    zero, and silent measures or measures copied exactly from pattern
+    onsets, which give equal emission costs."""
+    n_sigs = draw(st.integers(1, 4))
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_sigs - 1),
+                st.lists(grid_half, min_size=1, max_size=2).map(tuple),
+            ),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    vocab = Vocabulary.build(
+        make_pattern(f"P{i}", SIGNATURES[sig], *halves) for i, (sig, halves) in enumerate(shapes)
+    )
+    copied = st.sampled_from([half for p in vocab.patterns for half in p.onsets])
+    played = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4)
+    strums = draw(st.lists(st.one_of(st.just(()), copied, played), min_size=1, max_size=8))
+    cfg = DecoderConfig(
+        timing_sigma=draw(st.sampled_from([0.03, 0.1, 0.5])),
+        pattern_change_penalty=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        timesig_change_penalty=draw(st.sampled_from([0.0, 1.0, 6.0])),
+    )
+    return measures_from(*(sorted(set(s)) for s in strums)), vocab, cfg
+
+
+def assert_same_as_lexsort(measures, vocab, cfg):
+    try:
+        want = lexsort_decode(measures, vocab, cfg)
+    except ValueError:
+        with pytest.raises(ValueError, match="no feasible pattern assignment"):
+            decode(measures, vocab, cfg)
+        return
+    got = decode(measures, vocab, cfg)
+    assert got.to_dict() == want.to_dict()
+    assert got.total_cost.hex() == want.total_cost.hex()
+
+
+# 2 + 2 and nextafter(2, 3) + 2 both round to 4.0, so a cheaper champion can
+# tie a dearer one once the change penalty is added; 0.09 + (0.5 + 1.0) and
+# (0.09 + 0.5) + 1.0 differ in the last bit
+NEXT_2 = float(np.nextafter(2.0, 3.0))
+ENTRY_COSTS = [0.0, 0.09, 0.5, 1.0, 2.0, NEXT_2, 4.0, np.inf]
+
+
+@st.composite
+def entry_rows(draw):
+    """(prev_cost, prev_sw, sig_codes, c1, c2): one row of end costs over up
+    to 12 states in up to 4 signature groups, numbered in order of first
+    appearance as decode numbers them."""
+    n = draw(st.integers(1, 12))
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    codes = {}
+    sig_codes = np.array([codes.setdefault(g, len(codes)) for g in raw], dtype=np.int64)
+    prev_cost = np.array(draw(st.lists(st.sampled_from(ENTRY_COSTS), min_size=n, max_size=n)))
+    prev_sw = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    c1 = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    c2 = draw(st.sampled_from([0.0, 1.0, 6.0]))
+    return prev_cost, prev_sw, sig_codes, c1, c2
+
+
+class TestRelaxation:
+    @settings(deadline=None, max_examples=500)
+    @given(entry_rows())
+    # state 1 switches to the champion of the second-best group, which ties
+    # its own group's champion on cost after rounding and has fewer switches
+    @example(
+        (
+            np.array([2.0, np.inf, NEXT_2, 4.0]),
+            np.array([2, 0, 0, 0]),
+            np.array([0, 0, 1, 2]),
+            2.0,
+            0.0,
+        )
+    )
+    def test_entry_matches_lexsort_relaxation(self, row):
+        # switch counts and predecessors of infeasible (infinite-cost) states
+        # never reach a transcription, and the reference's come from an
+        # invalid runner-up, so only feasible states must agree on them
+        prev_cost, prev_sw, sig_codes, c1, c2 = row
+        pattern_index = np.arange(len(prev_cost), dtype=np.int64)
+        champions = [
+            _champion(prev_cost, prev_sw, np.flatnonzero(sig_codes == g))
+            for g in range(sig_codes.max() + 1)
+        ]
+        got = _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2)
+        want = _relax_entry(prev_cost, prev_sw, sig_codes, pattern_index, c1, c2)
+        assert got[0].tobytes() == want[0].tobytes()
+        feasible = np.isfinite(want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert g.dtype == w.dtype
+            assert g[feasible].tobytes() == w[feasible].tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(relaxation_cases())
+    def test_bit_exact_against_lexsort_reference(self, case):
+        assert_same_as_lexsort(*case)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [DecoderConfig(), DecoderConfig(pattern_change_penalty=0.0, timesig_change_penalty=0.0)],
+        ids=["default", "free_changes"],
+    )
+    def test_bit_exact_at_c10_size(self, cfg):
+        measures, vocab = c10_instance()
+        assert_same_as_lexsort(measures, vocab, cfg)
 
 
 class TestDecodeProperties:
