@@ -2,21 +2,28 @@
 
 Subcommands: onsets, barlines, decode, eval, synth, render, pipeline.
 Configuration comes from defaults, then an optional JSON config file
-(unknown keys are hard errors), then explicit flags. Exit codes: 0 success,
+(unknown keys are hard errors), then explicit flags. Each subcommand is a
+short list of stages that returns its outputs in memory; `_commit` writes
+them only once every stage has succeeded. Exit codes: 0 success,
 1 validation or decoding failure, 2 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
+import functools
 import io
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import barlines as barlines_mod
 from . import decoder as decoder_mod
@@ -163,9 +170,8 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 
 def _add_common(parser: argparse.ArgumentParser, *sections: str) -> None:
-    """Add --config, --seed and the tuning flags of the named config sections."""
+    """Add --config and the tuning flags of the named config sections."""
     parser.add_argument("--config", help="JSON config file; unknown keys are errors")
-    parser.add_argument("--seed", type=int, help="RNG seed")
     for section in sections:
         defaults = _defaults(_SECTIONS[section])
         for field, flag in _FLAGS[section].items():
@@ -190,67 +196,97 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         }
         if overrides:
             changes[section] = dataclasses.replace(getattr(cfg, section), **overrides)
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "tolerance", None) is not None:
-        changes["strum_tolerance_sec"] = args.tolerance
+    for key, dest in (("seed", "seed"), ("strum_tolerance_sec", "tolerance")):
+        if getattr(args, dest, None) is not None:
+            changes[key] = getattr(args, dest)
     return dataclasses.replace(cfg, **changes)
 
 
-def _read_vocab(path: str) -> Vocabulary:
+class Outputs(NamedTuple):
+    """Output files as {path: bytes}, stdout text, and a directory to create."""
+
+    files: dict
+    stdout: str | None = None
+    directory: str | None = None
+
+
+def _commit(files: dict, directory: str | None = None) -> None:
+    """Write every output file or none. A regular file goes to a temp file
+    beside it, with the mode open(path, "w") gives it, and the temps replace
+    their targets only once all are written; a device or a pipe, such as
+    /dev/null, is then written in place. A failure removes the temps."""
+    staged: list[tuple[str, str]] = []
+    in_place: list[tuple[str, bytes]] = []
+    try:
+        if directory is not None:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        for index, (path, data) in enumerate(files.items()):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if os.path.exists(path) and not os.path.isfile(path):
+                in_place.append((path, data))
+                continue
+            target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+            temp = f"{target}.{os.getpid()}-{index}.tmp"
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            staged.append((temp, target))
+            with contextlib.suppress(FileNotFoundError):  # an existing file keeps its mode
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            with os.fdopen(fd, "wb") as fp:
+                fp.write(data)
+        for temp, target in staged:
+            os.replace(temp, target)
+        for path, data in in_place:
+            with open(path, "wb") as fp:
+                fp.write(data)
+    except BaseException:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+
+
+def _load(loader, path: str):
+    """loader applied to the UTF-8 text file at path."""
     with open(path, encoding="utf-8") as fp:
-        return load_vocabulary(fp)
+        return loader(fp)
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+def _encode(save, value) -> bytes:
+    """What save(value, fp) writes to a text file, as UTF-8 bytes."""
+    buffer = io.StringIO()
+    save(value, buffer)
+    return buffer.getvalue().encode("utf-8")
 
 
-def cmd_onsets(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    audio = onsets_mod.load_wav(args.audio)
-    strums = onsets_mod.detect_onsets(audio, cfg.onsets)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        timeline.save_strums(strums, fp)
-    print(f"detected {len(strums)} onsets", file=sys.stderr)
-    return 0
+def _lines(text: str) -> bytes:
+    """text and a final newline as UTF-8 bytes: a rendered sheet or a JSON report."""
+    return (text + "\n").encode("utf-8")
 
 
-def cmd_barlines(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    with open(args.raw, "rb") as fp:
+# Stages take and return values in memory. They call the library through
+# module attributes, so a tracer that swaps those attributes sees each call.
+def _strums_from_audio(path: str, cfg: RunConfig) -> timeline.StrumSequence:
+    return onsets_mod.detect_onsets(onsets_mod.load_wav(path), cfg.onsets)
+
+
+def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[bytes, timeline.BarlineTrack]:
+    """The raw bar-line file's bytes and its track, cleaned if postproc."""
+    with open(path, "rb") as fp:
         raw_bytes = fp.read()
     raw = timeline.load_barlines(io.BytesIO(raw_bytes))
-    if args.no_barline_postproc:
-        with open(args.out, "wb") as out:
-            out.write(raw_bytes)
-        return 0
-    cleaned = barlines_mod.postprocess_barlines(raw, cfg.barlines)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        timeline.save_barlines(cleaned, fp)
-    return 0
+    return raw_bytes, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
-def _decode_files(strums_path: str, barlines_path: str, vocab: Vocabulary, cfg: RunConfig):
-    with open(strums_path, encoding="utf-8") as fp:
-        strums = timeline.load_strums(fp)
-    with open(barlines_path, encoding="utf-8") as fp:
-        bars = timeline.load_barlines(fp)
+def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Transcription:
+    """Bin the strums into measures and decode them."""
     measures, discarded = timeline.bin_strums(strums, bars)
     transcription = decoder_mod.decode(measures, vocab, cfg.decoder)
-    return transcription, bars, discarded
-
-
-def cmd_decode(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    vocab = _read_vocab(args.vocab)
-    transcription, _, discarded = _decode_files(args.strums, args.barlines, vocab, cfg)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        decoder_mod.save_transcription(transcription, fp)
     print(f"discarded {discarded} out-of-range strums", file=sys.stderr)
-    return 0
+    return transcription
 
 
 def _eval_one(
@@ -267,13 +303,10 @@ def _eval_one(
     vocab_path = resolve("vocab") if "vocab" in record else fallback_vocab
     if not vocab_path:
         raise ValueError("manifest record has no vocab and no --vocab fallback was given")
-    vocab = _read_vocab(vocab_path)
-    with open(resolve("transcription"), encoding="utf-8") as fp:
-        transcription = decoder_mod.load_transcription(fp)
-    with open(resolve("barlines"), encoding="utf-8") as fp:
-        bars = timeline.load_barlines(fp)
-    with open(resolve("ground_truth"), encoding="utf-8") as fp:
-        ground_truth = timeline.load_strums(fp)
+    vocab = _load(load_vocabulary, vocab_path)
+    transcription = _load(decoder_mod.load_transcription, resolve("transcription"))
+    bars = _load(timeline.load_barlines, resolve("barlines"))
+    ground_truth = _load(timeline.load_strums, resolve("ground_truth"))
     report = metrics_mod.evaluate_transcription(transcription, bars, vocab, ground_truth, tolerance)
     return record.get("song_id", "?"), report
 
@@ -311,26 +344,38 @@ def _eval_record(
         raise ValueError(f"{label}: {exc}") from None
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_onsets(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    strums = _strums_from_audio(args.audio, cfg)
+    print(f"detected {len(strums)} onsets", file=sys.stderr)
+    return Outputs({args.out: _encode(timeline.save_strums, strums)})
+
+
+def cmd_barlines(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    raw_bytes, bars = _barlines(args.raw, cfg, not args.no_barline_postproc)
+    data = raw_bytes if args.no_barline_postproc else _encode(timeline.save_barlines, bars)
+    return Outputs({args.out: data})
+
+
+def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    vocab = _load(load_vocabulary, args.vocab)
+    strums = _load(timeline.load_strums, args.strums)
+    bars = _load(timeline.load_barlines, args.barlines)
+    transcription = _decode(strums, bars, vocab, cfg)
+    return Outputs({args.out: _encode(decoder_mod.save_transcription, transcription)})
+
+
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     tolerance = cfg.strum_tolerance_sec
     if args.manifest:
-        base_dir = Path(args.manifest).parent
         records = _read_manifest(args.manifest)
+        evaluate = functools.partial(_eval_record, base_dir=Path(args.manifest).parent,
+                                     fallback_vocab=args.vocab, tolerance=tolerance)
         jobs = min(args.jobs or os.cpu_count() or 1, len(records))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(
-                        _eval_record,
-                        records,
-                        [base_dir] * len(records),
-                        [args.vocab] * len(records),
-                        [tolerance] * len(records),
-                    )
-                )
+                results = list(pool.map(evaluate, records))
         else:
-            results = [_eval_record(record, base_dir, args.vocab, tolerance) for record in records]
+            results = list(map(evaluate, records))
     else:
         for required in ("transcription", "barlines", "vocab", "ground_truth"):
             if getattr(args, required) is None:
@@ -346,16 +391,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "songs": [{"song_id": song_id, **report.to_dict()} for song_id, report in results],
         "aggregate": metrics_mod.aggregate_reports([report for _, report in results]),
     }
-    _write_json(payload, args.out)
-    return 0
+    return Outputs({args.out: _lines(json.dumps(payload, indent=2, sort_keys=True))})
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    vocab = _read_vocab(args.vocab)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     spec = synth_mod.SynthSpec(
         seed=cfg.seed,
-        vocab=vocab,
+        vocab=_load(load_vocabulary, args.vocab),
         measures=args.measures,
         tempo_bpm=args.tempo_bpm,
         sigma_norm=args.sigma_norm,
@@ -365,72 +407,46 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     song = synth_mod.generate_song(spec)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "strums.json", "w", encoding="utf-8") as fp:
-        timeline.save_strums(song.observed, fp)
-    with open(out_dir / "nominal_strums.json", "w", encoding="utf-8") as fp:
-        timeline.save_strums(song.nominal, fp)
-    with open(out_dir / "barlines.json", "w", encoding="utf-8") as fp:
-        timeline.save_barlines(song.barlines, fp)
-    with open(out_dir / "transcription.json", "w", encoding="utf-8") as fp:
-        decoder_mod.save_transcription(song.ground_truth, fp)
     bundle = {
         "transcription": song.ground_truth.to_dict(),
         "barlines_sec": list(song.barlines.times_sec),
         "nominal_sec": list(song.nominal.times_sec),
         "observed_sec": list(song.observed.times_sec),
     }
-    _write_json(bundle, str(out_dir / "ground_truth.json"))
-    return 0
+    files = {
+        out_dir / "strums.json": _encode(timeline.save_strums, song.observed),
+        out_dir / "nominal_strums.json": _encode(timeline.save_strums, song.nominal),
+        out_dir / "barlines.json": _encode(timeline.save_barlines, song.barlines),
+        out_dir / "transcription.json": _encode(decoder_mod.save_transcription, song.ground_truth),
+        out_dir / "ground_truth.json": _lines(json.dumps(bundle, indent=2, sort_keys=True)),
+    }
+    return Outputs(files, directory=args.out_dir)
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    vocab = _read_vocab(args.vocab)
-    with open(args.transcription, encoding="utf-8") as fp:
-        transcription = decoder_mod.load_transcription(fp)
+def cmd_render(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    vocab = _load(load_vocabulary, args.vocab)
+    transcription = _load(decoder_mod.load_transcription, args.transcription)
     text = render_mod.render_text(transcription, vocab, cfg.render)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return Outputs({args.out: _lines(text)}) if args.out else Outputs({}, stdout=text)
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    vocab = _read_vocab(args.vocab)
-    audio = onsets_mod.load_wav(args.audio)
-    strums = onsets_mod.detect_onsets(audio, cfg.onsets)
-    with open(args.raw_barlines, encoding="utf-8") as fp:
-        raw_bars = timeline.load_barlines(fp)
-    bars = raw_bars if args.no_barline_postproc else barlines_mod.postprocess_barlines(
-        raw_bars, cfg.barlines
-    )
-    measures, discarded = timeline.bin_strums(strums, bars)
-    transcription = decoder_mod.decode(measures, vocab, cfg.decoder)
+def cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    vocab = _load(load_vocabulary, args.vocab)
+    strums = _strums_from_audio(args.audio, cfg)
+    _, bars = _barlines(args.raw_barlines, cfg, not args.no_barline_postproc)
+    transcription = _decode(strums, bars, vocab, cfg)
     text = render_mod.render_text(transcription, vocab, cfg.render)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        decoder_mod.save_transcription(transcription, fp)
+    saved = _encode(decoder_mod.save_transcription, transcription)
+    files = {args.out: saved}
     if args.out_text:
-        with open(args.out_text, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    else:
-        print(text)
+        files[args.out_text] = _lines(text)
     if args.dump_dir:
         dump = Path(args.dump_dir)
-        dump.mkdir(parents=True, exist_ok=True)
-        with open(dump / "strums.json", "w", encoding="utf-8") as fp:
-            timeline.save_strums(strums, fp)
-        with open(dump / "barlines.json", "w", encoding="utf-8") as fp:
-            timeline.save_barlines(bars, fp)
-        with open(dump / "transcription.json", "w", encoding="utf-8") as fp:
-            decoder_mod.save_transcription(transcription, fp)
-        with open(dump / "rendered.txt", "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    print(f"discarded {discarded} out-of-range strums", file=sys.stderr)
-    return 0
+        files[dump / "strums.json"] = _encode(timeline.save_strums, strums)
+        files[dump / "barlines.json"] = _encode(timeline.save_barlines, bars)
+        files[dump / "transcription.json"] = saved
+        files[dump / "rendered.txt"] = _lines(text)
+    return Outputs(files, None if args.out_text else text, args.dump_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--miss-rate", dest="miss_rate", type=float, default=0.0)
     p.add_argument("--spurious-rate", dest="spurious_rate", type=float, default=0.0)
     _add_common(p)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("render", help="render a transcription as slash-notation text")
@@ -509,13 +526,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        outputs = args.func(args, _config_from_args(args))
+        _commit(outputs.files, outputs.directory)
+        if outputs.stdout is not None:
+            print(outputs.stdout)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

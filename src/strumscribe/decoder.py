@@ -8,9 +8,14 @@ penalty at each boundary between consecutive instances; no penalty is charged
 before the first instance, and a 2-measure instance cannot start at the final
 measure.
 
-Cost ties are broken deterministically: among minimum-cost tilings, the one
-with the fewest pattern changes wins, and remaining ties go to the
-lexicographically smallest per-measure sequence of vocabulary indices.
+Cost ties are broken deterministically: among minimum-cost tilings, those
+with the fewest pattern changes remain, and the rest is settled reading
+backwards from the last measure. The last instance takes the lowest
+vocabulary index; each earlier instance repeats the pattern of the instance
+that follows it when that ties, and otherwise takes the lowest index. This
+is not the lexicographically smallest per-measure index sequence: with
+A = [0.0] and B = [0.5] in 4/4, measures (0.0), (0.0, 0.5), (0.5) decode to
+A, B, B, not to A, A, B at the same cost and change count.
 
 The implementation is a first-order Viterbi pass over (pattern, phase)
 states. A transition costs nothing for a repeat, c1 within a time-signature

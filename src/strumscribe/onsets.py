@@ -10,11 +10,10 @@ recordings; it makes no attempt at polyphonic mixtures.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class OnsetConfig:
 
     Window sizes are in frames. delta is the threshold above the local
     moving average of the envelope. Defaults were fixed on synthetic pluck
-    trains; tune_peak_picking() re-fits them to a labeled set.
+    trains.
     """
 
     frame_size: int = 2048
@@ -359,42 +358,3 @@ def detect_onsets(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> StrumSe
     cfg = cfg or OnsetConfig()
     return pick_peaks(onset_strength(audio, cfg), audio.sample_rate, cfg)
 
-
-def tune_peak_picking(
-    labeled: Sequence[tuple[AudioBuffer, Sequence[float]]],
-    n_trials: int = 100,
-    seed: int = 0,
-    tolerance_sec: float = 0.05,
-    base: OnsetConfig | None = None,
-) -> OnsetConfig:
-    """Random-search the peak-picking parameters (delta, windows, gap) to
-    maximize mean onset F1 over a labeled set. Envelope parameters stay
-    fixed, so envelopes are computed once."""
-    from .metrics import match_events
-
-    base = base or OnsetConfig()
-    rng = np.random.default_rng(seed)
-    envelopes = [(onset_strength(audio, base), audio.sample_rate, ref) for audio, ref in labeled]
-
-    def score(cfg: OnsetConfig) -> float:
-        f1s = []
-        for envelope, sample_rate, reference in envelopes:
-            detected = pick_peaks(envelope, sample_rate, cfg)
-            f1s.append(match_events(sorted(reference), detected.times_sec, tolerance_sec).f1)
-        return float(np.mean(f1s)) if f1s else 0.0
-
-    best_cfg, best_f1 = base, score(base)
-    for _ in range(n_trials):
-        trial = dataclasses.replace(
-            base,
-            delta=float(10.0 ** rng.uniform(-2.0, 1.5)),
-            pre_max=int(rng.integers(1, 10)),
-            post_max=int(rng.integers(1, 10)),
-            pre_avg=int(rng.integers(1, 25)),
-            post_avg=int(rng.integers(1, 25)),
-            min_gap_sec=float(rng.uniform(0.01, 0.12)),
-        )
-        f1 = score(trial)
-        if f1 > best_f1:
-            best_cfg, best_f1 = trial, f1
-    return best_cfg

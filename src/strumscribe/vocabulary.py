@@ -258,7 +258,3 @@ def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary
         raise VocabularyError('"patterns" must be a list')
     return Vocabulary.build(_pattern_from_record(r) for r in payload["patterns"])
 
-
-def dump_vocabulary(vocab: Vocabulary, fp: IO[str]) -> None:
-    json.dump(vocab.to_dict(), fp, indent=2, sort_keys=True)
-    fp.write("\n")

@@ -163,10 +163,13 @@ def enumerate_decode(measures, vocab, cfg):
 
     Returns (total_cost, [(pattern_id, phase), ...]) for the tiling that is
     minimal under (cost, number of pattern changes, lexicographic per-measure
-    index sequence) -- the decoder's documented tie-break. Costs accumulate
-    in measure order with the transition added before each instance's
-    emissions, mirroring the decoder's summation order so that exact ties
-    compare identically. Returns None when no tiling is feasible.
+    index sequence). Its cost and change count are the decoder's; its last
+    key is not: when two tilings tie on both, the decoder reads back from the
+    last measure and prefers repeats (see the decoder module docstring), so
+    the two can pick different tilings. Costs accumulate in measure order
+    with the transition added before each instance's emissions, mirroring
+    the decoder's summation order so that exact ties compare identically.
+    Returns None when no tiling is feasible.
     """
     positions = [list(m.positions) for m in measures]
     n = len(positions)

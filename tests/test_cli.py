@@ -724,6 +724,89 @@ class TestOnsetsAndPipeline:
         assert piped.read_bytes() == chained.read_bytes()
 
 
+@pytest.fixture
+def silent_song(tmp_path):
+    """(wav, raw bar lines, vocab) of a 2-measure silent song."""
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(make_vocab(("A", "4/4", [0.0, 0.5])).to_dict()))
+    wav = tmp_path / "silence.wav"
+    write_wav(wav, np.zeros(44100 * 4))
+    raw_bars = tmp_path / "bars.json"
+    raw_bars.write_text(json.dumps({"barlines_sec": [0.0, 2.0, 4.0]}))
+    return wav, raw_bars, vocab
+
+
+class TestAtomicOutputs:
+    """A command writes its output files only when every stage and every
+    write succeeds; a failure leaves the old files as they were."""
+
+    def pipeline(self, song, out, *extra):
+        wav, raw_bars, vocab = song
+        return run(["pipeline", "--audio", wav, "--raw-barlines", raw_bars,
+                    "--vocab", vocab, "--out", out, *extra])
+
+    def test_missing_text_dir_writes_nothing(self, tmp_path, silent_song, capsys):
+        out, dump = tmp_path / "t.json", tmp_path / "dump"
+        code = self.pipeline(silent_song, out, "--out-text", tmp_path / "missing_dir" / "x.txt",
+                             "--dump-dir", dump)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing_dir' / 'x.txt'}'"
+        ]
+        assert not out.exists() and not (dump / "transcription.json").exists()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+    def test_failed_run_keeps_old_output(self, tmp_path, silent_song):
+        out = tmp_path / "t.json"
+        out.write_bytes(b"old")
+        assert self.pipeline(silent_song, out, "--out-text", tmp_path / "no" / "x.txt") == 2
+        assert out.read_bytes() == b"old"
+        # the same run with a writable text path replaces it
+        assert self.pipeline(silent_song, out, "--out-text", tmp_path / "x.txt") == 0
+        assert json.loads(out.read_text())["measures"]
+
+    def test_synth_blocked_output_writes_none(self, tmp_path, vocab_file, capsys):
+        out_dir = tmp_path / "song"
+        (out_dir / "ground_truth.json").mkdir(parents=True)
+        assert run(["synth", "--vocab", vocab_file, "--out-dir", out_dir, "--measures", 4]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 21] Is a directory: '{out_dir / 'ground_truth.json'}'"
+        ]
+        assert sorted(os.listdir(out_dir)) == ["ground_truth.json"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path, silent_song):
+        # the mode open(path, "w") gives a new file, not a temp file's 0o600
+        out = tmp_path / "t.json"
+        old = os.umask(0o027)
+        try:
+            assert self.pipeline(silent_song, out) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_existing_file_keeps_mode(self, tmp_path, silent_song):
+        out = tmp_path / "t.json"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        assert self.pipeline(silent_song, out) == 0
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert json.loads(out.read_text())["measures"]
+
+    def test_symlink_written_through(self, tmp_path, silent_song):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert self.pipeline(silent_song, link) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["measures"]
+
+    def test_device_written_in_place(self, silent_song):
+        assert self.pipeline(silent_song, os.devnull) == 0
+
+
 class TestDecodeGoldenCases:
     def test_single_signature_song_exact(self, tmp_path):
         vocab = make_vocab(
@@ -794,7 +877,7 @@ FLAG_CASES = [
 # pipeline takes the tuning flags of decode, barlines, onsets and render
 FLAG_CASES += [("pipeline", *case[1:]) for case in FLAG_CASES]
 FLAG_CASES += [("eval", "--tolerance", 0.1, "strum_tolerance_sec")]
-FLAG_CASES += [(command, "--seed", 9, "seed") for command in REQUIRED]
+FLAG_CASES += [("synth", "--seed", 9, "seed")]
 
 
 def with_field(cfg, dotted, value):
@@ -819,3 +902,13 @@ def test_flag_sets_config_field(command, flag, value, field):
     assert expected != RunConfig()
     args = build_parser().parse_args([command, *REQUIRED[command], *argv])
     assert _config_from_args(args) == expected
+
+
+@pytest.mark.parametrize("command", [c for c in REQUIRED if c != "synth"])
+def test_seed_only_on_synth(command, capsys):
+    # only synth draws random numbers; the config file's seed key stays
+    # valid for every subcommand
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, *REQUIRED[command], "--seed", "9"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err

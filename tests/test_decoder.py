@@ -32,17 +32,20 @@ def random_instance(
     rng, max_measures=8, sigma_choices=(0.03, 0.1, 0.5), signatures=("4/4", "3/4")
 ):
     """A random decode problem: small vocabulary (one 2-measure pattern,
-    empties included) plus measures drawn from it with optional noise."""
+    empties included) plus measures drawn from it with optional noise. A
+    one-measure pattern that repeats an earlier one's time signature and
+    onsets is redrawn, since Vocabulary.build rejects it."""
     patterns = []
     n_one = int(rng.integers(2, 4))
-    for i in range(n_one):
+    while len(patterns) < n_one:
         size = int(rng.integers(1, 5))
         grid = rng.choice(16, size=size, replace=False)
-        patterns.append(
-            make_pattern(
-                f"P{i}", signatures[int(rng.integers(len(signatures)))], sorted(grid / 16)
-            )
+        pattern = make_pattern(
+            f"P{len(patterns)}", signatures[int(rng.integers(len(signatures)))], sorted(grid / 16)
         )
+        if all((p.time_signature, p.onsets) != (pattern.time_signature, pattern.onsets)
+               for p in patterns):
+            patterns.append(pattern)
     halves = [sorted(rng.choice(16, size=2, replace=False) / 16) for _ in range(2)]
     patterns.append(
         make_pattern("TWO", signatures[int(rng.integers(len(signatures)))], *halves)
@@ -158,6 +161,26 @@ class TestOracleEquivalence:
             assert expected is not None
             assert result.total_cost == pytest.approx(expected[0], abs=1e-9)
             assert [(e.pattern_id, e.phase) for e in result.entries] == expected[1]
+
+    def test_random_instance_never_repeats_a_pattern(self):
+        # with this seed, drawing without the redraw repeats a pattern at
+        # call 57, 18 times in all
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            random_instance(rng, max_measures=10)
+
+    def test_tie_break_reads_back_from_last_measure(self):
+        # A, A, B and A, B, B tie on cost and on changes. The oracle takes the
+        # lexicographically smaller A, A, B; the decoder takes B at the last
+        # measure, then repeats it wherever a repeat ties.
+        vocab = make_vocab(("A", "4/4", [0.0]), ("B", "4/4", [0.5]))
+        measures = measures_from([0.0], [0.0, 0.5], [0.5])
+        cfg = DecoderConfig()
+        result = decode(measures, vocab, cfg)
+        expected_cost, expected_labels = enumerate_decode(measures, vocab, cfg)
+        assert result.pattern_ids() == ["A", "B", "B"]
+        assert result.total_cost.hex() == expected_cost.hex()
+        assert [pattern_id for pattern_id, _ in expected_labels] == ["A", "A", "B"]
 
     def test_tie_breaks_prefer_stay_then_index(self):
         # two identical-cost empties: constant run of the lower-index one wins

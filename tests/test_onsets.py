@@ -16,7 +16,7 @@ from strumscribe import (
     onset_strength,
     pick_peaks,
 )
-from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, _window_max, tune_peak_picking
+from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, _window_max
 
 from oracles import dense_onset_strength, scipy_local_max, scipy_read_wav
 
@@ -492,23 +492,3 @@ class TestWavIO:
         with pytest.raises(OSError):
             load_wav("/nonexistent/file.wav")
 
-
-class TestTuner:
-    def test_tuner_improves_or_matches_bad_start(self):
-        rng = np.random.default_rng(0)
-        labeled = []
-        for seed in range(3):
-            times = np.sort(np.arange(8) * 0.5 + 0.25 + rng.uniform(-0.02, 0.02, 8))
-            labeled.append((pluck_train(times, seed=seed), times.tolist()))
-        bad = OnsetConfig(delta=0.01, pre_avg=2, post_avg=2)
-        tuned = tune_peak_picking(labeled, n_trials=25, seed=1, base=bad)
-
-        def mean_f1(cfg):
-            scores = []
-            for audio, ref in labeled:
-                detected = pick_peaks(onset_strength(audio, cfg), audio.sample_rate, cfg)
-                scores.append(match_events(ref, detected.times_sec, 0.05).f1)
-            return np.mean(scores)
-
-        assert mean_f1(tuned) >= mean_f1(bad)
-        assert mean_f1(tuned) > 0.9

@@ -12,7 +12,7 @@ from strumscribe import (
     VocabularyError,
     load_vocabulary,
 )
-from strumscribe.vocabulary import dump_vocabulary, empty_pattern
+from strumscribe.vocabulary import empty_pattern
 
 from conftest import make_pattern
 
@@ -146,9 +146,9 @@ class TestLoadVocabulary:
 
 
 def test_round_trip(basic_vocab):
-    buffer = io.StringIO()
-    dump_vocabulary(basic_vocab, buffer)
-    assert load_vocabulary(buffer.getvalue()) == basic_vocab
+    # basic_vocab holds a 2-measure pattern, which the property test below
+    # does not draw
+    assert load_vocabulary(json.dumps(basic_vocab.to_dict(), indent=2)) == basic_vocab
 
 
 @given(
