@@ -214,11 +214,15 @@ def _commit(files: dict, directory: str | None = None) -> None:
     """Write every output file or none. A regular file goes to a temp file
     beside it, with the mode open(path, "w") gives it, and the temps replace
     their targets only once all are written; a device or a pipe, such as
-    /dev/null, is then written in place. A failure removes the temps."""
+    /dev/null, is then written in place. A failure removes the temps and
+    then, deepest first, the directories this commit created while they
+    are empty."""
     staged: list[tuple[str, str]] = []
     in_place: list[tuple[str, bytes]] = []
+    created: list[Path] = []  # deepest first
     try:
         if directory is not None:
+            created = [d for d in (Path(directory), *Path(directory).parents) if not d.exists()]
             Path(directory).mkdir(parents=True, exist_ok=True)
         for index, (path, data) in enumerate(files.items()):
             if os.path.isdir(path):
@@ -246,6 +250,9 @@ def _commit(files: dict, directory: str | None = None) -> None:
         for temp, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
+        for created_dir in created:
+            with contextlib.suppress(OSError):  # only while empty
+                created_dir.rmdir()
         raise
 
 

@@ -46,6 +46,57 @@ class DecoderConfig:
             raise ValueError("change penalties must be >= 0")
 
 
+# (measures x patterns) elements per slab of an emission table group
+_SLAB_ELEMENTS = 1 << 14
+# numpy's pairwise sum adds a run of up to this many terms in 8 lanes
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums(n: int, column, start: int = 0) -> np.ndarray:
+    """np.sum(x, axis=-1) of a C-contiguous x of n nonnegative terms per row
+    whose j-th term is the array column(j), summed in numpy's own order.
+
+    numpy sums a contiguous row pairwise: fewer than 8 terms in sequence; up
+    to _PAIRWISE_BLOCK terms in eight lanes, lane k adding terms k, k + 8,
+    ... over the whole blocks of 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), and then the rest in sequence; more terms split
+    at n // 2 rounded down to a multiple of 8, each side summed so and the
+    two added. The row sum starts from 0.0, which leaves a nonnegative first
+    term as it is. Each lane is summed in full before the next, in the
+    order they combine, and columns are made on demand and added in place,
+    so a few of them are alive at once, not all n.
+    """
+    if n < 8:
+        return _sequential_sum(column, range(start, start + n))
+    if n <= _PAIRWISE_BLOCK:
+        end = start + n - n % 8
+        total = _lane_sums(column, range(start, start + 8), end)
+        for j in range(end, start + n):
+            total += column(j)
+        return total
+    split = n // 2 - (n // 2) % 8
+    total = _row_sums(split, column, start)
+    total += _row_sums(n - split, column, start + split)
+    return total
+
+
+def _sequential_sum(column, terms: range) -> np.ndarray:
+    total = column(terms[0])
+    for j in terms[1:]:
+        total += column(j)
+    return total
+
+
+def _lane_sums(column, lanes: range, end: int) -> np.ndarray:
+    """The given lanes, each summed over its terms below end, added pairwise."""
+    if len(lanes) == 1:
+        return _sequential_sum(column, range(lanes[0], end, 8))
+    half = len(lanes) // 2
+    total = _lane_sums(column, lanes[:half], end)
+    total += _lane_sums(column, lanes[half:], end)
+    return total
+
+
 def contribution_tables(
     measures: Sequence[MeasureStrums],
     vocab: Vocabulary,
@@ -63,65 +114,82 @@ def contribution_tables(
     Each half works over its onset alphabet U, the sorted distinct onsets of
     the patterns that play in that half. Per pattern it tabulates, over U
     extended by -inf and +inf, the nearest own onset at or below and at or
-    above each alphabet position. A strum s then needs only two lookups
-    around searchsorted(U, s): since fl(s - u) is monotone in u, the nearest
-    onset below s and the nearest above it hold the minimum |s - u| exactly,
-    and a minimum does not depend on evaluation order. The onset side takes
-    each alphabet member's distance to its nearest strum and gathers it into
-    the pattern's onset slots, padding with 0.
+    above each alphabet position, stored as (position x pattern) so that a
+    strum's lookup is one contiguous row. A strum s then needs only two
+    lookups around searchsorted(U, s): since fl(s - u) is monotone in u, the
+    nearest onset below s and the nearest above it hold the minimum |s - u|
+    exactly, and a minimum does not depend on evaluation order. The onset
+    side takes each alphabet member's distance to its nearest strum and
+    gathers its square into the pattern's onset slots, padding with 0.
 
-    The tables match a dense pattern x strum x onset evaluation bit for bit
-    because the squared distances are summed over C-contiguous rows of the
-    same lengths (the measure's strum count; the half's longest onset list).
-    numpy's pairwise sum groups a row's terms by its length and layout, and
-    a fancy-indexed gather need not come back C-contiguous, hence the
-    np.ascontiguousarray before each sum.
+    Played measures are grouped by strum count S and each group is taken in
+    slabs of about _SLAB_ELEMENTS (measures x patterns) cells. A cell's two
+    sums, over its S strums and over the half's longest onset list, are
+    whole-slab vector adds of one term column at a time (_row_sums), in the
+    order numpy's pairwise sum adds a C-contiguous row of that length. Every
+    other step is the same IEEE operation on the same operands as a dense
+    pattern x strum x onset evaluation: subtract, abs, min, square, add, and
+    the division by 2 sigma^2. So the tables match that evaluation
+    (tests/oracles.py) bit for bit.
     """
     patterns = vocab.patterns
     n_measures, n_patterns = len(measures), len(patterns)
     denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
+    counts = np.array([len(m.positions) for m in measures])
+    silent = np.flatnonzero(counts == 0)
 
-    tables = []
-    for half in (0, 1):
+    tables = (np.full((n_measures, n_patterns), np.inf), np.full((n_measures, n_patterns), np.inf))
+    for half, table in enumerate(tables):
         halves = [p.onsets[half] if half < p.measures else None for p in patterns]
-        silent_half = np.array([h == () for h in halves], dtype=bool)
+        table[np.ix_(silent, [i for i, h in enumerate(halves) if h == ()])] = 0.0
         rows = np.flatnonzero([bool(h) for h in halves])
-        table = np.full((n_measures, n_patterns), np.inf)
-        tables.append(table)
-        for m, strums in enumerate(measures):
-            if not strums.positions:
-                table[m, silent_half] = 0.0
         if rows.size == 0:
             continue
 
-        alphabet = np.unique(np.concatenate([halves[i] for i in rows]))
-        max_len = max(len(halves[i]) for i in rows)
-        # slot index of each onset in the alphabet; padding points one past
-        # it, at the 0 appended to the per-member distances below
-        slots = np.full((len(rows), max_len), len(alphabet))
-        member = np.zeros((len(rows), len(alphabet) + 2), dtype=bool)
-        member[:, [0, -1]] = True
-        for r, i in enumerate(rows):
-            slot = np.searchsorted(alphabet, halves[i])
-            slots[r, : len(slot)] = slot
-            member[r, slot + 1] = True
+        lengths = np.array([len(halves[i]) for i in rows])
+        onsets = np.concatenate([halves[i] for i in rows])
+        alphabet = np.unique(onsets)
+        slot = np.searchsorted(alphabet, onsets)
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        rank = np.arange(len(onsets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        # slot index of each onset in the alphabet, (rank x pattern); padding
+        # points one past it, at the 0 appended to the per-member distances
+        slots = np.full((lengths.max(), len(rows)), len(alphabet))
+        slots[rank, owner] = slot
+        member = np.zeros((len(alphabet) + 2, len(rows)), dtype=bool)
+        member[[0, -1]] = True
+        member[slot + 1, owner] = True
         extended = np.concatenate(([-np.inf], alphabet, [np.inf]))
         # the nearest member at or below, and at or above, each position
-        position = np.arange(len(extended))
-        below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=1)]
-        reversed_above = np.where(member, position, len(extended) - 1)[:, ::-1]
-        above = extended[np.minimum.accumulate(reversed_above, axis=1)[:, ::-1]]
+        position = np.arange(len(extended))[:, None]
+        below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=0)]
+        reversed_above = np.where(member, position, len(extended) - 1)[::-1]
+        above = extended[np.minimum.accumulate(reversed_above, axis=0)[::-1]]
 
-        for m, strums in enumerate(measures):
-            if not strums.positions:
-                continue
-            s = np.asarray(strums.positions)
-            at = np.searchsorted(alphabet, s)
-            to_pattern = np.ascontiguousarray(
-                np.minimum(np.abs(s - below[:, at]), np.abs(s - above[:, at + 1]))
-            )
-            nearest = np.append(np.abs(s[:, None] - alphabet).min(axis=0), 0.0)
-            from_pattern = np.ascontiguousarray(nearest[slots])
-            mismatch = np.sum(to_pattern**2, axis=1) + np.sum(from_pattern**2, axis=1)
-            table[m, rows] = mismatch / denom
-    return tables[0], tables[1]
+        per_slab = max(1, _SLAB_ELEMENTS // len(rows))
+        for count in np.unique(counts[counts > 0]):
+            group = np.flatnonzero(counts == count)
+            for start in range(0, len(group), per_slab):
+                chosen = group[start : start + per_slab]
+                s = np.array([measures[m].positions for m in chosen], dtype=float)
+                at = np.searchsorted(alphabet, s)
+                nearest_sq = np.zeros((len(chosen), len(alphabet) + 1))
+                nearest_sq[:, :-1] = np.abs(s[:, :, None] - alphabet).min(axis=1) ** 2
+
+                def to_pattern(j):
+                    strum = s[:, j, None]
+                    low = below[at[:, j]]
+                    high = above[at[:, j] + 1]
+                    np.abs(np.subtract(strum, low, out=low), out=low)
+                    np.abs(np.subtract(strum, high, out=high), out=high)
+                    np.minimum(low, high, out=low)
+                    return np.multiply(low, low, out=low)
+
+                def from_pattern(k):
+                    return nearest_sq[:, slots[k]]
+
+                mismatch = _row_sums(int(count), to_pattern)
+                mismatch += _row_sums(len(slots), from_pattern)
+                mismatch /= denom
+                table[np.ix_(chosen, rows)] = mismatch
+    return tables

@@ -759,6 +759,27 @@ class TestAtomicOutputs:
         assert not out.exists() and not (dump / "transcription.json").exists()
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
+    def test_failed_pipeline_removes_created_dump_dirs(self, tmp_path, silent_song):
+        # the run creates new/inner inside an existing directory; on failure
+        # it removes both again and keeps the directory that was there
+        (tmp_path / "kept").mkdir()
+        dump = tmp_path / "kept" / "new" / "inner"
+        code = self.pipeline(silent_song, tmp_path / "t.json", "--out-text",
+                             tmp_path / "missing_dir" / "x.txt", "--dump-dir", dump)
+        assert code == 2
+        assert os.listdir(tmp_path / "kept") == []
+
+    def test_failed_synth_removes_created_out_dir(self, tmp_path, vocab_file, monkeypatch,
+                                                  capsys):
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device", str(dst))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        out_dir = tmp_path / "new" / "dir"
+        assert run(["synth", "--vocab", vocab_file, "--out-dir", out_dir, "--measures", 4]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+        assert not (tmp_path / "new").exists()
+
     def test_failed_run_keeps_old_output(self, tmp_path, silent_song):
         out = tmp_path / "t.json"
         out.write_bytes(b"old")

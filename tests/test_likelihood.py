@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from strumscribe import (
     decode,
     generate_song,
 )
-from strumscribe.likelihood import contribution_tables
+from strumscribe.likelihood import _SLAB_ELEMENTS, _row_sums, contribution_tables
 
 from conftest import make_pattern
 from oracles import dense_contribution_tables, half_cost
+from test_acceptance import c10_instance
 
 positions = st.lists(st.integers(0, 63), min_size=1, max_size=8).map(
     lambda xs: sorted({x / 64 for x in xs})
@@ -70,6 +72,12 @@ def assert_bit_exact(measures, vocab, cfg):
 SIXTEENTHS = [k / 16 for k in range(16)]
 # 12 strums: on the first six 16ths and at the midpoints after them
 ON_AND_BETWEEN = tuple(sorted(SIXTEENTHS[:6] + [k / 16 + 1 / 32 for k in range(6)]))
+# 7, 8 and 9 strums, off the 16th grid: one short of a block of 8, one
+# block, and one block plus a term
+SEVEN = (0.0, 0.1, 0.26, 0.4, 0.52, 0.7, 0.91)
+EIGHT = tuple(k / 8 + 0.01 for k in range(8))
+EIGHT_LATE = tuple(k / 8 + 0.05 for k in range(8))
+NINE = tuple(k / 9 for k in range(9))
 
 
 # 2 * sigma^2 == 2 exactly, so twice a cell is the raw two-way mismatch
@@ -319,8 +327,70 @@ class TestContributionTables:
             DecoderConfig(),
         )
     )
+    # 7, 8, 9 and 12 strums: the strum side sums in sequence, in one block
+    # of 8 lanes, and in lanes plus a sequential rest
+    @example(
+        (
+            [MeasureStrums(m, s) for m, s in enumerate([SEVEN, EIGHT, NINE, ON_AND_BETWEEN])],
+            Vocabulary.build(
+                [
+                    make_pattern("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
+                    make_pattern("EIGHTHS", "4/4", [k / 8 for k in range(8)]),
+                    make_pattern("ODD", "3/4", [0.1, 0.35], [1 / 3]),
+                ]
+            ),
+            DecoderConfig(timing_sigma=0.01),
+        )
+    )
+    # a 16-onset second half: the onset side sums two blocks of 8
+    @example(
+        (
+            [MeasureStrums(0, SEVEN), MeasureStrums(1, NINE), MeasureStrums(2, (0.3,))],
+            Vocabulary.build(
+                [
+                    make_pattern("LONG", "4/4", [0.0, 0.5], SIXTEENTHS),
+                    make_pattern("SHORT", "4/4", [0.25], [0.0, 0.75]),
+                ]
+            ),
+            DecoderConfig(),
+        )
+    )
+    # equal strum counts in measures apart, silent measures between them
+    @example(
+        (
+            [
+                MeasureStrums(m, s)
+                for m, s in enumerate([EIGHT, (), (0.0, 0.5), (), EIGHT_LATE, (0.2, 0.7), ()])
+            ],
+            Vocabulary.build(
+                [
+                    make_pattern("HALVES", "4/4", [0.0, 0.5]),
+                    make_pattern("TWO", "4/4", [0.0, 0.25, 0.5], [0.5]),
+                    make_pattern("REST", "4/4", [], [0.0, 0.5]),
+                ]
+            ),
+            DecoderConfig(),
+        )
+    )
     def test_bit_exact_against_dense(self, case):
         assert_bit_exact(*case)
+
+    def test_bit_exact_across_slabs(self):
+        # more patterns than one slab holds for a single measure: each slab
+        # is one measure, and the 5-strum group spans three slabs
+        rng = np.random.default_rng(3)
+        # distinct nonempty subsets of the 16th grid, as bit masks
+        masks = rng.choice(np.arange(1, 1 << 16), size=_SLAB_ELEMENTS + 5, replace=False)
+        vocab = Vocabulary.build(
+            make_pattern(f"P{i}", "4/4", [k / 16 for k in range(16) if mask >> k & 1])
+            for i, mask in enumerate(masks)
+        )
+        counts = [5, 3, 0, 5, 3, 5]
+        measures = [
+            MeasureStrums(m, tuple(sorted(rng.uniform(0, 1, size=count).tolist())))
+            for m, count in enumerate(counts)
+        ]
+        assert_bit_exact(measures, vocab, DecoderConfig())
 
     def test_bit_exact_at_c10_size(self):
         # the c10 vocabulary recipe at seed 0: 998 random 16th-grid patterns
@@ -344,3 +414,26 @@ class TestContributionTables:
         )
         measures, _ = bin_strums(song.observed, song.barlines)
         assert_bit_exact(measures, vocab, DecoderConfig())
+
+    def test_peak_memory_bounded(self):
+        # slabs and their term columns are made on demand, so at c10 size
+        # the peak stays within 2 MB of the two output tables
+        measures, vocab = c10_instance()
+        tracemalloc.start()
+        try:
+            tables = contribution_tables(measures, vocab, DecoderConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(table.nbytes for table in tables) + 2 * 2**20
+
+
+class TestRowSums:
+    def test_matches_numpy_sum(self):
+        # squares spanning 1e-8 to 1e8, so that any other grouping of a
+        # row's terms shows in its last bits
+        rng = np.random.default_rng(0)
+        for n in [*range(1, 301), 511, 512, 1031]:
+            x = np.square(10.0 ** rng.uniform(-4, 4, size=(7, n)))
+            got = _row_sums(n, lambda j: x[:, j].copy())
+            assert got.tobytes() == np.sum(x, axis=-1).tobytes(), n
