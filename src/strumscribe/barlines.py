@@ -54,8 +54,9 @@ class PostprocConfig:
         object.__setattr__(self, "subdivision_factors", factors)
         if not factors or factors[0] < 1:
             raise ValueError("subdivision factors must be integers >= 1")
-        if min(self.deletion_penalty, self.insertion_penalty, self.tempo_change_penalty) < 0:
-            raise ValueError("penalties must be >= 0")
+        for name in ("deletion_penalty", "insertion_penalty", "tempo_change_penalty"):
+            if not getattr(self, name) >= 0:  # NaN compares false
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.snap_tolerance_sec > 0:
             raise ValueError("snap tolerance must be > 0")
         if self.lookahead < 1:

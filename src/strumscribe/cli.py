@@ -6,6 +6,9 @@ Configuration comes from defaults, then an optional JSON config file
 short list of stages that returns its outputs in memory; `_commit` writes
 them only once every stage has succeeded. Exit codes: 0 success,
 1 validation or decoding failure, 2 I/O failure.
+
+Within one process the argument parser is built once. `eval --manifest
+--jobs 1` parses each distinct vocabulary text once for all its records.
 """
 
 from __future__ import annotations
@@ -288,6 +291,18 @@ def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[bytes, timelin
     return raw_bytes, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
+def _vocabulary(path: str, parses: dict) -> Vocabulary:
+    """The vocabulary file at path, read as _load reads it, so an error is
+    the one _load gives. Its parse is looked up in parses by the text, or
+    made and added there; a failed parse adds nothing. A Vocabulary is
+    immutable, so the records that share one parse share the object."""
+    with open(path, encoding="utf-8") as fp:
+        text = fp.read()
+    if text not in parses:
+        parses[text] = load_vocabulary(text)
+    return parses[text]
+
+
 def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Transcription:
     """Bin the strums into measures and decode them."""
     measures, discarded = timeline.bin_strums(strums, bars)
@@ -297,7 +312,7 @@ def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Tran
 
 
 def _eval_one(
-    record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float
+    record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float, parses: dict
 ) -> tuple[str, metrics_mod.TranscriptionReport]:
     def resolve(key: str) -> str:
         try:
@@ -310,7 +325,7 @@ def _eval_one(
     vocab_path = resolve("vocab") if "vocab" in record else fallback_vocab
     if not vocab_path:
         raise ValueError("manifest record has no vocab and no --vocab fallback was given")
-    vocab = _load(load_vocabulary, vocab_path)
+    vocab = _vocabulary(vocab_path, parses)
     transcription = _load(decoder_mod.load_transcription, resolve("transcription"))
     bars = _load(timeline.load_barlines, resolve("barlines"))
     ground_truth = _load(timeline.load_strums, resolve("ground_truth"))
@@ -336,7 +351,11 @@ def _read_manifest(path: str) -> list[tuple[int, dict]]:
 
 
 def _eval_record(
-    numbered: tuple[int, dict], base_dir: Path, fallback_vocab: str | None, tolerance: float
+    numbered: tuple[int, dict],
+    base_dir: Path,
+    fallback_vocab: str | None,
+    tolerance: float,
+    parses: dict,
 ) -> tuple[str, metrics_mod.TranscriptionReport]:
     """_eval_one on a manifest record. An error names the record's song_id,
     or its manifest line when it has none, and keeps its exit code: OSError
@@ -344,7 +363,7 @@ def _eval_record(
     line_no, record = numbered
     label = f"song_id {record['song_id']!r}" if "song_id" in record else f"manifest line {line_no}"
     try:
-        return _eval_one(record, base_dir, fallback_vocab, tolerance)
+        return _eval_one(record, base_dir, fallback_vocab, tolerance, parses)
     except OSError as exc:
         raise OSError(f"{label}: {exc}") from None
     except (ValueError, KeyError) as exc:
@@ -375,8 +394,10 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     tolerance = cfg.strum_tolerance_sec
     if args.manifest:
         records = _read_manifest(args.manifest)
+        # a pool worker gets its own copy of parses with each record, so
+        # only a serial run shares parses between records
         evaluate = functools.partial(_eval_record, base_dir=Path(args.manifest).parent,
-                                     fallback_vocab=args.vocab, tolerance=tolerance)
+                                     fallback_vocab=args.vocab, tolerance=tolerance, parses={})
         jobs = min(args.jobs or os.cpu_count() or 1, len(records))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -393,7 +414,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
             "barlines": args.barlines,
             "ground_truth": args.ground_truth,
         }
-        results = [_eval_one(record, Path("."), args.vocab, tolerance)]
+        results = [_eval_one(record, Path("."), args.vocab, tolerance, {})]
     payload = {
         "songs": [{"song_id": song_id, **report.to_dict()} for song_id, report in results],
         "aggregate": metrics_mod.aggregate_reports([report for _, report in results]),
@@ -530,8 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args keeps no state in it, and no argument
+# has a mutable default or an "append" action that could carry values over
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         outputs = args.func(args, _config_from_args(args))
         _commit(outputs.files, outputs.directory)

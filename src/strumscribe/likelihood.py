@@ -40,10 +40,12 @@ class DecoderConfig:
     timesig_change_penalty: float = 6.0
 
     def __post_init__(self) -> None:
-        if not self.timing_sigma > 0:
-            raise ValueError("timing_sigma must be > 0")
-        if self.pattern_change_penalty < 0 or self.timesig_change_penalty < 0:
-            raise ValueError("change penalties must be >= 0")
+        if not 0 < self.timing_sigma < np.inf:
+            raise ValueError(f"timing_sigma must be finite and > 0, got {self.timing_sigma}")
+        # an infinite change penalty forbids that change; NaN compares false
+        for name in ("pattern_change_penalty", "timesig_change_penalty"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 # (measures x patterns) elements per slab of an emission table group

@@ -67,8 +67,11 @@ class OnsetConfig:
             raise ValueError("frame_size, hop_size, n_mels must be >= 1")
         if min(self.pre_max, self.post_max, self.pre_avg, self.post_avg) < 1:
             raise ValueError("peak-picking windows must be >= 1")
-        if self.min_gap_sec < 0:
-            raise ValueError("min_gap_sec must be >= 0")
+        if not self.min_gap_sec >= 0:  # NaN compares false
+            raise ValueError(f"min_gap_sec must be >= 0, got {self.min_gap_sec}")
+        for name in ("delta", "log_compression"):
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not 0 < self.fmin_hz < self.fmax_hz:
             raise ValueError("need 0 < fmin_hz < fmax_hz")
 

@@ -8,7 +8,9 @@ so that silent measures can always be covered.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
@@ -67,20 +69,37 @@ class RhythmicPattern:
     name: str | None = None
     is_empty: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise VocabularyError(f"pattern id must be a non-empty string, got {self.id!r}")
-        normalized = tuple(tuple(map(float, measure)) for measure in self.onsets)
-        object.__setattr__(self, "onsets", normalized)
-        object.__setattr__(self, "is_empty", not any(normalized))
+    # written out, not generated, because a load builds one per pattern: one
+    # call that fills the frozen instance's __dict__ at once
+    def __init__(
+        self,
+        id: str,
+        time_signature: TimeSignature,
+        onsets: Iterable[Iterable[float]],
+        name: str | None = None,
+    ) -> None:
+        if not isinstance(id, str) or not id:
+            raise VocabularyError(f"pattern id must be a non-empty string, got {id!r}")
+        normalized = tuple([tuple(map(float, measure)) for measure in onsets])
+        self.__dict__.update(id=id, time_signature=time_signature, onsets=normalized,
+                             name=name, is_empty=not any(normalized))
         if len(normalized) not in (1, 2):
             raise VocabularyError(f"pattern {self.id!r}: measures must be 1 or 2, got {len(normalized)}")
         for positions in normalized:
-            for p in positions:
-                if not 0.0 <= p < 1.0:
-                    raise VocabularyError(f"pattern {self.id!r}: position {p!r} outside [0, 1)")
-            if any(b <= a for a, b in zip(positions, positions[1:])):
-                raise VocabularyError(f"pattern {self.id!r}: positions must be strictly ascending")
+            # strictly ascending (which no NaN is) from a first position in
+            # range to a last one in range puts every position in range
+            if positions and not (
+                0.0 <= positions[0] and positions[-1] < 1.0
+                and all(map(operator.lt, positions, positions[1:]))
+            ):
+                self._reject(positions)
+
+    def _reject(self, positions: tuple[float, ...]) -> None:
+        """Raise the error for the first fault of one measure's positions."""
+        for p in positions:
+            if not 0.0 <= p < 1.0:
+                raise VocabularyError(f"pattern {self.id!r}: position {p!r} outside [0, 1)")
+        raise VocabularyError(f"pattern {self.id!r}: positions must be strictly ascending")
 
     @property
     def measures(self) -> int:
@@ -120,7 +139,10 @@ class Vocabulary:
             if pattern.is_empty:
                 empties_by_sig[pattern.time_signature] = empties_by_sig.get(pattern.time_signature, 0) + 1
             else:
-                shape = (pattern.time_signature, pattern.onsets)
+                # TimeSignature equality is componentwise, so its fields key
+                # the shape without a call of the dataclass __hash__ per pattern
+                signature = pattern.time_signature
+                shape = (signature.numerator, signature.denominator, pattern.onsets)
                 if shape in seen_shapes:
                     raise VocabularyError(
                         f"pattern {pattern.id!r} duplicates another pattern with the same "
@@ -139,11 +161,7 @@ class Vocabulary:
         object.__setattr__(self, "_by_id", by_id)
 
     def _signatures_of_nonempty(self) -> list[TimeSignature]:
-        seen: list[TimeSignature] = []
-        for pattern in self.patterns:
-            if not pattern.is_empty and pattern.time_signature not in seen:
-                seen.append(pattern.time_signature)
-        return seen
+        return list(dict.fromkeys(p.time_signature for p in self.patterns if not p.is_empty))
 
     @classmethod
     def build(cls, patterns: Iterable[RhythmicPattern]) -> Vocabulary:
@@ -184,6 +202,8 @@ class Vocabulary:
 
 
 _PATTERN_KEYS = {"id", "name", "time_signature", "measures", "onsets"}
+# a set view that keeps the order in which a missing key is reported
+_REQUIRED_KEYS = dict.fromkeys(("id", "time_signature", "measures", "onsets")).keys()
 
 
 def _position(pattern_id, measure: int, index: int, value) -> float:
@@ -197,39 +217,36 @@ def _position(pattern_id, measure: int, index: int, value) -> float:
         raise VocabularyError(f"{where} is out of range") from None
 
 
-def _positions(pattern_id, measure: int, values: list) -> list:
-    """One measure of JSON onset positions. A list of floats is passed on as
-    it is, for RhythmicPattern to convert once; anything else is read one
-    position at a time."""
-    if set(map(type, values)) <= {float}:
-        return values
-    return [_position(pattern_id, measure, i, p) for i, p in enumerate(values)]
-
-
-def _pattern_from_record(record: dict) -> RhythmicPattern:
+def _pattern_from_record(record: dict, signatures: dict) -> RhythmicPattern:
+    """One JSON pattern record as a RhythmicPattern. `signatures` maps the
+    time-signature strings already parsed by this load to their values."""
     if not isinstance(record, dict):
         raise VocabularyError(f"pattern record must be an object, got {type(record).__name__}")
-    unknown = set(record) - _PATTERN_KEYS
-    if unknown:
-        raise VocabularyError(f"unknown pattern keys: {sorted(unknown)}")
-    for key in ("id", "time_signature", "measures", "onsets"):
-        if key not in record:
-            raise VocabularyError(f"pattern record missing {key!r}")
-    where = f"pattern {record.get('id')!r}"
+    if not record.keys() <= _PATTERN_KEYS:
+        raise VocabularyError(f"unknown pattern keys: {sorted(record.keys() - _PATTERN_KEYS)}")
+    if not record.keys() >= _REQUIRED_KEYS:
+        missing = next(key for key in _REQUIRED_KEYS if key not in record)
+        raise VocabularyError(f"pattern record missing {missing!r}")
     measures = record["measures"]
     if isinstance(measures, bool) or not isinstance(measures, int):
-        raise VocabularyError(f"{where}: measures must be an integer, got {measures!r}")
+        raise VocabularyError(
+            f"pattern {record['id']!r}: measures must be an integer, got {measures!r}"
+        )
     if "name" in record and not isinstance(record["name"], str):
-        raise VocabularyError(f"{where}: name must be a string, got {record['name']!r}")
+        raise VocabularyError(f"pattern {record['id']!r}: name must be a string, got {record['name']!r}")
     onsets = record["onsets"]
     if not isinstance(onsets, list) or not all(isinstance(m, list) for m in onsets):
-        raise VocabularyError(f"{where}: onsets must be a list of lists")
-    pattern = RhythmicPattern(
-        id=record["id"],
-        time_signature=TimeSignature.parse(record["time_signature"]),
-        onsets=[_positions(record.get("id"), m, measure) for m, measure in enumerate(onsets)],
-        name=record.get("name"),
-    )
+        raise VocabularyError(f"pattern {record['id']!r}: onsets must be a list of lists")
+    text = record["time_signature"]
+    signature = signatures.get(text) if isinstance(text, str) else None
+    if signature is None:  # TimeSignature.parse raises on anything but a string
+        signature = signatures[text] = TimeSignature.parse(text)
+    # JSON floats go on as they are, for RhythmicPattern to convert once;
+    # anything else is read one position at a time
+    if not set(map(type, itertools.chain.from_iterable(onsets))) <= {float}:
+        onsets = [[_position(record["id"], m, i, p) for i, p in enumerate(measure)]
+                  for m, measure in enumerate(onsets)]
+    pattern = RhythmicPattern(record["id"], signature, onsets, record.get("name"))
     if measures != pattern.measures:
         raise VocabularyError(
             f"pattern {pattern.id!r}: measures field is {measures} "
@@ -256,5 +273,6 @@ def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary
         raise VocabularyError('vocabulary JSON must be an object with a single "patterns" key')
     if not isinstance(payload["patterns"], list):
         raise VocabularyError('"patterns" must be a list')
-    return Vocabulary.build(_pattern_from_record(r) for r in payload["patterns"])
+    signatures: dict[str, TimeSignature] = {}
+    return Vocabulary.build(_pattern_from_record(r, signatures) for r in payload["patterns"])
 

@@ -32,6 +32,13 @@ class TestPostprocConfig:
         with pytest.raises(ValueError):
             PostprocConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["deletion_penalty", "insertion_penalty", "tempo_change_penalty"]
+    )
+    def test_nan_penalty_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            PostprocConfig(**{field: np.nan})
+
 
 class TestPostprocessBarlines:
     def test_steady_track_unchanged(self):

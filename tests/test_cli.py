@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -445,6 +446,153 @@ class TestEvalCommand:
         assert serial.read_bytes() == capped.read_bytes()
 
 
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """Calls of load_vocabulary from cli, as a tracer of it would see them."""
+    calls = []
+    original = cli.load_vocabulary
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(cli, "load_vocabulary", counting)
+    return calls
+
+
+class TestVocabularyMemo:
+    """`eval --manifest --jobs 1` parses each distinct vocabulary text once;
+    every command reads its vocabulary files and parses them afresh."""
+
+    def manifest(self, tmp_path, synth_dir, vocabs):
+        """A manifest of one record per entry of vocabs, a path or None for
+        the --vocab fallback."""
+        records = [
+            {"song_id": f"s{i}", "transcription": str(synth_dir / "transcription.json"),
+             "barlines": str(synth_dir / "barlines.json"),
+             "ground_truth": str(synth_dir / "nominal_strums.json"),
+             **({"vocab": str(vocab)} if vocab else {})}
+            for i, vocab in enumerate(vocabs)
+        ]
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_one_parse_for_manifest_sharing_vocab(self, tmp_path, vocab_file, synth_dir,
+                                                   counted_parses):
+        manifest = self.manifest(tmp_path, synth_dir, [None] * 3)
+        assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                    "--out", tmp_path / "report.json", "--jobs", 1]) == 0
+        assert len(counted_parses) == 1
+        assert len(json.loads((tmp_path / "report.json").read_text())["songs"]) == 3
+
+    def test_manifest_parses_each_distinct_content_once(self, tmp_path, vocab_file, synth_dir,
+                                                        counted_parses):
+        # a copy under another name has the same content; an edited copy does not
+        copy, edited = tmp_path / "copy.json", tmp_path / "edited.json"
+        copy.write_bytes(Path(vocab_file).read_bytes())
+        edited.write_bytes(Path(vocab_file).read_bytes() + b"\n")
+        manifest = self.manifest(tmp_path, synth_dir, [None, copy, edited, vocab_file])
+        assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                    "--out", tmp_path / "report.json", "--jobs", 1]) == 0
+        assert len(counted_parses) == 2
+        songs = json.loads((tmp_path / "report.json").read_text())["songs"]
+        assert len({json.dumps({**s, "song_id": None}, sort_keys=True) for s in songs}) == 1
+
+    def test_bad_utf8_past_first_chunk(self, tmp_path, capsys, vocab_file, synth_dir):
+        # the byte lies beyond the first 8 KiB that a text file decodes; the
+        # error names its position in the whole file, as open() reports it
+        vocab = tmp_path / "bad.json"
+        vocab.write_bytes(Path(vocab_file).read_bytes() + b" " * 9000 + b"\xff")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with open(vocab, encoding="utf-8") as fp:
+                fp.read()
+        manifest = self.manifest(tmp_path, synth_dir, [None, vocab])
+        out = tmp_path / "report.json"
+        assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                    "--out", out, "--jobs", 1]) == 1
+        assert capsys.readouterr().err == f"error: song_id 's1': {expected.value}\n"
+        assert not out.exists()
+
+    def test_each_command_parses_afresh(self, tmp_path, vocab_file, synth_dir,
+                                        counted_parses):
+        transcription = tmp_path / "t.json"
+        assert run(["decode", "--strums", synth_dir / "strums.json",
+                    "--barlines", synth_dir / "barlines.json",
+                    "--vocab", vocab_file, "--out", transcription]) == 0
+        assert run(["render", "--transcription", transcription, "--vocab", vocab_file,
+                    "--out", tmp_path / "sheet.txt", "--grid-resolution", 12]) == 0
+        assert run(["eval", "--transcription", transcription,
+                    "--barlines", synth_dir / "barlines.json", "--vocab", vocab_file,
+                    "--ground-truth", synth_dir / "nominal_strums.json",
+                    "--out", tmp_path / "report.json"]) == 0
+        assert len(counted_parses) == 3
+
+
+class TestSharedParser:
+    """main parses every call with one parser; no call leaves a trace in it."""
+
+    def decode(self, synth_dir, vocab_file, out, *extra):
+        return run(["decode", "--strums", synth_dir / "strums.json",
+                    "--barlines", synth_dir / "barlines.json",
+                    "--vocab", vocab_file, "--out", out, *extra])
+
+    @pytest.fixture
+    def fresh_output(self, tmp_path, vocab_file, synth_dir):
+        """A plain decode's output from a newly built parser."""
+        cli._parser.cache_clear()
+        out = tmp_path / "fresh.json"
+        assert self.decode(synth_dir, vocab_file, out) == 0
+        return out.read_bytes()
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_flag_does_not_leak(self, tmp_path, vocab_file, synth_dir, fresh_output):
+        tuned = tmp_path / "tuned.json"
+        assert self.decode(synth_dir, vocab_file, tuned, "--timing-sigma", "0.5") == 0
+        assert tuned.read_bytes() != fresh_output
+        out = tmp_path / "plain.json"
+        assert self.decode(synth_dir, vocab_file, out) == 0
+        assert out.read_bytes() == fresh_output
+
+    def test_config_does_not_leak(self, tmp_path, vocab_file, synth_dir, fresh_output):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"decoder": {"timing_sigma": 0.5}}))
+        tuned = tmp_path / "tuned.json"
+        assert self.decode(synth_dir, vocab_file, tuned, "--config", config) == 0
+        assert tuned.read_bytes() != fresh_output
+        out = tmp_path / "plain.json"
+        assert self.decode(synth_dir, vocab_file, out) == 0
+        assert out.read_bytes() == fresh_output
+
+    def test_usage_error_does_not_leak(self, tmp_path, vocab_file, synth_dir, fresh_output):
+        with pytest.raises(SystemExit) as excinfo:
+            self.decode(synth_dir, vocab_file, tmp_path / "bad.json", "--timing-sigma", "x")
+        assert excinfo.value.code == 2
+        out = tmp_path / "plain.json"
+        assert self.decode(synth_dir, vocab_file, out) == 0
+        assert out.read_bytes() == fresh_output
+
+    def test_no_argument_accumulates(self):
+        # an "append" action or a mutable default would carry values from
+        # one parse into the next
+        accumulating = (argparse._AppendAction, argparse._AppendConstAction,
+                        argparse._ExtendAction)
+        immutable = (type(None), bool, int, float, str, tuple)
+        parsers = [build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                assert not isinstance(action, accumulating), action.option_strings
+                assert isinstance(action.default, immutable), action.option_strings
+                assert isinstance(action.const, immutable), action.option_strings
+            for name, default in parser._defaults.items():
+                assert callable(default) or isinstance(default, immutable), name
+        assert len(parsers) == 1 + len(REQUIRED)
+
+
 class TestRenderCommand:
     def test_render_to_file(self, tmp_path, vocab_file, synth_dir):
         out = tmp_path / "sheet.txt"
@@ -537,6 +685,67 @@ class TestConfigFile:
             main(["barlines", *REQUIRED["barlines"], "--subdivision-factors", "1,x"])
         assert excinfo.value.code == 2
         assert "--subdivision-factors" in capsys.readouterr().err
+
+
+# the knobs a NaN must not pass, as (command, flag or None, config field,
+# JSON literal); a flag and a config file both reach the field's check
+NON_FINITE_KNOBS = [
+    ("decode", "--timing-sigma", "decoder.timing_sigma", "NaN"),
+    ("decode", "--timing-sigma", "decoder.timing_sigma", "Infinity"),
+    ("decode", "--pattern-change-penalty", "decoder.pattern_change_penalty", "NaN"),
+    ("decode", "--timesig-change-penalty", "decoder.timesig_change_penalty", "NaN"),
+    ("barlines", "--deletion-penalty", "barlines.deletion_penalty", "NaN"),
+    ("barlines", "--insertion-penalty", "barlines.insertion_penalty", "NaN"),
+    ("barlines", "--tempo-change-penalty", "barlines.tempo_change_penalty", "NaN"),
+    ("onsets", "--delta", "onsets.delta", "NaN"),
+    ("onsets", "--min-gap", "onsets.min_gap_sec", "NaN"),
+    ("onsets", None, "onsets.log_compression", "NaN"),
+]
+NON_FINITE_CASES = [
+    (command, spelling, flag, field, literal)
+    for command, flag, field, literal in NON_FINITE_KNOBS
+    for spelling in ("flag", "config")
+    if flag or spelling == "config"
+]
+
+
+@pytest.mark.parametrize(
+    "command,spelling,flag,field,literal", NON_FINITE_CASES,
+    ids=[f"{c[1]}-{c[3]}={c[4]}" for c in NON_FINITE_CASES],
+)
+def test_non_finite_knob_exit_1(tmp_path, capsys, command, spelling, flag, field, literal):
+    section, name = field.split(".")
+    if spelling == "flag":
+        extra = [flag, {"NaN": "nan", "Infinity": "inf"}[literal]]
+    else:
+        # Python's json reads the NaN and Infinity literals
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{section}": {{"{name}": {literal}}}}}')
+        extra = ["--config", config]
+    # the config is checked before any input is read, so none needs to exist
+    argv = [command, *REQUIRED[command], *extra]
+    argv[argv.index("--out") + 1] = tmp_path / "o.json"
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} ")
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_infinite_change_penalty_accepted(tmp_path, vocab_file):
+    # an infinite penalty forbids every change: a song that needs none
+    # decodes as with the default penalty
+    strums, bars = tmp_path / "strums.json", tmp_path / "bars.json"
+    strums.write_text(json.dumps({"strums_sec": [0.5 * i for i in range(12)]}))
+    bars.write_text(json.dumps({"barlines_sec": [0.0, 2.0, 4.0, 6.0]}))
+    outs = []
+    for extra in ([], ["--pattern-change-penalty", "inf", "--timesig-change-penalty", "inf"]):
+        out = tmp_path / f"t{len(outs)}.json"
+        assert run(["decode", "--strums", strums, "--barlines", bars, "--vocab", vocab_file,
+                    "--out", out, *extra]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert {m["pattern_id"] for m in json.loads(outs[0])["measures"]} == {"QUARTERS"}
 
 
 def write_wav(path, samples, sr=44100):

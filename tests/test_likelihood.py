@@ -277,6 +277,23 @@ class TestDecoderConfig:
         with pytest.raises(ValueError):
             DecoderConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timing_sigma", np.nan),
+            ("timing_sigma", np.inf),
+            ("pattern_change_penalty", np.nan),
+            ("timesig_change_penalty", np.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            DecoderConfig(**{field: value})
+
+    def test_infinite_change_penalties_accepted(self):
+        cfg = DecoderConfig(pattern_change_penalty=np.inf, timesig_change_penalty=np.inf)
+        assert cfg.pattern_change_penalty == cfg.timesig_change_penalty == np.inf
+
 
 class TestContributionTables:
     @given(st.data())

@@ -46,6 +46,12 @@ def pluck_fixture():
     return times, pluck_train(times, seed=7)
 
 
+@pytest.mark.parametrize("field", ["delta", "min_gap_sec", "log_compression"])
+def test_onset_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        OnsetConfig(**{field: np.nan})
+
+
 class TestOnsetStrength:
     def test_silence_is_all_zero(self):
         env = onset_strength(AudioBuffer(np.zeros(SR), SR))

@@ -68,6 +68,25 @@ class TestRhythmicPattern:
         with pytest.raises(VocabularyError):
             make_pattern("P", "4/4", [0.0], [0.0], [0.0])
 
+    @given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.0, float("nan")]),
+                                       st.floats(-0.5, 1.5)), max_size=5),
+                    min_size=1, max_size=2))
+    def test_error_is_the_first_fault_checked_position_by_position(self, measures):
+        # per measure, every position's range first, then the ascending order
+        expected = None
+        for positions in measures:
+            bad = next((p for p in positions if not 0.0 <= p < 1.0), None)
+            if bad is not None or any(b <= a for a, b in zip(positions, positions[1:])):
+                expected = (f"pattern 'P': position {bad!r} outside [0, 1)" if bad is not None
+                            else "pattern 'P': positions must be strictly ascending")
+                break
+        try:
+            make_pattern("P", "4/4", *measures)
+        except VocabularyError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
 
 class TestLoadVocabulary:
     def test_single_pattern_gets_empty(self):
@@ -132,6 +151,43 @@ class TestLoadVocabulary:
         with pytest.raises(VocabularyError):
             load_from({"patterns": [{"id": "P", "time_signature": "4/4",
                                      "measures": 1, "onsets": [[0.0]], "tempo": 100}]})
+
+    @pytest.mark.parametrize("record,message", [
+        ({"measures": 1}, "pattern record missing 'id'"),
+        ({"id": "P", "measures": 1}, "pattern record missing 'time_signature'"),
+        ({"id": "P", "time_signature": "4/4"}, "pattern record missing 'measures'"),
+        ({"id": "P", "time_signature": "4/4", "measures": 1},
+         "pattern record missing 'onsets'"),
+        ({"tempo": 1, "bpm": 2}, "unknown pattern keys: ['bpm', 'tempo']"),
+    ])
+    def test_record_key_errors(self, record, message):
+        with pytest.raises(VocabularyError) as excinfo:
+            load_from({"patterns": [record]})
+        assert str(excinfo.value) == message
+
+    def test_one_time_signature_value_per_text(self):
+        vocab = load_from({"patterns": [
+            {"id": "A", "time_signature": "4/4", "measures": 1, "onsets": [[0.0]]},
+            {"id": "B", "time_signature": "4/4", "measures": 1, "onsets": [[0.5]]},
+            {"id": "C", "time_signature": " 4/4", "measures": 1, "onsets": [[0.25]]},
+        ]})
+        assert vocab.by_id("A").time_signature is vocab.by_id("B").time_signature
+        assert vocab.by_id("C").time_signature == vocab.by_id("A").time_signature
+        assert [p.id for p in vocab] == ["A", "B", "C", "EMPTY_4_4"]
+
+    def test_integer_positions_read_as_floats(self):
+        def load(first):
+            return load_from({"patterns": [{"id": "P", "time_signature": "4/4",
+                                            "measures": 2, "onsets": [first, [0.25]]}]})
+
+        ints, floats = load([0, 0.5]), load([0.0, 0.5])
+        assert ints == floats
+        assert {type(p) for m in ints.by_id("P").onsets for p in m} == {float}
+
+    def test_unhashable_time_signature_rejected(self):
+        with pytest.raises(VocabularyError, match="cannot parse time signature"):
+            load_from({"patterns": [{"id": "P", "time_signature": [4, 4],
+                                     "measures": 1, "onsets": [[0.0]]}]})
 
     def test_bad_json(self):
         with pytest.raises(VocabularyError):
