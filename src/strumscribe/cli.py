@@ -7,8 +7,9 @@ short list of stages that returns its outputs in memory; `_commit` writes
 them only once every stage has succeeded. Exit codes: 0 success,
 1 validation or decoding failure, 2 I/O failure.
 
-Within one process the argument parser is built once. `eval --manifest
---jobs 1` parses each distinct vocabulary text once for all its records.
+Within one process the argument parser is built once. A serial
+`eval --manifest` (the default, `--jobs 1`) parses each distinct vocabulary
+text once for all its records.
 """
 
 from __future__ import annotations
@@ -391,6 +392,8 @@ def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     tolerance = cfg.strum_tolerance_sec
     if args.manifest:
         records = _read_manifest(args.manifest)
@@ -398,7 +401,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
         # only a serial run shares parses between records
         evaluate = functools.partial(_eval_record, base_dir=Path(args.manifest).parent,
                                      fallback_vocab=args.vocab, tolerance=tolerance, parses={})
-        jobs = min(args.jobs or os.cpu_count() or 1, len(records))
+        jobs = min(args.jobs, len(records))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(evaluate, records))
@@ -513,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="newline-delimited JSON records for batch evaluation")
     p.add_argument("--out", required=True)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="evaluate manifest records in N worker processes (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -109,14 +109,18 @@ class Transcription:
         records = payload["measures"]
         if not isinstance(records, list):
             raise ValueError(f"transcription measures must be a list, got {records!r}")
-        return cls(tuple(_entry_from_record(i, rec) for i, rec in enumerate(records)), total_cost)
+        signatures: dict[str, TimeSignature] = {}
+        entries = tuple(_entry_from_record(i, rec, signatures) for i, rec in enumerate(records))
+        return cls(entries, total_cost)
 
 
 # the JSON type of each field of a transcription's measure record
 _ENTRY_FIELDS = {"index": int, "pattern_id": str, "phase": int, "time_signature": str}
 
 
-def _entry_from_record(i: int, rec) -> TranscriptionEntry:
+def _check_record(i: int, rec) -> None:
+    """Raise for the first missing or mistyped field of measure record i,
+    in _ENTRY_FIELDS order."""
     where = f"transcription measures[{i}]"
     if not isinstance(rec, dict):
         raise ValueError(f"{where} must be an object, got {rec!r}")
@@ -126,11 +130,30 @@ def _entry_from_record(i: int, rec) -> TranscriptionEntry:
         if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
             article = "an integer" if kind is int else "a string"
             raise ValueError(f"{where}.{key} must be {article}, got {rec[key]!r}")
+
+
+def _entry_from_record(i: int, rec, signatures: dict) -> TranscriptionEntry:
+    """Measure record i as a TranscriptionEntry. `signatures` maps the
+    time-signature strings already parsed by this load to their values."""
+    # the plain JSON types pass without a look at each field; anything else,
+    # a subclass included, goes through the full check
+    if not (
+        type(rec) is dict
+        and type(rec.get("index")) is int
+        and type(rec.get("pattern_id")) is str
+        and type(rec.get("phase")) is int
+        and type(rec.get("time_signature")) is str
+    ):
+        _check_record(i, rec)
+    text = rec["time_signature"]
+    signature = signatures.get(text)
+    if signature is None:
+        signature = signatures[text] = TimeSignature.parse(text)
     return TranscriptionEntry(
         measure_index=rec["index"],
         pattern_id=rec["pattern_id"],
         phase=rec["phase"],
-        time_signature=TimeSignature.parse(rec["time_signature"]),
+        time_signature=signature,
     )
 
 

@@ -266,8 +266,29 @@ def _mel_filterbank(sample_rate: int, n_fft: int, cfg: OnsetConfig) -> np.ndarra
     return bank
 
 
-# frames per block of STFT magnitudes in onset_strength
+# frames per block of STFT magnitudes, and rows per mel product, in
+# onset_strength
 _MAGNITUDE_BLOCK_FRAMES = 256
+# mel products are blocked only for a band count that is a multiple of this.
+# On OpenBLAS 0.3.31 (Haswell kernels), 256-row products gave the bits of
+# the whole-song product for every multiple of 8 bands tried, and other
+# bits for 1-4 bands and for every count above 192 that is not a multiple
+# of 8, at most song lengths
+_BLAS_TILE_COLUMNS = 8
+
+
+def _frames(samples: np.ndarray, first: int, count: int, frame: int, hop: int) -> np.ndarray:
+    """Analysis frames first .. first + count - 1 as rows of a strided view,
+    zero-filled where they run past either end of the samples."""
+    lo = first * hop - (frame - hop)
+    span = (count - 1) * hop + frame
+    if 0 <= lo and lo + span <= len(samples):
+        chunk = samples[lo : lo + span]
+    else:
+        chunk = np.zeros(span)
+        inside = slice(max(lo, 0), min(lo + span, len(samples)))
+        chunk[inside.start - lo : inside.stop - lo] = samples[inside]
+    return np.lib.stride_tricks.sliding_window_view(chunk, frame)[::hop]
 
 
 def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.ndarray:
@@ -278,42 +299,62 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     therefore raises the envelope at index t, which keeps attack times
     aligned with the t*hop/sample_rate convention used by pick_peaks.
 
-    The STFT magnitudes are filled in blocks of _MAGNITUDE_BLOCK_FRAMES
-    frames, so the windowed frames and the complex spectrum never exist for
-    the whole song at once. Windowing, rfft along a row and abs each act on
-    one frame alone, so the magnitude matrix is bit-for-bit the whole-array
-    one. The mel projection stays one matrix product over all frames:
-    BLAS can give a row different bits depending on how many rows the
-    product has, so a blocked product could move a peak pick.
+    The envelope is bit for bit the one from a single whole-song
+    spectrogram and one whole-song mel product, without either existing.
+    STFT magnitudes are taken _MAGNITUDE_BLOCK_FRAMES frames at a time, each
+    block's frames cut from the samples (zero-filled past either end);
+    windowing, rfft along a row and abs act on one frame alone, so any
+    blocking gives the same magnitudes. BLAS can give a row of a product
+    different bits depending on how many rows the product has, so every mel
+    product has the same row count, min(n_frames, _MAGNITUDE_BLOCK_FRAMES):
+    the last block is the song's final frames and recomputes, with the same
+    values, the rows it shares with the block before it. For some band
+    counts the bits also depend on the whole song's row count, so unless
+    n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays one
+    product over all frames. The log compression and the flux then work in
+    place on the mel matrix and one difference buffer.
+
+    Live at once, besides the caller's samples: the n_frames x n_mels mel
+    matrix, the magnitudes of one product's rows, and either one block's
+    frames, windowed frames and complex spectrum, or one (n_frames - 1) x
+    n_mels difference buffer. With a band count that is a multiple of
+    _BLAS_TILE_COLUMNS, no array scales as frames x frequency bins.
     """
     cfg = cfg or OnsetConfig()
     samples = audio.samples
-    if len(samples) < cfg.frame_size:
-        raise ValueError(f"audio shorter than one frame ({cfg.frame_size} samples)")
+    frame, hop = cfg.frame_size, cfg.hop_size
+    if len(samples) < frame:
+        raise ValueError(f"audio shorter than one frame ({frame} samples)")
     nyquist = audio.sample_rate / 2.0
     if cfg.fmin_hz >= nyquist:
         raise ValueError(
             f"onsets.fmin_hz ({cfg.fmin_hz:g} Hz) must be below the audio's "
             f"Nyquist frequency ({nyquist:g} Hz)"
         )
-    left = cfg.frame_size - cfg.hop_size
-    padded = np.concatenate([np.zeros(left), samples, np.zeros(cfg.hop_size)])
-    n_frames = 1 + (len(padded) - cfg.frame_size) // cfg.hop_size
-    window = np.hanning(cfg.frame_size)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.frame_size)[
-        :: cfg.hop_size
-    ][:n_frames]
-    spectra = np.empty((n_frames, cfg.frame_size // 2 + 1))
-    for start in range(0, n_frames, _MAGNITUDE_BLOCK_FRAMES):
-        block = slice(start, start + _MAGNITUDE_BLOCK_FRAMES)
-        np.abs(np.fft.rfft(frames[block] * window, axis=1), out=spectra[block])
-    mel = spectra @ _mel_filterbank(audio.sample_rate, cfg.frame_size, cfg).T
+    n_frames = 1 + len(samples) // hop
+    if cfg.n_mels % _BLAS_TILE_COLUMNS:
+        rows = n_frames
+    else:
+        rows = min(n_frames, _MAGNITUDE_BLOCK_FRAMES)
+    window = np.hanning(frame)
+    bank_t = _mel_filterbank(audio.sample_rate, frame, cfg).T
+    magnitudes = np.empty((rows, frame // 2 + 1))
+    mel = np.empty((n_frames, cfg.n_mels))
+    for start in (*range(0, n_frames - rows, rows), n_frames - rows):
+        for sub in range(0, rows, _MAGNITUDE_BLOCK_FRAMES):
+            count = min(_MAGNITUDE_BLOCK_FRAMES, rows - sub)
+            frames = _frames(samples, start + sub, count, frame, hop)
+            np.abs(np.fft.rfft(frames * window, axis=1), out=magnitudes[sub : sub + count])
+        np.matmul(magnitudes, bank_t, out=mel[start : start + rows])
     # floor relative to the signal peak: spectral-leakage bins oscillate by
     # orders of magnitude and would otherwise dominate the log-scale flux
     floor = mel.max() * 1e-4
-    log_mel = np.log1p(cfg.log_compression * (mel + floor))
-    flux = np.maximum(np.diff(log_mel, axis=0), 0.0).sum(axis=1)
-    return np.concatenate(([0.0], flux))
+    mel += floor
+    mel *= cfg.log_compression
+    np.log1p(mel, out=mel)
+    flux = np.subtract(mel[1:], mel[:-1])
+    np.maximum(flux, 0.0, out=flux)
+    return np.concatenate(([0.0], flux.sum(axis=1)))
 
 
 def _clipped_moving_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:

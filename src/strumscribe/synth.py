@@ -11,6 +11,7 @@ is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,16 @@ class SynthSpec:
     spurious_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("tempo_bpm", "sigma_norm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.tempo_bpm > 0:
-            raise ValueError("tempo must be > 0")
+            raise ValueError(f"tempo_bpm must be > 0, got {self.tempo_bpm}")
         if self.measures < 1:
             raise ValueError("need at least one measure")
         if self.sigma_norm < 0:
-            raise ValueError("sigma_norm must be >= 0")
+            raise ValueError(f"sigma_norm must be >= 0, got {self.sigma_norm}")
         for name in ("switch_prob", "miss_rate", "spurious_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:

@@ -4,10 +4,11 @@ Everything here shares no code path with the library internals it verifies:
 exhaustive recursion and naive arithmetic in plain Python, plus the dense
 numpy emission tables that the library's onset-alphabet lookup must
 reproduce bit for bit, the whole-array onset envelope that the library's
-blocked STFT must reproduce bit for bit, the lexsort Viterbi pass that the
-library's per-group champion relaxation must reproduce bit for bit, and the
-scipy peak-picking window and WAV reader that the library's numpy-only ones
-replace.
+blocked STFT and mel products must reproduce bit for bit, the lexsort
+Viterbi pass that the library's per-group champion relaxation must
+reproduce bit for bit, the scipy peak-picking window and WAV reader that
+the library's numpy-only ones replace, and the per-record transcription
+reader whose errors the library's must keep word for word.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ def dense_contribution_tables(measures, vocab, cfg):
 
 
 def dense_onset_strength(audio, cfg=None):
-    """Reference onset envelope from one whole-song windowed copy, complex
-    spectrum and magnitude matrix. The library's blocked magnitudes must
-    give this envelope bit for bit (`tobytes()` equality). Only the mel
-    filterbank is shared with the library."""
+    """Reference onset envelope from one whole-song padded copy, windowed
+    copy, complex spectrum and magnitude matrix, one mel product over all
+    frames, and out-of-place log and flux. The library's blocked magnitudes
+    and blocked mel products must give this envelope bit for bit
+    (`tobytes()` equality). Only the mel filterbank is shared with the
+    library."""
     cfg = cfg or OnsetConfig()
     samples = audio.samples
     if len(samples) < cfg.frame_size:
@@ -118,6 +121,47 @@ def dense_onset_strength(audio, cfg=None):
     log_mel = np.log1p(cfg.log_compression * (mel + floor))
     flux = np.maximum(np.diff(log_mel, axis=0), 0.0).sum(axis=1)
     return np.concatenate(([0.0], flux))
+
+
+_ENTRY_FIELDS = {"index": int, "pattern_id": str, "phase": int, "time_signature": str}
+
+
+def _entry_from_record(i, rec):
+    where = f"transcription measures[{i}]"
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} must be an object, got {rec!r}")
+    for key, kind in _ENTRY_FIELDS.items():
+        if key not in rec:
+            raise ValueError(f"{where} is missing {key!r}")
+        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
+            article = "an integer" if kind is int else "a string"
+            raise ValueError(f"{where}.{key} must be {article}, got {rec[key]!r}")
+    return TranscriptionEntry(
+        measure_index=rec["index"],
+        pattern_id=rec["pattern_id"],
+        phase=rec["phase"],
+        time_signature=TimeSignature.parse(rec["time_signature"]),
+    )
+
+
+def per_record_transcription_from_dict(payload):
+    """Transcription.from_dict as it was when every record formatted its
+    error prefix and parsed its time signature. The library's reader must
+    accept exactly what this accepts, and fail with the same message."""
+    if not isinstance(payload, dict) or set(payload) != {"total_cost", "measures"}:
+        raise ValueError('transcription JSON needs exactly "total_cost" and "measures"')
+    total_cost = payload["total_cost"]
+    if isinstance(total_cost, bool) or not isinstance(total_cost, (int, float)):
+        raise ValueError(f"transcription total_cost must be a number, got {total_cost!r}")
+    try:
+        total_cost = float(total_cost)
+    except OverflowError:
+        raise ValueError("transcription total_cost is out of range") from None
+    records = payload["measures"]
+    if not isinstance(records, list):
+        raise ValueError(f"transcription measures must be a list, got {records!r}")
+    return Transcription(tuple(_entry_from_record(i, rec) for i, rec in enumerate(records)),
+                         total_cost)
 
 
 def scipy_local_max(envelope, pre_max, post_max):

@@ -338,7 +338,7 @@ class TestEvalCommand:
         expected_sem = np.std(f1_values, ddof=1) / np.sqrt(3) if len(set(f1_values)) > 1 else 0.0
         assert report["aggregate"]["f1"]["sem"] == pytest.approx(expected_sem)
 
-    def test_manifest_parallel_matches_serial(self, tmp_path, vocab_file):
+    def test_manifest_parallel_matches_serial(self, tmp_path, vocab_file, monkeypatch):
         records = []
         for seed in (3, 4):
             song_dir = tmp_path / f"s{seed}"
@@ -361,16 +361,33 @@ class TestEvalCommand:
             )
         manifest = tmp_path / "m.jsonl"
         manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        assert run(
-            ["eval", "--manifest", manifest, "--vocab", vocab_file, "--out", serial,
-             "--jobs", 1]
-        ) == 0
-        assert run(
-            ["eval", "--manifest", manifest, "--vocab", vocab_file, "--out", parallel,
-             "--jobs", 2]
-        ) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        pools = []
+        pool = cli.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", counted_pool)
+        reports = {}
+        for jobs in (None, 1, 2):
+            reports[jobs] = tmp_path / f"jobs_{jobs}.json"
+            flag = [] if jobs is None else ["--jobs", jobs]
+            assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                        "--out", reports[jobs], *flag]) == 0
+            # only an explicit --jobs above 1 starts a pool
+            assert pools == ([{"max_workers": 2}] if jobs == 2 else [])
+        assert reports[None].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, vocab_file, synth_dir, jobs):
+        out = tmp_path / "report.json"
+        assert run(["eval", "--transcription", synth_dir / "transcription.json",
+                    "--barlines", synth_dir / "barlines.json", "--vocab", vocab_file,
+                    "--ground-truth", synth_dir / "nominal_strums.json",
+                    "--out", out, "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
@@ -730,6 +747,18 @@ def test_non_finite_knob_exit_1(tmp_path, capsys, command, spelling, flag, field
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} ")
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--sigma-norm", "--tempo-bpm"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_synth_non_finite_knob_exit_1(tmp_path, vocab_file, capsys, flag, value):
+    out = tmp_path / "song"
+    assert run(["synth", "--vocab", vocab_file, "--out-dir", out, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    field = flag[2:].replace("-", "_")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {field} must be finite")
+    assert not out.exists()
 
 
 def test_infinite_change_penalty_accepted(tmp_path, vocab_file):

@@ -20,7 +20,14 @@ from strumscribe import (
 from strumscribe.decoder import _champion, _enter, load_transcription, save_transcription
 
 from conftest import make_pattern, make_vocab
-from oracles import _relax_entry, enumerate_decode, half_cost, lexsort_decode, transition
+from oracles import (
+    _relax_entry,
+    enumerate_decode,
+    half_cost,
+    lexsort_decode,
+    per_record_transcription_from_dict,
+    transition,
+)
 from test_acceptance import c10_instance
 
 
@@ -406,6 +413,56 @@ class TestReconstructStrums:
             reconstruct_strums(t, BarlineTrack((0.0, 2.0, 4.0)), vocab)
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# values a transcription field may be mutated to: JSON's other types, bools,
+# time signatures good and bad, and subclasses of the right types
+FIELD_VALUES = st.sampled_from(
+    [True, False, None, 0, 1, 2, -1, 1.0, "1", "A", [], {}, _Int(0), _Int(1), _Str("A"),
+     _Str("4/4"), "4/4", "3/4", " 6/8", "4/3", "0/4", "x", "4/4/4", "-3/4", "3/4.0", ""]
+) | st.floats() | st.text(max_size=3)
+ENTRY_KEYS = ["index", "pattern_id", "phase", "time_signature"]
+
+
+@st.composite
+def transcription_payloads(draw):
+    """A valid transcription's JSON payload, then a few mutations: a field
+    deleted, added or set to another value, a record or the measures list
+    replaced, or total_cost changed."""
+    records = []
+    while len(records) < draw(st.integers(1, 6)):
+        pattern, signature = draw(st.sampled_from([("A", "4/4"), ("B", "3/4"), ("C", "6/8")]))
+        phases = (0, 1) if draw(st.booleans()) else (0,)
+        records += [{"index": len(records) + k, "pattern_id": pattern, "phase": phase,
+                     "time_signature": signature} for k, phase in enumerate(phases)]
+    payload = {"total_cost": draw(st.floats(0, 100)), "measures": records}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["delete", "set", "set", "set", "add", "record", "measures",
+                                     "cost"]))
+        i = draw(st.integers(0, len(records) - 1))
+        if not isinstance(records[i], dict) and kind in ("delete", "set", "add"):
+            continue
+        if kind == "delete":
+            records[i].pop(draw(st.sampled_from(ENTRY_KEYS)), None)
+        elif kind == "set":
+            records[i][draw(st.sampled_from(ENTRY_KEYS))] = draw(FIELD_VALUES)
+        elif kind == "add":
+            records[i]["extra"] = draw(FIELD_VALUES)
+        elif kind == "record":
+            records[i] = draw(FIELD_VALUES)
+        elif kind == "measures":
+            payload["measures"] = draw(FIELD_VALUES)
+        else:
+            payload["total_cost"] = draw(FIELD_VALUES | st.just(10**400))
+    return payload
+
+
 class TestTranscriptionType:
     def test_phase_one_must_follow_phase_zero(self):
         with pytest.raises(ValueError):
@@ -426,6 +483,24 @@ class TestTranscriptionType:
             Transcription(
                 (TranscriptionEntry(3, "A", 0, TimeSignature(4, 4)),), total_cost=0.0
             )
+
+    @settings(max_examples=400, deadline=None)
+    @given(transcription_payloads())
+    @example(payload={"total_cost": 0.0, "measures": [
+        {"index": True, "pattern_id": "A", "phase": 0, "time_signature": "4/4"}]})
+    @example(payload={"total_cost": 0.0, "measures": [
+        {"index": 0, "pattern_id": "A", "phase": 0, "time_signature": "4/4"},
+        {"index": 1, "pattern_id": "A", "phase": 0, "time_signature": ""}]})
+    @example(payload={"total_cost": 0.0, "measures": [
+        {"index": _Int(0), "pattern_id": _Str("A"), "phase": 0, "time_signature": "3/4"}]})
+    def test_reader_matches_per_record_reader(self, payload):
+        def outcome(read):
+            try:
+                return read(payload)
+            except Exception as exc:  # the reference's errors are the contract
+                return type(exc), str(exc)
+
+        assert outcome(Transcription.from_dict) == outcome(per_record_transcription_from_dict)
 
     def test_json_round_trip(self, basic_vocab):
         rng = np.random.default_rng(11)

@@ -16,7 +16,7 @@ from strumscribe import (
     onset_strength,
     pick_peaks,
 )
-from strumscribe.onsets import _MAGNITUDE_BLOCK_FRAMES, _window_max
+from strumscribe.onsets import _BLAS_TILE_COLUMNS, _MAGNITUDE_BLOCK_FRAMES, _window_max
 
 from oracles import dense_onset_strength, scipy_local_max, scipy_read_wav
 
@@ -139,6 +139,16 @@ class TestBlockedMagnitudes:
     @example(case=(OnsetConfig(), BLOCK * HOP, 22050, "clicks", 2))
     @example(case=(OnsetConfig(), 2 * BLOCK * HOP, 8000, "noise", 3))
     @example(case=(OnsetConfig(frame_size=64, hop_size=64), 64, 44100, "noise", 4))
+    # the last block overlaps the one before it by all but 1, 2 and
+    # BLOCK - 1 rows
+    @example(case=(OnsetConfig(), BLOCK * HOP + 7, SR, "noise", 5))
+    @example(case=(OnsetConfig(), (BLOCK + 1) * HOP, SR, "clicks", 6))
+    @example(case=(OnsetConfig(), (2 * BLOCK - 2) * HOP, 22050, "noise", 7))
+    @example(case=(OnsetConfig(n_mels=1), (BLOCK + 1) * HOP, SR, "noise", 8))
+    @example(case=(OnsetConfig(n_mels=2), (2 * BLOCK - 2) * HOP, 8000, "noise", 9))
+    @example(case=(OnsetConfig(frame_size=64, hop_size=64), (2 * BLOCK - 2) * 64 + 5, 44100,
+                   "noise", 10))
+    @example(case=(OnsetConfig(n_mels=196), (2 * BLOCK - 2) * HOP, SR, "noise", 11))
     def test_bit_exact_against_dense(self, case):
         cfg, n_samples, sample_rate, kind, seed = case
         audio = AudioBuffer(make_signal(n_samples, kind, seed), sample_rate)
@@ -166,6 +176,41 @@ class TestBlockedMagnitudes:
                 tracemalloc.stop()
 
         assert traced_peak(onset_strength) < 0.6 * traced_peak(dense_onset_strength)
+
+    @pytest.mark.parametrize("n_mels", [128, 8, 2, 196])
+    @pytest.mark.parametrize("n_frames", [5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK - 5])
+    def test_every_mel_product_has_the_same_row_count(self, monkeypatch, n_frames, n_mels):
+        rows = []
+        matmul = np.matmul
+
+        def counted_matmul(a, b, *args, **kwargs):
+            rows.append(len(a))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted_matmul)
+        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), SR)
+        onset_strength(audio, OnsetConfig(n_mels=n_mels))
+        # a band count with a partial BLAS tile keeps one whole-song product
+        height = n_frames if n_mels % _BLAS_TILE_COLUMNS else min(n_frames, BLOCK)
+        assert rows == [height] * -(-n_frames // height)
+
+    def test_peak_memory_bounded(self):
+        # 140 s is a long benchmark song, 600 s a long take of a whole song
+        def traced_peak(fn, seconds):
+            audio = AudioBuffer(np.random.default_rng(seconds).uniform(-0.5, 0.5, seconds * 22050),
+                                22050)
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                fn(audio)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at_140 = traced_peak(onset_strength, 140)
+        assert at_140 < 0.25 * traced_peak(dense_onset_strength, 140)
+        mel_growth = (600 * 22050 // HOP - 140 * 22050 // HOP) * OnsetConfig().n_mels * 8
+        assert traced_peak(onset_strength, 600) - at_140 < 2.5 * mel_growth
 
 
 class TestPickPeaks:

@@ -27,6 +27,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(seed=0, vocab=synth_vocab, measures=0)
 
+    @pytest.mark.parametrize("field", ["tempo_bpm", "sigma_norm"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected_naming_the_field(self, synth_vocab, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SynthSpec(seed=0, vocab=synth_vocab, **{field: value})
+
 
 class TestGenerateSong:
     def test_clean_song_observed_equals_nominal(self, synth_vocab):
