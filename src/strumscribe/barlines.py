@@ -25,6 +25,7 @@ unchanged rather than being uniformly subdivided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def tempo_step_cost(prev_len: float, cur_len: float, cfg: PostprocConfig) -> flo
     return cfg.tempo_change_penalty * max(0.0, change - TEMPO_FREE_BAND)
 
 
-def span_deletions(times: np.ndarray, j: int, i: int, cfg: PostprocConfig) -> int:
+def span_deletions(times: Sequence[float], j: int, i: int, cfg: PostprocConfig) -> int:
     """Dropped estimates strictly between kept estimates j and i, not counting
     near-duplicates of the kept endpoints."""
     a, b = times[j], times[i]
@@ -92,10 +93,11 @@ def postprocess_barlines_with_cost(
     (kept index, length) and the subdivision factor of the span ending at i.
     Lengths are carried as exact values, so only lengths reachable through
     some (previous kept, factor) choice ever appear. Ties keep the first
-    candidate in layer order, then factor order.
+    candidate in layer order, then factor order. All arithmetic is on the
+    track's own Python floats.
     """
     cfg = cfg or PostprocConfig()
-    times = np.asarray(raw.times_sec, dtype=float)
+    times = raw.times_sec
     last = len(times) - 1
 
     # layers[i][incoming_len] = (cost_tuple, parent (j, incoming_len), factor)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -20,22 +21,63 @@ import numpy as np
 from .timeline import StrumSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AudioBuffer:
-    """Mono audio in [-1, 1]."""
+    """Audio whose signal is pcm / full_scale, channels averaged.
 
-    samples: np.ndarray
+    `pcm` holds the samples as stored: int16, int32 or float, one column
+    per channel when there is more than one. `load_wav` keeps a file's
+    samples this way, as a view into the file's bytes, and `samples`
+    builds the float64 mono signal in [-1, 1] on demand, so a loaded song
+    is held once, as its PCM. `AudioBuffer(samples, sample_rate)` takes
+    that mono signal itself, with full scale 1.0.
+    """
+
+    pcm: np.ndarray
+    full_scale: float
     sample_rate: int
 
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be > 0")
+    def __init__(self, samples, sample_rate: int) -> None:
+        samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError("samples must be mono (1-D)")
-        if not np.all(np.isfinite(samples)):
+        self._store(samples, 1.0, sample_rate)
+
+    @classmethod
+    def _from_pcm(cls, pcm: np.ndarray, full_scale: float, sample_rate: int) -> AudioBuffer:
+        audio = cls.__new__(cls)
+        audio._store(pcm, full_scale, sample_rate)
+        return audio
+
+    def _store(self, pcm: np.ndarray, full_scale: float, sample_rate: int) -> None:
+        if sample_rate <= 0:
+            raise ValueError("sample rate must be > 0")
+        # integer PCM is finite by construction
+        if pcm.dtype.kind == "f" and not np.all(np.isfinite(pcm)):
             raise ValueError("samples must be finite")
+        object.__setattr__(self, "pcm", pcm)
+        object.__setattr__(self, "full_scale", full_scale)
+        object.__setattr__(self, "sample_rate", sample_rate)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The float64 mono signal, built anew on each access."""
+        signal = np.empty(len(self.pcm))
+        self._signal_into(0, len(self.pcm), signal)
+        return signal
+
+    def _signal_into(self, lo: int, hi: int, out: np.ndarray,
+                     channels: np.ndarray | None = None) -> None:
+        """Write the signal of samples lo .. hi - 1 into out, through the
+        float64 frames x channels buffer `channels` when there is more than
+        one channel (a new array when it is None)."""
+        pcm = self.pcm[lo:hi]
+        if pcm.ndim == 1:
+            np.divide(pcm, self.full_scale, out=out)
+        else:
+            scaled = np.divide(pcm, self.full_scale,
+                               out=None if channels is None else channels[: hi - lo])
+            np.mean(scaled, axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -117,10 +159,14 @@ def _read_fmt_chunk(fp: BinaryIO) -> tuple[int, int, int, int, int]:
     return tag, channels, rate, block_align, bits
 
 
-def _read_data_chunk(fp: BinaryIO, fmt: tuple, rf64_size: int | None) -> np.ndarray:
-    """The chunk's samples as stored, frames x channels when multichannel.
-    Integer samples of 3, 5, 6 or 7 bytes are left-justified into int32 or
-    int64; 8-bit and smaller PCM is unsigned."""
+def _read_data_chunk(fp: io.BytesIO, content: bytes, fmt: tuple,
+                     rf64_size: int | None) -> np.ndarray:
+    """The chunk's samples as stored, frames x channels when multichannel,
+    read from fp, the stream over `content`. Samples of 1, 2, 4 or 8 bytes
+    are a read-only view into `content`; integer samples of 3, 5, 6 or 7
+    bytes are left-justified into a new int32 or int64 array. 8-bit and
+    smaller PCM is unsigned. The stream resumes after the whole samples
+    read and the chunk's pad byte."""
     tag, channels, _, block_align, bits = fmt
     if rf64_size is None:
         (size,) = _unpack(fp, "<I")
@@ -152,19 +198,26 @@ def _read_data_chunk(fp: BinaryIO, fmt: tuple, rf64_size: int | None) -> np.ndar
             dtype = np.dtype(name)
         except TypeError:
             raise ValueError(f"unsupported {width}-byte sample width") from None
-        raw = fp.read(size // width * dtype.itemsize)
-        data = np.frombuffer(raw, dtype, count=len(raw) // dtype.itemsize)
+        length = size // width * dtype.itemsize
+        if length > sys.maxsize:
+            raise ValueError(f"data chunk of {size} bytes is too long to read")
+        start = min(fp.tell(), len(content))
+        length = min(length, len(content) - start)
+        data = np.frombuffer(content, dtype, count=length // dtype.itemsize, offset=start)
+        fp.seek(start + length)
     fp.seek(size % 2, io.SEEK_CUR)
     return data.reshape(-1, channels) if channels > 1 else data
 
 
-def _read_wav(fp: BinaryIO) -> tuple[int, np.ndarray]:
-    """Sample rate and samples of a little-endian RIFF or RF64 WAV stream.
+def _read_wav(content: bytes) -> tuple[int, np.ndarray]:
+    """Sample rate and samples of a little-endian RIFF or RF64 WAV file's
+    bytes.
 
     Chunks are read in file order: the last fmt and data chunks win, other
     chunks are skipped over their pad byte, and a file cut short after a
     data chunk keeps the samples read.
     """
+    fp = io.BytesIO(content)
     signature = fp.read(4)
     rf64_size = None
     if signature == b"RIFF":
@@ -196,7 +249,7 @@ def _read_wav(fp: BinaryIO) -> tuple[int, np.ndarray]:
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("data chunk before the fmt chunk")
-            data = _read_data_chunk(fp, fmt, rf64_size)
+            data = _read_data_chunk(fp, content, fmt, rf64_size)
         else:
             size_field = fp.read(4)
             if len(size_field) == 4:
@@ -209,36 +262,35 @@ def _read_wav(fp: BinaryIO) -> tuple[int, np.ndarray]:
     return fmt[2], data
 
 
-def load_wav(path: str) -> AudioBuffer:
-    """Read a WAV file as mono audio in [-1, 1].
+# the value that maps a stored sample dtype to [-1, 1]
+_FULL_SCALE = {"<i2": 32768.0, "<i4": 2147483648.0, "<f4": 1.0, "<f8": 1.0}
 
-    Accepted: little-endian RIFF (or RF64) WAV with a plain or
-    WAVE_FORMAT_EXTENSIBLE header and any channel count (mixed down by
-    averaging), holding integer PCM in 2-, 3- or 4-byte samples or IEEE
-    float in 4- or 8-byte samples. WAV keeps samples left-justified in their
-    container and 3-byte samples are widened to 32 bits at the left, so a
-    12-bit or 20-bit file scales to [-1, 1] too. Rejected: 8-bit and 64-bit
-    PCM, compressed formats and big-endian RIFX. A file that cannot be
-    opened raises OSError; any other failure raises ValueError naming the
-    file.
+
+def load_wav(path: str) -> AudioBuffer:
+    """Read a WAV file as audio whose `samples` are mono in [-1, 1].
+
+    The buffer holds the file's samples as stored, a view into the file's
+    bytes, so a loaded song costs about the file's size; the float64
+    signal is built only on request. Accepted: little-endian RIFF (or RF64)
+    WAV with a plain or WAVE_FORMAT_EXTENSIBLE header and any channel count
+    (mixed down by averaging), holding integer PCM in 2-, 3- or 4-byte
+    samples or IEEE float in 4- or 8-byte samples. WAV keeps samples
+    left-justified in their container and 3-byte samples are widened to 32
+    bits at the left (into a new array), so a 12-bit or 20-bit file scales
+    to [-1, 1] too. Rejected: 8-bit and 64-bit PCM, compressed formats and
+    big-endian RIFX. A file that cannot be opened raises OSError; any other
+    failure raises ValueError naming the file.
     """
     # read from memory: a header can claim a chunk far longer than the file,
     # and a read from memory returns what there is without allocating more
     with open(path, "rb") as fp:
         content = fp.read()
     try:
-        sample_rate, data = _read_wav(io.BytesIO(content))
-        if data.dtype == np.int16:
-            samples = data / 32768.0
-        elif data.dtype == np.int32:
-            samples = data / 2147483648.0
-        elif data.dtype in (np.float32, np.float64):
-            samples = data.astype(float)
-        else:
+        sample_rate, data = _read_wav(content)
+        full_scale = _FULL_SCALE.get(data.dtype.str)
+        if full_scale is None:
             raise ValueError(f"unsupported sample format {data.dtype}")
-        if samples.ndim > 1:
-            samples = samples.mean(axis=1)
-        return AudioBuffer(samples, int(sample_rate))
+        return AudioBuffer._from_pcm(data, full_scale, int(sample_rate))
     except (ValueError, OverflowError) as exc:
         # OverflowError: an RF64 data size too large to be a read length
         raise ValueError(f"cannot read WAV file {path!r}: {exc}") from None
@@ -266,8 +318,8 @@ def _mel_filterbank(sample_rate: int, n_fft: int, cfg: OnsetConfig) -> np.ndarra
     return bank
 
 
-# frames per block of STFT magnitudes, and rows per mel product, in
-# onset_strength
+# frames per block of STFT magnitudes and of flux, and rows per mel
+# product, in onset_strength
 _MAGNITUDE_BLOCK_FRAMES = 256
 # mel products are blocked only for a band count that is a multiple of this.
 # On OpenBLAS 0.3.31 (Haswell kernels), 256-row products gave the bits of
@@ -277,18 +329,20 @@ _MAGNITUDE_BLOCK_FRAMES = 256
 _BLAS_TILE_COLUMNS = 8
 
 
-def _frames(samples: np.ndarray, first: int, count: int, frame: int, hop: int) -> np.ndarray:
-    """Analysis frames first .. first + count - 1 as rows of a strided view,
-    zero-filled where they run past either end of the samples."""
+def _frames(audio: AudioBuffer, first: int, count: int, frame: int, hop: int,
+            signal: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
+    """Analysis frames first .. first + count - 1 as rows of a strided view
+    into `signal`, which is filled with the audio's signal over the span
+    they cover, zero where it runs past either end. `channels` is the
+    scratch buffer of AudioBuffer._signal_into."""
     lo = first * hop - (frame - hop)
-    span = (count - 1) * hop + frame
-    if 0 <= lo and lo + span <= len(samples):
-        chunk = samples[lo : lo + span]
-    else:
-        chunk = np.zeros(span)
-        inside = slice(max(lo, 0), min(lo + span, len(samples)))
-        chunk[inside.start - lo : inside.stop - lo] = samples[inside]
-    return np.lib.stride_tricks.sliding_window_view(chunk, frame)[::hop]
+    span = signal[: (count - 1) * hop + frame]
+    inside = slice(max(lo, 0), min(lo + len(span), len(audio.pcm)))
+    span[: inside.start - lo] = 0.0
+    span[inside.stop - lo :] = 0.0
+    audio._signal_into(inside.start, inside.stop, span[inside.start - lo : inside.stop - lo],
+                       channels)
+    return np.lib.stride_tricks.sliding_window_view(span, frame)[::hop]
 
 
 def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.ndarray:
@@ -300,9 +354,12 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     aligned with the t*hop/sample_rate convention used by pick_peaks.
 
     The envelope is bit for bit the one from a single whole-song
-    spectrogram and one whole-song mel product, without either existing.
-    STFT magnitudes are taken _MAGNITUDE_BLOCK_FRAMES frames at a time, each
-    block's frames cut from the samples (zero-filled past either end);
+    spectrogram and one whole-song mel product of `audio.samples`, without
+    any of the three existing. STFT magnitudes are taken
+    _MAGNITUDE_BLOCK_FRAMES frames at a time. Each block's span of samples
+    is converted from the stored PCM into one float64 buffer made once per
+    call (pcm / full_scale, then the mean over channels: per sample the
+    operations that build `audio.samples`) and zero-filled past either end;
     windowing, rfft along a row and abs act on one frame alone, so any
     blocking gives the same magnitudes. BLAS can give a row of a product
     different bits depending on how many rows the product has, so every mel
@@ -311,19 +368,22 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     values, the rows it shares with the block before it. For some band
     counts the bits also depend on the whole song's row count, so unless
     n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays one
-    product over all frames. The log compression and the flux then work in
-    place on the mel matrix and one difference buffer.
+    product over all frames. The log compression works in place on the mel
+    matrix, and the flux of each block of frames is summed straight into
+    the envelope, one row per frame as in a whole-song sum.
 
-    Live at once, besides the caller's samples: the n_frames x n_mels mel
-    matrix, the magnitudes of one product's rows, and either one block's
-    frames, windowed frames and complex spectrum, or one (n_frames - 1) x
-    n_mels difference buffer. With a band count that is a multiple of
-    _BLAS_TILE_COLUMNS, no array scales as frames x frequency bins.
+    Live at once, besides the caller's PCM: the n_frames x n_mels mel
+    matrix, and either the magnitudes of one product's rows, one block's
+    float64 span of samples (with its frames x channels copy when there is
+    more than one channel), windowed frames and complex spectrum, or the
+    envelope and one block's flux. No float64 copy of the song is made,
+    and with a band count that is a multiple of _BLAS_TILE_COLUMNS no array
+    scales as frames x frequency bins.
     """
     cfg = cfg or OnsetConfig()
-    samples = audio.samples
     frame, hop = cfg.frame_size, cfg.hop_size
-    if len(samples) < frame:
+    n_samples = len(audio.pcm)
+    if n_samples < frame:
         raise ValueError(f"audio shorter than one frame ({frame} samples)")
     nyquist = audio.sample_rate / 2.0
     if cfg.fmin_hz >= nyquist:
@@ -331,30 +391,40 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
             f"onsets.fmin_hz ({cfg.fmin_hz:g} Hz) must be below the audio's "
             f"Nyquist frequency ({nyquist:g} Hz)"
         )
-    n_frames = 1 + len(samples) // hop
+    n_frames = 1 + n_samples // hop
     if cfg.n_mels % _BLAS_TILE_COLUMNS:
         rows = n_frames
     else:
         rows = min(n_frames, _MAGNITUDE_BLOCK_FRAMES)
+    block = min(rows, _MAGNITUDE_BLOCK_FRAMES)
     window = np.hanning(frame)
     bank_t = _mel_filterbank(audio.sample_rate, frame, cfg).T
+    signal = np.empty((block - 1) * hop + frame)
+    channels = None if audio.pcm.ndim == 1 else np.empty((len(signal), audio.pcm.shape[1]))
     magnitudes = np.empty((rows, frame // 2 + 1))
     mel = np.empty((n_frames, cfg.n_mels))
     for start in (*range(0, n_frames - rows, rows), n_frames - rows):
-        for sub in range(0, rows, _MAGNITUDE_BLOCK_FRAMES):
-            count = min(_MAGNITUDE_BLOCK_FRAMES, rows - sub)
-            frames = _frames(samples, start + sub, count, frame, hop)
+        for sub in range(0, rows, block):
+            count = min(block, rows - sub)
+            frames = _frames(audio, start + sub, count, frame, hop, signal, channels)
             np.abs(np.fft.rfft(frames * window, axis=1), out=magnitudes[sub : sub + count])
         np.matmul(magnitudes, bank_t, out=mel[start : start + rows])
+    del signal, channels, magnitudes
     # floor relative to the signal peak: spectral-leakage bins oscillate by
     # orders of magnitude and would otherwise dominate the log-scale flux
     floor = mel.max() * 1e-4
     mel += floor
     mel *= cfg.log_compression
     np.log1p(mel, out=mel)
-    flux = np.subtract(mel[1:], mel[:-1])
-    np.maximum(flux, 0.0, out=flux)
-    return np.concatenate(([0.0], flux.sum(axis=1)))
+    envelope = np.zeros(n_frames)
+    flux = np.empty((min(n_frames - 1, _MAGNITUDE_BLOCK_FRAMES), cfg.n_mels))
+    for lo in range(1, n_frames, len(flux)):
+        hi = min(lo + len(flux), n_frames)
+        diff = flux[: hi - lo]
+        np.subtract(mel[lo:hi], mel[lo - 1 : hi - 1], out=diff)
+        np.maximum(diff, 0.0, out=diff)
+        diff.sum(axis=1, out=envelope[lo:hi])
+    return envelope
 
 
 def _clipped_moving_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:

@@ -7,8 +7,10 @@ reproduce bit for bit, the whole-array onset envelope that the library's
 blocked STFT and mel products must reproduce bit for bit, the lexsort
 Viterbi pass that the library's per-group champion relaxation must
 reproduce bit for bit, the scipy peak-picking window and WAV reader that
-the library's numpy-only ones replace, and the per-record transcription
-reader whose errors the library's must keep word for word.
+the library's numpy-only ones replace, the per-record transcription
+reader whose errors the library's must keep word for word, and the
+bar-line DP on numpy scalars whose times and cost the library's DP on
+Python floats must reproduce exactly (it shares only the span helpers).
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 import scipy.ndimage
 from scipy.io import wavfile
 
+from strumscribe.barlines import PostprocConfig, span_deletions, tempo_step_cost
 from strumscribe.decoder import Transcription, TranscriptionEntry
 from strumscribe.likelihood import DecoderConfig, contribution_tables
 from strumscribe.onsets import AudioBuffer, OnsetConfig, _mel_filterbank
-from strumscribe.timeline import MeasureStrums
+from strumscribe.timeline import BarlineTrack, MeasureStrums
 from strumscribe.vocabulary import TimeSignature, Vocabulary
 
 
@@ -469,3 +472,63 @@ def brute_barline_cost(times, cfg, free_band=0.05):
 
     recurse(0, [], 0, 0)
     return best[0]
+
+
+def numpy_postprocess_barlines_with_cost(
+    raw: BarlineTrack, cfg: PostprocConfig | None = None
+) -> tuple[BarlineTrack, float]:
+    """postprocess_barlines_with_cost as it was when the DP ran on numpy
+    float64 scalars. The library's DP on the track's own Python floats must
+    give the same cleaned times and the same cost (`==`, ties included).
+
+    The DP keeps one layer per estimate index i, mapping each incoming
+    measure length to its best (cost, inserted, deleted) tuple, the parent
+    (kept index, length) and the subdivision factor of the span ending at i.
+    Lengths are carried as exact values, so only lengths reachable through
+    some (previous kept, factor) choice ever appear. Ties keep the first
+    candidate in layer order, then factor order.
+    """
+    cfg = cfg or PostprocConfig()
+    times = np.asarray(raw.times_sec, dtype=float)
+    last = len(times) - 1
+
+    # layers[i][incoming_len] = (cost_tuple, parent (j, incoming_len), factor)
+    # cost_tuple = (cost, inserted, deleted), compared lexicographically
+    layers: list[dict[float, tuple]] = [{} for _ in range(last + 1)]
+    layers[0][0.0] = ((0.0, 0, 0), None, 0)
+    for j in range(last):
+        for i in range(j + 1, min(j + cfg.lookahead, last) + 1):
+            step_deleted = span_deletions(times, j, i, cfg)
+            steps = [
+                (k, (times[i] - times[j]) / k,
+                 cfg.deletion_penalty * step_deleted + cfg.insertion_penalty * (k - 1))
+                for k in cfg.subdivision_factors
+            ]
+            target = layers[i]
+            for incoming, ((cost, inserted, deleted), _, _) in layers[j].items():
+                for k, length, step_cost in steps:
+                    if incoming > 0.0:
+                        step_cost += tempo_step_cost(incoming, length, cfg)
+                    new_cost = (cost + step_cost, inserted + k - 1, deleted + step_deleted)
+                    known = target.get(length)
+                    if known is None or new_cost < known[0]:
+                        target[length] = (new_cost, (j, incoming), k)
+
+    final = layers[last]
+    best = min(final, key=lambda length: final[length][0])
+
+    # walk parents to recover kept estimates and their subdivision factors
+    spans: list[tuple[int, int]] = []  # (kept index, factor of the span ending there)
+    key: tuple[int, float] | None = (last, best)
+    while key is not None:
+        i, length = key
+        _, key, k = layers[i][length]
+        spans.append((i, k))
+    spans.reverse()
+
+    output: list[float] = [times[0]]
+    for (j, _), (i, k) in zip(spans, spans[1:]):
+        a, b = times[j], times[i]
+        output.extend(a + step * (b - a) / k for step in range(1, k))
+        output.append(b)
+    return BarlineTrack(tuple(output)), final[best][0][0]

@@ -1,9 +1,13 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strumscribe import BarlineTrack, PostprocConfig, discontinuity_rate, postprocess_barlines
 
-from oracles import brute_barline_cost
+from oracles import brute_barline_cost, numpy_postprocess_barlines_with_cost
 from strumscribe.barlines import postprocess_barlines_with_cost, span_deletions, tempo_step_cost
 
 
@@ -98,6 +102,49 @@ class TestPostprocessBarlines:
             assert _dp_cost(BarlineTrack(tuple(times)), cfg) == pytest.approx(
                 brute_barline_cost(times, cfg), abs=1e-9
             )
+
+
+@st.composite
+def barline_cases(draw):
+    """(track, cfg). A grid track puts every line on a multiple of one step,
+    so measure lengths repeat exactly and many edit sequences tie; zero
+    penalties add more ties."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 2.0]))
+        ticks = draw(st.lists(st.integers(0, 48), min_size=n, max_size=n, unique=True))
+        times = [tick * step for tick in sorted(ticks)]
+    else:
+        start = draw(st.floats(0.0, 100.0))
+        gaps = draw(st.lists(st.floats(0.05, 4.0), min_size=n - 1, max_size=n - 1))
+        times = list(accumulate(gaps, initial=start))
+    penalty = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    cfg = PostprocConfig(
+        subdivision_factors=tuple(draw(st.sets(st.integers(1, 4), min_size=1))),
+        deletion_penalty=draw(penalty),
+        insertion_penalty=draw(penalty),
+        tempo_change_penalty=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        snap_tolerance_sec=draw(st.sampled_from([0.07, 0.3])),
+        lookahead=draw(st.integers(1, 5)),
+    )
+    return BarlineTrack(tuple(times)), cfg
+
+
+class TestPythonFloatDP:
+    @settings(max_examples=300, deadline=None)
+    @given(barline_cases())
+    # a steady grid with a missed line and a spurious one: keeping or
+    # subdividing tie when insertions and deletions are free
+    @example(case=(BarlineTrack((0.0, 0.5, 1.0, 2.0, 2.25, 2.5, 3.0)),
+                   PostprocConfig(deletion_penalty=0.0, insertion_penalty=0.0)))
+    @example(case=(BarlineTrack(tuple(0.1 * t for t in (0, 3, 6, 9, 15, 18, 19, 21))),
+                   PostprocConfig(tempo_change_penalty=0.0)))
+    def test_same_times_and_cost_as_numpy_scalars(self, case):
+        raw, cfg = case
+        got_track, got_cost = postprocess_barlines_with_cost(raw, cfg)
+        want_track, want_cost = numpy_postprocess_barlines_with_cost(raw, cfg)
+        assert got_track.times_sec == want_track.times_sec
+        assert got_cost == want_cost
 
 
 def _dp_cost(raw: BarlineTrack, cfg: PostprocConfig) -> float:

@@ -124,6 +124,17 @@ def make_signal(n_samples, kind, seed):
     return samples
 
 
+def traced_peak(fn, *args):
+    """Peak traced allocation of fn(*args), in bytes."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_bit_exact(audio, cfg):
     got = onset_strength(audio, cfg)
     want = dense_onset_strength(audio, cfg)
@@ -165,17 +176,7 @@ class TestBlockedMagnitudes:
 
     def test_peak_memory_below_dense(self):
         audio = AudioBuffer(make_signal(60 * 22050, "noise", 60), 22050)
-
-        def traced_peak(fn):
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            try:
-                fn(audio)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert traced_peak(onset_strength) < 0.6 * traced_peak(dense_onset_strength)
+        assert traced_peak(onset_strength, audio) < 0.6 * traced_peak(dense_onset_strength, audio)
 
     @pytest.mark.parametrize("n_mels", [128, 8, 2, 196])
     @pytest.mark.parametrize("n_frames", [5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK - 5])
@@ -196,21 +197,37 @@ class TestBlockedMagnitudes:
 
     def test_peak_memory_bounded(self):
         # 140 s is a long benchmark song, 600 s a long take of a whole song
-        def traced_peak(fn, seconds):
-            audio = AudioBuffer(np.random.default_rng(seconds).uniform(-0.5, 0.5, seconds * 22050),
-                                22050)
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            try:
-                fn(audio)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def song(seconds):
+            return AudioBuffer(np.random.default_rng(seconds).uniform(-0.5, 0.5, seconds * 22050),
+                               22050)
 
-        at_140 = traced_peak(onset_strength, 140)
-        assert at_140 < 0.25 * traced_peak(dense_onset_strength, 140)
+        at_140 = traced_peak(onset_strength, song(140))
+        assert at_140 < 0.25 * traced_peak(dense_onset_strength, song(140))
         mel_growth = (600 * 22050 // HOP - 140 * 22050 // HOP) * OnsetConfig().n_mels * 8
-        assert traced_peak(onset_strength, 600) - at_140 < 2.5 * mel_growth
+        assert traced_peak(onset_strength, song(600)) - at_140 < 2.5 * mel_growth
+
+
+class TestPcmMemory:
+    """load_wav keeps the file's PCM, and the envelope converts it one block
+    at a time: a float64 copy of a 16-bit song alone is 4x the file."""
+
+    def test_detect_onsets_peak_on_a_long_mono_song(self, tmp_path):
+        # 140 s of 22.05 kHz 16-bit mono, a long benchmark song: the file's
+        # bytes, the mel matrix (about the file's size again) and one
+        # block's buffers
+        pcm = (np.random.default_rng(140).uniform(-0.5, 0.5, 140 * 22050) * 32767).astype("<i2")
+        path = tmp_path / "mono.wav"
+        path.write_bytes(riff(fmt_chunk(rate=22050), chunk(b"data", pcm.tobytes())))
+        del pcm
+        peak = traced_peak(lambda: detect_onsets(load_wav(str(path))))
+        assert peak < 4.5 * path.stat().st_size
+
+    def test_load_wav_peak_on_a_stereo_song(self, tmp_path):
+        pcm = (np.random.default_rng(60).uniform(-0.5, 0.5, (60 * SR, 2)) * 32767).astype("<i2")
+        path = tmp_path / "stereo.wav"
+        path.write_bytes(riff(fmt_chunk(channels=2), chunk(b"data", pcm.tobytes())))
+        del pcm
+        assert traced_peak(load_wav, str(path)) < 1.5 * path.stat().st_size
 
 
 class TestPickPeaks:
@@ -386,14 +403,14 @@ def parity_case(name, tmp_path):
     return path
 
 
+PARITY_CASES = ["int16", "int24", "int32", "float32", "float64", "stereo", "extensible",
+                "extensible_float", "12bit_in_16", "list_and_odd_chunk", "rf64"]
+
+
 class TestWavIO:
     # scipy warns about the chunks it skips
     @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
-    @pytest.mark.parametrize(
-        "name",
-        ["int16", "int24", "int32", "float32", "float64", "stereo", "extensible",
-         "extensible_float", "12bit_in_16", "list_and_odd_chunk", "rf64"],
-    )
+    @pytest.mark.parametrize("name", PARITY_CASES)
     def test_samples_match_scipy(self, tmp_path, name):
         path = str(parity_case(name, tmp_path))
         want = scipy_read_wav(path)
@@ -401,6 +418,33 @@ class TestWavIO:
         assert got.sample_rate == want.sample_rate
         assert len(got.samples) >= 1000
         assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_envelope_from_pcm_matches_float_signal(self, tmp_path, name):
+        # 501 frames: two blocks that overlap, each span converted from the
+        # stored PCM and zero-filled past either end of the song
+        cfg = OnsetConfig(frame_size=64, hop_size=2, n_mels=16)
+        audio = load_wav(str(parity_case(name, tmp_path)))
+        assert audio.pcm.dtype.kind == ("f" if "float" in name else "i")
+        want = onset_strength(AudioBuffer(audio.samples, audio.sample_rate), cfg)
+        assert onset_strength(audio, cfg).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize("after", [chunk(b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"),
+                                       chunk(b"data", b"\x10\x20" * 300)])
+    def test_resume_after_odd_data_chunk_matches_scipy(self, tmp_path, after):
+        # after a data chunk the reader resumes at its start plus the whole
+        # samples read plus the pad byte, as scipy does: with 2001 bytes of
+        # int16 that is one byte short of the next chunk
+        noise = np.random.default_rng(4).integers(0, 256, 2001, dtype=np.uint8).tobytes()
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(fmt_chunk(), chunk(b"data", noise), after))
+        want, got = scipy_or_none(str(path)), load_or_none(str(path))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got.samples) == 1000
+            assert got.samples.tobytes() == want.samples.tobytes()
 
     @settings(max_examples=500, deadline=None)
     @given(
