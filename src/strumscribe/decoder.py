@@ -21,15 +21,15 @@ The implementation is a first-order Viterbi pass over (pattern, phase)
 states. A transition costs nothing for a repeat, c1 within a time-signature
 group and c1+c2 across groups, so at each measure only one state per group
 can be a switch predecessor: its champion, the member with the smallest
-(cost, switches, index) key. The switch candidates are resolved on these
-champions as Python scalars, one key for a group's other members and one
-for its champion, then broadcast over the states and compared once with the
-repeat. Each step thus costs O(patterns) with a fixed number of numpy calls
-instead of O(patterns^2). This is exact, not an approximation: the key order
-is total, so the minimum does not depend on the order in which candidates
-are compared, and each candidate's cost is the same floating-point
-expression (`cost + c1`, `cost + (c1 + c2)`) as in a full pairwise
-relaxation.
+(cost, switches, index) key. Each group's switch key is resolved on these
+champions as Python scalars, broadcast over the group's states and compared
+once with the repeat; the champion takes its group's key too, since a
+switch from itself never beats its repeat. Each step thus costs
+O(patterns) with a fixed number of numpy calls instead of O(patterns^2).
+This is exact, not an approximation: the key order is total, so the
+minimum does not depend on the order in which candidates are compared, and
+each candidate's cost is the same floating-point expression (`cost + c1`,
+`cost + (c1 + c2)`) as in a full pairwise relaxation.
 """
 
 from __future__ import annotations
@@ -175,10 +175,6 @@ def _champion(cost, sw, members):
     return int(tied[sw[tied].argmin()])
 
 
-# a switch key that loses to every repeat and every other switch
-_NO_SWITCH = (np.inf, np.iinfo(np.int64).max, -1)
-
-
 def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
     """Best way to enter a new pattern instance, given the costs of ending
     the previous instance at the preceding measure and each signature
@@ -186,31 +182,23 @@ def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
     predecessor).
 
     Repeating the pattern costs nothing and wins ties; a switch costs c1
-    within the group and c1+c2 across groups. A member's best switch within
-    its group is from the champion. A champion never gains by switching
-    within its group: every other member costs at least as much and, at
-    equal cost, has at least as many switches, so its switch loses to the
-    champion's repeat. The best switch across groups is from the champion of
-    the best group other than the state's own. So every state but a
-    champion shares its group's switch key, and a champion has only the
-    cross-group one.
+    within the group and c1+c2 across groups. A state's best switch within
+    its group is from the champion, and across groups from the champion of
+    the best group other than its own, so every state of a group shares one
+    switch key: the smaller of the two. The champion's switch from itself
+    never beats its repeat (cost + c1 >= cost, and at equal cost it has one
+    more switch), so the shared key is exact for the champion too.
     """
-    n_groups = len(champions)
     keys = [(prev_cost[b], prev_sw[b], b) for b in champions]
-    order = sorted(range(n_groups), key=keys.__getitem__)
-    # slot g: the switch of group g's other members, slot n_groups + g: of
-    # its champion
-    rest, champ = [], []
+    order = sorted(range(len(champions)), key=keys.__getitem__)
+    switch = []
     for g, b in enumerate(champions):
-        cross = _NO_SWITCH
-        if n_groups > 1:
+        key = (prev_cost[b] + c1, prev_sw[b] + 1, b)
+        if len(champions) > 1:
             o = champions[order[1] if g == order[0] else order[0]]
-            cross = (prev_cost[o] + (c1 + c2), prev_sw[o] + 1, o)
-        rest.append(min((prev_cost[b] + c1, prev_sw[b] + 1, b), cross))
-        champ.append(cross)
-    slot = sig_codes.copy()
-    slot[champions] = range(n_groups, 2 * n_groups)
-    cc, cs, cp = (np.array(col)[slot] for col in zip(*rest, *champ))
+            key = min(key, (prev_cost[o] + (c1 + c2), prev_sw[o] + 1, o))
+        switch.append(key)
+    cc, cs, cp = (np.array(col)[sig_codes] for col in zip(*switch))
     take = (cc < prev_cost) | ((cc == prev_cost) & (cs < prev_sw))
     return (
         np.where(take, cc, prev_cost),

@@ -177,13 +177,15 @@ def _read_data_chunk(fp: io.BytesIO, content: bytes, fmt: tuple,
         raise ValueError(f"block align {block_align} leaves no bytes per sample "
                          f"for {channels} channel(s)")
     width = block_align // channels
+    start = min(fp.tell(), len(content))
     if tag == _PCM and width in (3, 5, 6, 7) and not 1 <= bits <= 8:
-        raw = fp.read(size)
-        if len(raw) % width:
+        length = min(size, len(content) - start)
+        if length % width:
             raise ValueError(f"data chunk is not a whole number of {width}-byte samples")
         itemsize = 4 if width == 3 else 8
-        wide = np.zeros((len(raw) // width, itemsize), np.uint8)
-        wide[:, itemsize - width :] = np.frombuffer(raw, np.uint8).reshape(-1, width)
+        wide = np.zeros((length // width, itemsize), np.uint8)
+        wide[:, itemsize - width :] = np.frombuffer(
+            content, np.uint8, count=length, offset=start).reshape(-1, width)
         data = wide.view(f"<i{itemsize}").reshape(-1)
     else:
         if tag == _PCM and 1 <= bits <= 8:
@@ -201,11 +203,9 @@ def _read_data_chunk(fp: io.BytesIO, content: bytes, fmt: tuple,
         length = size // width * dtype.itemsize
         if length > sys.maxsize:
             raise ValueError(f"data chunk of {size} bytes is too long to read")
-        start = min(fp.tell(), len(content))
         length = min(length, len(content) - start)
         data = np.frombuffer(content, dtype, count=length // dtype.itemsize, offset=start)
-        fp.seek(start + length)
-    fp.seek(size % 2, io.SEEK_CUR)
+    fp.seek(start + length + size % 2)
     return data.reshape(-1, channels) if channels > 1 else data
 
 

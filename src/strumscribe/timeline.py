@@ -7,12 +7,11 @@ the space all pattern matching operates in.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
-
-import numpy as np
 
 MIN_STRUM_GAP_SEC = 1e-3
 
@@ -90,20 +89,19 @@ def bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureS
     Strums before the first bar line or at/after the last one are discarded;
     the discarded count is returned alongside one MeasureStrums per measure.
     """
-    times = np.asarray(bars.times_sec)
-    durations = np.diff(times)
+    times = bars.times_sec
     per_measure: list[list[float]] = [[] for _ in range(bars.measure_count)]
     discarded = 0
     for t in strums.times_sec:
-        m = int(np.searchsorted(times, t, side="right")) - 1
+        m = bisect.bisect_right(times, t) - 1
         if m < 0 or m >= bars.measure_count:
             discarded += 1
             continue
-        position = (t - times[m]) / durations[m]
+        position = (t - times[m]) / (times[m + 1] - times[m])
         # float rounding can push a strum just below a bar line onto 1.0
         if position >= 1.0:
             position = math.nextafter(1.0, 0.0)
-        per_measure[m].append(float(position))
+        per_measure[m].append(position)
     return (
         [MeasureStrums(m, tuple(ps)) for m, ps in enumerate(per_measure)],
         discarded,

@@ -8,13 +8,16 @@ blocked STFT and mel products must reproduce bit for bit, the lexsort
 Viterbi pass that the library's per-group champion relaxation must
 reproduce bit for bit, the scipy peak-picking window and WAV reader that
 the library's numpy-only ones replace, the per-record transcription
-reader whose errors the library's must keep word for word, and the
-bar-line DP on numpy scalars whose times and cost the library's DP on
-Python floats must reproduce exactly (it shares only the span helpers).
+reader whose errors the library's must keep word for word, the bar-line
+DP on numpy scalars whose times and cost the library's DP on Python floats
+must reproduce exactly (it shares only the span helpers), and the strum
+binning on numpy scalars whose positions and discarded count the
+library's binning on Python floats must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,7 +29,7 @@ from strumscribe.barlines import PostprocConfig, span_deletions, tempo_step_cost
 from strumscribe.decoder import Transcription, TranscriptionEntry
 from strumscribe.likelihood import DecoderConfig, contribution_tables
 from strumscribe.onsets import AudioBuffer, OnsetConfig, _mel_filterbank
-from strumscribe.timeline import BarlineTrack, MeasureStrums
+from strumscribe.timeline import BarlineTrack, MeasureStrums, StrumSequence
 from strumscribe.vocabulary import TimeSignature, Vocabulary
 
 
@@ -532,3 +535,27 @@ def numpy_postprocess_barlines_with_cost(
         output.extend(a + step * (b - a) / k for step in range(1, k))
         output.append(b)
     return BarlineTrack(tuple(output)), final[best][0][0]
+
+
+def numpy_bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureStrums], int]:
+    """bin_strums as it was when it searched and divided on numpy float64
+    scalars. The library's binning on the tracks' own Python floats must
+    give the same positions and discarded count (`==`)."""
+    times = np.asarray(bars.times_sec)
+    durations = np.diff(times)
+    per_measure: list[list[float]] = [[] for _ in range(bars.measure_count)]
+    discarded = 0
+    for t in strums.times_sec:
+        m = int(np.searchsorted(times, t, side="right")) - 1
+        if m < 0 or m >= bars.measure_count:
+            discarded += 1
+            continue
+        position = (t - times[m]) / durations[m]
+        # float rounding can push a strum just below a bar line onto 1.0
+        if position >= 1.0:
+            position = math.nextafter(1.0, 0.0)
+        per_measure[m].append(float(position))
+    return (
+        [MeasureStrums(m, tuple(ps)) for m, ps in enumerate(per_measure)],
+        discarded,
+    )

@@ -284,6 +284,21 @@ class TestRelaxation:
             0.0,
         )
     )
+    # a champion's switch from itself is its group's key: at c1 = 0 it ties
+    # the repeat on cost (state 1 takes it, the champion keeps its repeat),
+    # in a single-member group, and from an infinite-cost champion
+    @example((np.array([1.0, 1.0, 0.5]), np.array([0, 2, 0]), np.array([0, 0, 1]), 0.0, 6.0))
+    @example((np.array([0.0, 0.5, 1.0]), np.array([0, 0, 0]), np.array([0, 1, 1]), 2.0, 1.0))
+    @example(
+        (np.array([np.inf, np.inf, np.inf]), np.array([3, 0, 0]), np.array([0, 0, 1]), 0.5, 1.0)
+    )
+    # a switch that ties a repeat on cost and switch count loses to it
+    @example((np.array([1.0, 1.0]), np.array([0, 1]), np.array([0, 0]), 0.0, 0.0))
+    # the champion of three equal costs is the lowest index of fewest switches
+    @example((np.array([0.0, 0.0, 0.0, 4.0]), np.array([1, 0, 0, 0]), np.array([0, 0, 0, 1]),
+              0.5, 1.0))
+    # 0.09 + (0.5 + 1.0) and (0.09 + 0.5) + 1.0 differ in the last bit
+    @example((np.array([0.09, 4.0]), np.array([0, 0]), np.array([0, 1]), 0.5, 1.0))
     def test_entry_matches_lexsort_relaxation(self, row):
         # switch counts and predecessors of infeasible (infinite-cost) states
         # never reach a transcription, and the reference's come from an

@@ -229,6 +229,15 @@ class TestPcmMemory:
         del pcm
         assert traced_peak(load_wav, str(path)) < 1.5 * path.stat().st_size
 
+    def test_load_wav_peak_on_a_24bit_stereo_song(self, tmp_path):
+        # 3-byte samples are widened straight from the file's bytes into
+        # int32: the file plus 4/3 of it, with no second copy of the chunk
+        pcm = np.random.default_rng(24).integers(0, 256, 60 * SR * 2 * 3, dtype=np.uint8)
+        path = tmp_path / "stereo24.wav"
+        path.write_bytes(riff(fmt_chunk(channels=2, width=3), chunk(b"data", pcm.tobytes())))
+        del pcm
+        assert traced_peak(load_wav, str(path)) < 2.5 * path.stat().st_size
+
 
 class TestPickPeaks:
     def test_monotone_envelope_no_interior_peaks(self):

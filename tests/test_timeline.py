@@ -1,13 +1,22 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strumscribe import BarlineTrack, MeasureStrums, StrumSequence, bin_strums
-from strumscribe.timeline import load_barlines, load_strums, save_barlines, save_strums
+from strumscribe.timeline import (
+    MIN_STRUM_GAP_SEC,
+    load_barlines,
+    load_strums,
+    save_barlines,
+    save_strums,
+)
+
+from oracles import numpy_bin_strums
 
 
 class TestBarlineTrack:
@@ -129,6 +138,43 @@ def test_partition(times):
     bars = BarlineTrack((0.0, 1.5, 3.0, 4.5))
     measures, discarded = bin_strums(strums, bars)
     assert sum(len(m.positions) for m in measures) + discarded == len(strums)
+
+
+@st.composite
+def binning_cases(draw):
+    """A bar-line track and strums picked from its own floats: on a bar
+    line, one float step below one (before the first bar line when it is
+    the first), anywhere from before the first bar line to past the last,
+    thinned to the 1 ms strum gap."""
+    bars = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8, unique=True)))
+    picks = st.one_of(
+        st.sampled_from(bars),
+        st.sampled_from(bars).map(lambda t: math.nextafter(t, -math.inf)),
+        st.floats(bars[0] - 10, bars[-1] + 10),
+    )
+    strums: list[float] = []
+    for t in sorted(draw(st.lists(picks, max_size=30))):
+        if not strums or t - strums[-1] >= MIN_STRUM_GAP_SEC:
+            strums.append(t)
+    return StrumSequence(tuple(strums)), BarlineTrack(tuple(bars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binning_cases())
+# on the first, a middle and the last bar line, before the first and past
+# the last
+@example((StrumSequence((-1.0, 0.3, 1.0, 2.5, 3.0)), BarlineTrack((0.3, 1.0, 2.5))))
+# (t - 0.3) / (1.0 - 0.3) rounds to 1.0 for t one step below 1.0
+@example((StrumSequence((math.nextafter(1.0, 0.0),)), BarlineTrack((0.3, 1.0))))
+def test_binning_matches_numpy_scalars(case):
+    strums, bars = case
+    got, got_discarded = bin_strums(strums, bars)
+    want, want_discarded = numpy_bin_strums(strums, bars)
+    assert got_discarded == want_discarded
+    assert got == want
+    assert [[p.hex() for p in m.positions] for m in got] == [
+        [p.hex() for p in m.positions] for m in want
+    ]
 
 
 class TestJson:
