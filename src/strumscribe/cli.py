@@ -24,7 +24,6 @@ import json
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -389,6 +388,15 @@ def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     bars = _load(timeline.load_barlines, args.barlines)
     transcription = _decode(strums, bars, vocab, cfg)
     return Outputs({args.out: _encode(decoder_mod.save_transcription, transcription)})
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first call:
+    only `eval --jobs N` starts a pool, and the import would cost every
+    process about 1.2 MiB of memory and 20 ms of start-up."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:

@@ -161,9 +161,32 @@ def load_transcription(source: IO) -> Transcription:
     return Transcription.from_dict(json.load(source))
 
 
+# one measure record as json.dump(..., indent=2, sort_keys=True) lays it out
+_RECORD = ('    {\n      "index": %s,\n      "pattern_id": %s,\n      "phase": %s,\n'
+           '      "time_signature": %s\n    }')
+
+
 def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
-    json.dump(transcription.to_dict(), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    """Write `transcription.to_dict()` as `json.dump(..., indent=2,
+    sort_keys=True)` and a newline would, byte for byte.
+
+    `indent` would select the pure-Python encoder, so the fixed schema is
+    laid out here and the values are encoded by the C encoder
+    (`json.dumps`): the measure indices and phases as one list each, which
+    splits back at ", " because no number's text holds one, and each
+    distinct pattern id and time signature once.
+    """
+    entries = transcription.entries
+    index = json.dumps([e.measure_index for e in entries])[1:-1].split(", ")
+    phase = json.dumps([e.phase for e in entries])[1:-1].split(", ")
+    ids = {pid: json.dumps(pid) for pid in {e.pattern_id for e in entries}}
+    signatures = {t: json.dumps(str(t)) for t in {e.time_signature for e in entries}}
+    records = ",\n".join([
+        _RECORD % (i, ids[e.pattern_id], p, signatures[e.time_signature])
+        for i, p, e in zip(index, phase, entries)
+    ])
+    fp.write('{\n  "measures": [\n%s\n  ],\n  "total_cost": %s\n}\n'
+             % (records, json.dumps(transcription.total_cost)))
 
 
 def _champion(cost, sw, members):

@@ -309,18 +309,17 @@ def _mel_filterbank(sample_rate: int, n_fft: int, cfg: OnsetConfig) -> np.ndarra
     fmax = min(cfg.fmax_hz, sample_rate / 2.0)
     edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(fmax), cfg.n_mels + 2))
     bin_freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-    bank = np.zeros((cfg.n_mels, len(bin_freqs)))
-    for band in range(cfg.n_mels):
-        lower, center, upper = edges_hz[band : band + 3]
-        rising = (bin_freqs - lower) / max(center - lower, 1e-12)
-        falling = (upper - bin_freqs) / max(upper - center, 1e-12)
-        bank[band] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    return bank
+    # one row per band: each band's lower, center and upper edge as a column
+    lower, center, upper = (edges_hz[k : k + cfg.n_mels, None] for k in range(3))
+    rising = (bin_freqs - lower) / np.maximum(center - lower, 1e-12)
+    falling = (upper - bin_freqs) / np.maximum(upper - center, 1e-12)
+    return np.clip(np.minimum(rising, falling), 0.0, 1.0)
 
 
-# frames per block of STFT magnitudes and of flux, and rows per mel
-# product, in onset_strength
+# rows per mel product and frames per block of flux in onset_strength
 _MAGNITUDE_BLOCK_FRAMES = 256
+# frames per batch of windowing, rfft and abs in onset_strength
+_STFT_BLOCK_FRAMES = 32
 # mel products are blocked only for a band count that is a multiple of this.
 # On OpenBLAS 0.3.31 (Haswell kernels), 256-row products gave the bits of
 # the whole-song product for every multiple of 8 bands tried, and other
@@ -331,10 +330,10 @@ _BLAS_TILE_COLUMNS = 8
 
 def _frames(audio: AudioBuffer, first: int, count: int, frame: int, hop: int,
             signal: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
-    """Analysis frames first .. first + count - 1 as rows of a strided view
-    into `signal`, which is filled with the audio's signal over the span
-    they cover, zero where it runs past either end. `channels` is the
-    scratch buffer of AudioBuffer._signal_into."""
+    """Analysis frames first .. first + count - 1 as rows of a read-only
+    strided view into `signal`, which is filled with the audio's signal
+    over the span they cover, zero where it runs past either end.
+    `channels` is the scratch buffer of AudioBuffer._signal_into."""
     lo = first * hop - (frame - hop)
     span = signal[: (count - 1) * hop + frame]
     inside = slice(max(lo, 0), min(lo + len(span), len(audio.pcm)))
@@ -342,7 +341,11 @@ def _frames(audio: AudioBuffer, first: int, count: int, frame: int, hop: int,
     span[inside.stop - lo :] = 0.0
     audio._signal_into(inside.start, inside.stop, span[inside.start - lo : inside.stop - lo],
                        channels)
-    return np.lib.stride_tricks.sliding_window_view(span, frame)[::hop]
+    # as_strided builds the view in about a third of sliding_window_view's
+    # time, which is paid once per batch
+    step = span.strides[0]
+    return np.lib.stride_tricks.as_strided(span, (count, frame), (hop * step, step),
+                                           writeable=False)
 
 
 def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.ndarray:
@@ -355,27 +358,30 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
 
     The envelope is bit for bit the one from a single whole-song
     spectrogram and one whole-song mel product of `audio.samples`, without
-    any of the three existing. STFT magnitudes are taken
-    _MAGNITUDE_BLOCK_FRAMES frames at a time. Each block's span of samples
-    is converted from the stored PCM into one float64 buffer made once per
-    call (pcm / full_scale, then the mean over channels: per sample the
-    operations that build `audio.samples`) and zero-filled past either end;
-    windowing, rfft along a row and abs act on one frame alone, so any
-    blocking gives the same magnitudes. BLAS can give a row of a product
-    different bits depending on how many rows the product has, so every mel
-    product has the same row count, min(n_frames, _MAGNITUDE_BLOCK_FRAMES):
-    the last block is the song's final frames and recomputes, with the same
+    any of the three existing. BLAS can give a row of a product different
+    bits depending on how many rows the product has, so every mel product
+    has the same row count, min(n_frames, _MAGNITUDE_BLOCK_FRAMES): the
+    last block is the song's final frames and recomputes, with the same
     values, the rows it shares with the block before it. For some band
     counts the bits also depend on the whole song's row count, so unless
     n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays one
-    product over all frames. The log compression works in place on the mel
-    matrix, and the flux of each block of frames is summed straight into
-    the envelope, one row per frame as in a whole-song sum.
+    product over all frames. A product's magnitudes are filled
+    _STFT_BLOCK_FRAMES frames at a time, each batch into its own rows.
+    A batch's span of samples is converted from the stored PCM into one
+    float64 buffer made once per call (pcm / full_scale, then the mean over
+    channels: per sample the operations that build `audio.samples`) and
+    zero-filled past either end, and its frames are windowed into a second
+    such buffer; windowing, rfft along a row and abs act on one frame
+    alone, so any batching gives the same magnitudes. The log compression
+    works in place on the mel matrix, and the flux of each block of frames
+    is summed straight into the envelope, one row per frame as in a
+    whole-song sum.
 
-    Live at once, besides the caller's PCM: the n_frames x n_mels mel
-    matrix, and either the magnitudes of one product's rows, one block's
-    float64 span of samples (with its frames x channels copy when there is
-    more than one channel), windowed frames and complex spectrum, or the
+    Live at once, besides the caller's PCM: the n_mels x frequency bins
+    filter bank, the n_frames x n_mels mel matrix, and either the
+    magnitudes of one product's rows together with one batch's float64
+    span of samples (with its frames x channels copy when there is more
+    than one channel), windowed frames and complex spectrum, or the
     envelope and one block's flux. No float64 copy of the song is made,
     and with a band count that is a multiple of _BLAS_TILE_COLUMNS no array
     scales as frames x frequency bins.
@@ -396,20 +402,22 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
         rows = n_frames
     else:
         rows = min(n_frames, _MAGNITUDE_BLOCK_FRAMES)
-    block = min(rows, _MAGNITUDE_BLOCK_FRAMES)
+    batch = min(rows, _STFT_BLOCK_FRAMES)
     window = np.hanning(frame)
     bank_t = _mel_filterbank(audio.sample_rate, frame, cfg).T
-    signal = np.empty((block - 1) * hop + frame)
+    signal = np.empty((batch - 1) * hop + frame)
     channels = None if audio.pcm.ndim == 1 else np.empty((len(signal), audio.pcm.shape[1]))
+    windowed = np.empty((batch, frame))
     magnitudes = np.empty((rows, frame // 2 + 1))
     mel = np.empty((n_frames, cfg.n_mels))
     for start in (*range(0, n_frames - rows, rows), n_frames - rows):
-        for sub in range(0, rows, block):
-            count = min(block, rows - sub)
+        for sub in range(0, rows, batch):
+            count = min(batch, rows - sub)
             frames = _frames(audio, start + sub, count, frame, hop, signal, channels)
-            np.abs(np.fft.rfft(frames * window, axis=1), out=magnitudes[sub : sub + count])
+            np.multiply(frames, window, out=windowed[:count])
+            np.abs(np.fft.rfft(windowed[:count], axis=1), out=magnitudes[sub : sub + count])
         np.matmul(magnitudes, bank_t, out=mel[start : start + rows])
-    del signal, channels, magnitudes
+    del signal, channels, windowed, magnitudes
     # floor relative to the signal peak: spectral-leakage bins oscillate by
     # orders of magnitude and would otherwise dominate the log-scale flux
     floor = mel.max() * 1e-4

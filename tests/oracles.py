@@ -10,13 +10,17 @@ reproduce bit for bit, the scipy peak-picking window and WAV reader that
 the library's numpy-only ones replace, the per-record transcription
 reader whose errors the library's must keep word for word, the bar-line
 DP on numpy scalars whose times and cost the library's DP on Python floats
-must reproduce exactly (it shares only the span helpers), and the strum
+must reproduce exactly (it shares only the span helpers), the strum
 binning on numpy scalars whose positions and discarded count the
-library's binning on Python floats must reproduce exactly.
+library's binning on Python floats must reproduce exactly, the per-band
+mel filter bank loop whose bank the library's one broadcast must
+reproduce bit for bit (it shares only the Hz and mel conversions), and the indented `json.dump` transcription writer
+whose bytes the library's writer must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 from typing import Sequence
@@ -28,7 +32,7 @@ from scipy.io import wavfile
 from strumscribe.barlines import PostprocConfig, span_deletions, tempo_step_cost
 from strumscribe.decoder import Transcription, TranscriptionEntry
 from strumscribe.likelihood import DecoderConfig, contribution_tables
-from strumscribe.onsets import AudioBuffer, OnsetConfig, _mel_filterbank
+from strumscribe.onsets import AudioBuffer, OnsetConfig, _hz_to_mel, _mel_filterbank, _mel_to_hz
 from strumscribe.timeline import BarlineTrack, MeasureStrums, StrumSequence
 from strumscribe.vocabulary import TimeSignature, Vocabulary
 
@@ -127,6 +131,29 @@ def dense_onset_strength(audio, cfg=None):
     log_mel = np.log1p(cfg.log_compression * (mel + floor))
     flux = np.maximum(np.diff(log_mel, axis=0), 0.0).sum(axis=1)
     return np.concatenate(([0.0], flux))
+
+
+def looped_mel_filterbank(sample_rate, n_fft, cfg):
+    """Triangular mel filters built one band at a time, shape
+    (n_mels, n_fft // 2 + 1). The library's one broadcast over bands must
+    give this bank bit for bit (`tobytes()` equality)."""
+    fmax = min(cfg.fmax_hz, sample_rate / 2.0)
+    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin_hz), _hz_to_mel(fmax), cfg.n_mels + 2))
+    bin_freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    bank = np.zeros((cfg.n_mels, len(bin_freqs)))
+    for band in range(cfg.n_mels):
+        lower, center, upper = edges_hz[band : band + 3]
+        rising = (bin_freqs - lower) / max(center - lower, 1e-12)
+        falling = (upper - bin_freqs) / max(upper - center, 1e-12)
+        bank[band] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    return bank
+
+
+def indented_save_transcription(transcription, fp):
+    """Reference transcription writer: CPython's indented `json.dump`. The
+    library's writer must give the same text, character for character."""
+    json.dump(transcription.to_dict(), fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
 _ENTRY_FIELDS = {"index": int, "pattern_id": str, "phase": int, "time_signature": str}

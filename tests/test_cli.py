@@ -462,6 +462,17 @@ class TestEvalCommand:
         ) == 0
         assert serial.read_bytes() == capped.read_bytes()
 
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # the pool's module is imported by the first --jobs N pool alone; a
+        # fresh interpreter shows what importing the CLI loaded
+        script = "import sys, strumscribe.cli; sys.exit('concurrent.futures' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
 
 @pytest.fixture
 def counted_parses(monkeypatch):

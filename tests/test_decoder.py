@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     _relax_entry,
     enumerate_decode,
     half_cost,
+    indented_save_transcription,
     lexsort_decode,
     per_record_transcription_from_dict,
     transition,
@@ -478,6 +480,22 @@ def transcription_payloads(draw):
     return payload
 
 
+@st.composite
+def transcriptions(draw):
+    """Any valid transcription: pattern ids drawn from a few arbitrary
+    strings so that they repeat, 1- and 2-measure instances, any signature
+    and any total cost."""
+    ids = draw(st.lists(st.text(), min_size=1, max_size=4))
+    signatures = st.builds(TimeSignature, st.integers(1, 10**20), st.sampled_from([1, 2, 4, 8, 16]))
+    instances = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 2), signatures),
+                              min_size=1, max_size=12))
+    entries = []
+    for pattern_id, span, signature in instances:
+        for phase in range(span):
+            entries.append(TranscriptionEntry(len(entries), pattern_id, phase, signature))
+    return Transcription(tuple(entries), draw(st.floats() | st.integers()))
+
+
 class TestTranscriptionType:
     def test_phase_one_must_follow_phase_zero(self):
         with pytest.raises(ValueError):
@@ -516,6 +534,22 @@ class TestTranscriptionType:
                 return type(exc), str(exc)
 
         assert outcome(Transcription.from_dict) == outcome(per_record_transcription_from_dict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(transcriptions())
+    @example(transcription=Transcription(
+        (TranscriptionEntry(0, 'é"\\\n\x00\ud800 ', 0, TimeSignature(6, 8)),), math.inf))
+    @example(transcription=Transcription(
+        (TranscriptionEntry(0, "A", 0, TimeSignature(4, 4)),), -math.inf))
+    @example(transcription=Transcription(
+        (TranscriptionEntry(0, "A", 0, TimeSignature(4, 4)),), math.nan))
+    @example(transcription=Transcription(
+        (TranscriptionEntry(0, "A", 0, TimeSignature(4, 4)),), 1.7976931348623157e308))
+    def test_writer_matches_indented_json_dump(self, transcription):
+        got, want = io.StringIO(), io.StringIO()
+        save_transcription(transcription, got)
+        indented_save_transcription(transcription, want)
+        assert got.getvalue() == want.getvalue()
 
     def test_json_round_trip(self, basic_vocab):
         rng = np.random.default_rng(11)

@@ -16,9 +16,14 @@ from strumscribe import (
     onset_strength,
     pick_peaks,
 )
-from strumscribe.onsets import _BLAS_TILE_COLUMNS, _MAGNITUDE_BLOCK_FRAMES, _window_max
+from strumscribe.onsets import (
+    _BLAS_TILE_COLUMNS,
+    _MAGNITUDE_BLOCK_FRAMES,
+    _mel_filterbank,
+    _window_max,
+)
 
-from oracles import dense_onset_strength, scipy_local_max, scipy_read_wav
+from oracles import dense_onset_strength, looped_mel_filterbank, scipy_local_max, scipy_read_wav
 
 SR = 44100
 HOP = 512
@@ -195,6 +200,28 @@ class TestBlockedMagnitudes:
         height = n_frames if n_mels % _BLAS_TILE_COLUMNS else min(n_frames, BLOCK)
         assert rows == [height] * -(-n_frames // height)
 
+    @pytest.mark.parametrize("n_mels", [128, 2])
+    @pytest.mark.parametrize("n_frames", [5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK - 5])
+    def test_stft_batch_size_leaves_the_envelope_unchanged(self, monkeypatch, n_frames, n_mels):
+        # batches that do not divide the product's rows, and the last
+        # block, which overlaps the one before it
+        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), SR)
+        envelopes = set()
+        for batch in (1, 3, 32, BLOCK - 1, BLOCK):
+            monkeypatch.setattr("strumscribe.onsets._STFT_BLOCK_FRAMES", batch)
+            envelopes.add(onset_strength(audio, OnsetConfig(n_mels=n_mels)).tobytes())
+        assert len(envelopes) == 1
+
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100])
+    @pytest.mark.parametrize("n_mels", [1, 2, 40, 128, 196])
+    def test_mel_filterbank_matches_band_loop(self, sample_rate, n_mels):
+        cfg = OnsetConfig(n_mels=n_mels)
+        for frame_size in (64, 1024, 2048):
+            got = _mel_filterbank(sample_rate, frame_size, cfg)
+            want = looped_mel_filterbank(sample_rate, frame_size, cfg)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_peak_memory_bounded(self):
         # 140 s is a long benchmark song, 600 s a long take of a whole song
         def song(seconds):
@@ -221,6 +248,16 @@ class TestPcmMemory:
         del pcm
         peak = traced_peak(lambda: detect_onsets(load_wav(str(path))))
         assert peak < 4.5 * path.stat().st_size
+
+    def test_detect_onsets_peak_with_short_stft_batches(self, tmp_path):
+        # the same song: besides the file's bytes and the mel matrix, one
+        # product's magnitudes and one short batch of STFT buffers
+        pcm = (np.random.default_rng(140).uniform(-0.5, 0.5, 140 * 22050) * 32767).astype("<i2")
+        path = tmp_path / "mono.wav"
+        path.write_bytes(riff(fmt_chunk(rate=22050), chunk(b"data", pcm.tobytes())))
+        del pcm
+        peak = traced_peak(lambda: detect_onsets(load_wav(str(path))))
+        assert peak < 3.2 * path.stat().st_size
 
     def test_load_wav_peak_on_a_stereo_song(self, tmp_path):
         pcm = (np.random.default_rng(60).uniform(-0.5, 0.5, (60 * SR, 2)) * 32767).astype("<i2")
