@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .timeline import BarlineTrack
 
 TEMPO_FREE_BAND = 0.05
@@ -145,8 +143,9 @@ def postprocess_barlines_with_cost(
 def discontinuity_rate(bars: BarlineTrack) -> float:
     """Fraction of measures whose length jumps more than 35% from the
     previous measure's length."""
-    lengths = np.diff(np.asarray(bars.times_sec))
+    times = bars.times_sec
+    lengths = [b - a for a, b in zip(times, times[1:])]
     if len(lengths) < 2:
         return 0.0
-    jumps = np.abs(np.diff(lengths)) / lengths[:-1]
-    return float(np.count_nonzero(jumps > DISCONTINUITY_THRESHOLD)) / len(lengths)
+    jumps = sum(abs(b - a) / a > DISCONTINUITY_THRESHOLD for a, b in zip(lengths, lengths[1:]))
+    return jumps / len(lengths)

@@ -38,8 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .likelihood import DecoderConfig, contribution_tables
 from .timeline import BarlineTrack, MeasureStrums, StrumSequence
 from .vocabulary import TimeSignature, Vocabulary

@@ -15,11 +15,11 @@ costs; the decoder charges them between consecutive pattern instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .timeline import MeasureStrums
 from .vocabulary import Vocabulary
 
@@ -40,7 +40,7 @@ class DecoderConfig:
     timesig_change_penalty: float = 6.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.timing_sigma < np.inf:
+        if not 0 < self.timing_sigma < math.inf:
             raise ValueError(f"timing_sigma must be finite and > 0, got {self.timing_sigma}")
         # an infinite change penalty forbids that change; NaN compares false
         for name in ("pattern_change_penalty", "timesig_change_penalty"):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .barlines import discontinuity_rate
 from .decoder import Transcription, reconstruct_strums
 from .timeline import BarlineTrack, StrumSequence

@@ -11,13 +11,14 @@ recordings; it makes no attempt at polyphonic mixtures.
 from __future__ import annotations
 
 import io
+import math
+import mmap
+import os
 import struct
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .timeline import StrumSequence
 
 
@@ -112,7 +113,7 @@ class OnsetConfig:
         if not self.min_gap_sec >= 0:  # NaN compares false
             raise ValueError(f"min_gap_sec must be >= 0, got {self.min_gap_sec}")
         for name in ("delta", "log_compression"):
-            if np.isnan(getattr(self, name)):
+            if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
         if not 0 < self.fmin_hz < self.fmax_hz:
             raise ValueError("need 0 < fmin_hz < fmax_hz")
@@ -124,7 +125,41 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _unpack(fp: BinaryIO, fmt: str) -> tuple:
+def _mapped(nbytes: int):
+    """A zeroed buffer of `nbytes` in an anonymous memory map of its own,
+    unmapped once nothing refers to it.
+
+    The song-sized buffers, the WAV file's bytes and the mel matrix, come
+    from here and not from malloc. glibc serves such a block by mmap too,
+    but freeing it raises malloc's mmap threshold to the block's size, so
+    later song-sized blocks come from the heap, whose free top is given
+    back only beyond twice that size: how much of the heap then stays
+    resident hangs on what else the process allocated, and in which order
+    (in a client that runs one song after another, even on when numpy was
+    imported).
+    """
+    return mmap.mmap(-1, nbytes)
+
+
+class _Stream:
+    """`io.BytesIO`'s read, seek and tell over a buffer it does not copy."""
+
+    def __init__(self, buffer) -> None:
+        self.buffer, self.pos = buffer, 0
+
+    def read(self, size: int) -> bytes:
+        start = self.pos
+        self.pos = max(start, min(start + size, len(self.buffer)))
+        return bytes(self.buffer[start : self.pos])
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> None:
+        self.pos = max(0, offset + (self.pos if whence == io.SEEK_CUR else 0))
+
+    def tell(self) -> int:
+        return self.pos
+
+
+def _unpack(fp: _Stream, fmt: str) -> tuple:
     size = struct.calcsize(fmt)
     raw = fp.read(size)
     if len(raw) != size:
@@ -132,7 +167,7 @@ def _unpack(fp: BinaryIO, fmt: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_fmt_chunk(fp: BinaryIO) -> tuple[int, int, int, int, int]:
+def _read_fmt_chunk(fp: _Stream) -> tuple[int, int, int, int, int]:
     """(format tag, channels, sample rate, block align, bits per sample)."""
     (size,) = _unpack(fp, "<I")
     if size < 16:
@@ -159,11 +194,11 @@ def _read_fmt_chunk(fp: BinaryIO) -> tuple[int, int, int, int, int]:
     return tag, channels, rate, block_align, bits
 
 
-def _read_data_chunk(fp: io.BytesIO, content: bytes, fmt: tuple,
+def _read_data_chunk(fp: _Stream, content: memoryview, fmt: tuple,
                      rf64_size: int | None) -> np.ndarray:
     """The chunk's samples as stored, frames x channels when multichannel,
     read from fp, the stream over `content`. Samples of 1, 2, 4 or 8 bytes
-    are a read-only view into `content`; integer samples of 3, 5, 6 or 7
+    are a view into `content`; integer samples of 3, 5, 6 or 7
     bytes are left-justified into a new int32 or int64 array. 8-bit and
     smaller PCM is unsigned. The stream resumes after the whole samples
     read and the chunk's pad byte."""
@@ -209,7 +244,7 @@ def _read_data_chunk(fp: io.BytesIO, content: bytes, fmt: tuple,
     return data.reshape(-1, channels) if channels > 1 else data
 
 
-def _read_wav(content: bytes) -> tuple[int, np.ndarray]:
+def _read_wav(content: memoryview) -> tuple[int, np.ndarray]:
     """Sample rate and samples of a little-endian RIFF or RF64 WAV file's
     bytes.
 
@@ -217,7 +252,7 @@ def _read_wav(content: bytes) -> tuple[int, np.ndarray]:
     chunks are skipped over their pad byte, and a file cut short after a
     data chunk keeps the samples read.
     """
-    fp = io.BytesIO(content)
+    fp = _Stream(content)
     signature = fp.read(4)
     rf64_size = None
     if signature == b"RIFF":
@@ -284,7 +319,12 @@ def load_wav(path: str) -> AudioBuffer:
     # read from memory: a header can claim a chunk far longer than the file,
     # and a read from memory returns what there is without allocating more
     with open(path, "rb") as fp:
-        content = fp.read()
+        size = os.fstat(fp.fileno()).st_size
+        if size:
+            mapped = _mapped(size)
+            content = memoryview(mapped)[: fp.readinto(mapped)]
+        else:  # empty, or a pipe, which reports no size
+            content = memoryview(fp.read())
     try:
         sample_rate, data = _read_wav(content)
         full_scale = _FULL_SCALE.get(data.dtype.str)
@@ -409,7 +449,7 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     channels = None if audio.pcm.ndim == 1 else np.empty((len(signal), audio.pcm.shape[1]))
     windowed = np.empty((batch, frame))
     magnitudes = np.empty((rows, frame // 2 + 1))
-    mel = np.empty((n_frames, cfg.n_mels))
+    mel = np.ndarray((n_frames, cfg.n_mels), buffer=_mapped(n_frames * cfg.n_mels * 8))
     for start in (*range(0, n_frames - rows, rows), n_frames - rows):
         for sub in range(0, rows, batch):
             count = min(batch, rows - sub)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .decoder import Transcription, TranscriptionEntry
 from .timeline import MIN_STRUM_GAP_SEC, BarlineTrack, StrumSequence
 from .vocabulary import RhythmicPattern, Vocabulary

@@ -12,7 +12,9 @@ reader whose errors the library's must keep word for word, the bar-line
 DP on numpy scalars whose times and cost the library's DP on Python floats
 must reproduce exactly (it shares only the span helpers), the strum
 binning on numpy scalars whose positions and discarded count the
-library's binning on Python floats must reproduce exactly, the per-band
+library's binning on Python floats must reproduce exactly, the
+measure-length discontinuity rate on numpy arrays that the library's rate
+on Python floats must reproduce exactly, the per-band
 mel filter bank loop whose bank the library's one broadcast must
 reproduce bit for bit (it shares only the Hz and mel conversions), and the indented `json.dump` transcription writer
 whose bytes the library's writer must reproduce exactly.
@@ -29,7 +31,12 @@ import numpy as np
 import scipy.ndimage
 from scipy.io import wavfile
 
-from strumscribe.barlines import PostprocConfig, span_deletions, tempo_step_cost
+from strumscribe.barlines import (
+    DISCONTINUITY_THRESHOLD,
+    PostprocConfig,
+    span_deletions,
+    tempo_step_cost,
+)
 from strumscribe.decoder import Transcription, TranscriptionEntry
 from strumscribe.likelihood import DecoderConfig, contribution_tables
 from strumscribe.onsets import AudioBuffer, OnsetConfig, _hz_to_mel, _mel_filterbank, _mel_to_hz
@@ -586,3 +593,13 @@ def numpy_bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[Me
         [MeasureStrums(m, tuple(ps)) for m, ps in enumerate(per_measure)],
         discarded,
     )
+
+
+def numpy_discontinuity_rate(bars: BarlineTrack) -> float:
+    """discontinuity_rate as it was on numpy arrays. The library's rate on
+    the track's own Python floats must equal it (`==`)."""
+    lengths = np.diff(np.asarray(bars.times_sec))
+    if len(lengths) < 2:
+        return 0.0
+    jumps = np.abs(np.diff(lengths)) / lengths[:-1]
+    return float(np.count_nonzero(jumps > DISCONTINUITY_THRESHOLD)) / len(lengths)

@@ -1,4 +1,5 @@
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 
 from strumscribe import BarlineTrack, PostprocConfig, discontinuity_rate, postprocess_barlines
 
-from oracles import brute_barline_cost, numpy_postprocess_barlines_with_cost
+from oracles import (
+    brute_barline_cost,
+    numpy_discontinuity_rate,
+    numpy_postprocess_barlines_with_cost,
+)
 from strumscribe.barlines import postprocess_barlines_with_cost, span_deletions, tempo_step_cost
 
 
@@ -182,3 +187,20 @@ class TestDiscontinuityRate:
 
     def test_single_measure_is_zero(self):
         assert discontinuity_rate(BarlineTrack((0.0, 2.0))) == 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=40, unique=True).map(sorted))
+    # lengths 20 and 27 jump by 7/20, the threshold itself, which does not count
+    @example([0.0, 20.0, 47.0])
+    @example([0.0, 5e-324, 1.0])
+    @example([0.0])
+    @example([])
+    def test_matches_numpy_arrays(self, times):
+        # BarlineTrack rejects fewer than 2 lines, and the rate reads
+        # times_sec alone, so shorter tracks come as a stand-in
+        bars = BarlineTrack(times) if len(times) >= 2 else SimpleNamespace(times_sec=tuple(times))
+        got = discontinuity_rate(bars)
+        with np.errstate(over="ignore"):  # a tiny length makes the ratio inf on both
+            assert got == numpy_discontinuity_rate(bars)
+        if len(times) <= 2:
+            assert got == 0.0

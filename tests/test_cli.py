@@ -47,6 +47,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def fresh_python(script, *args, cwd=None):
+    """`python -c script *args` in a fresh interpreter that imports this
+    checkout's strumscribe: it shows what a one-shot process loads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 # the arguments each subcommand requires, enough to parse its flags
 REQUIRED = {
     "onsets": ["--audio", "a.wav", "--out", "o.json"],
@@ -466,12 +475,90 @@ class TestEvalCommand:
         # the pool's module is imported by the first --jobs N pool alone; a
         # fresh interpreter shows what importing the CLI loaded
         script = "import sys, strumscribe.cli; sys.exit('concurrent.futures' in sys.modules)"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        result = fresh_python(script)
+        assert result.returncode == 0, result.stderr
+
+
+def song_argv(command, song, vocab):
+    """command's arguments, but for --out, on the song a synth_dir holds."""
+    return [str(a) for a in {
+        "render": ["render", "--transcription", song / "transcription.json", "--vocab", vocab],
+        "barlines": ["barlines", "--raw", song / "barlines.json"],
+        "decode": ["decode", "--strums", song / "strums.json", "--barlines", song / "barlines.json",
+                   "--vocab", vocab],
+        "eval": ["eval", "--transcription", song / "transcription.json",
+                 "--barlines", song / "barlines.json", "--vocab", vocab,
+                 "--ground-truth", song / "nominal_strums.json"],
+    }[command]]
+
+
+# the subcommands that never load numpy
+COMPUTE_FREE = ("barlines", "render")
+
+# runs cli.main on the JSON argv in argv[1] and prints its exit code and the
+# numpy submodules the process loaded
+MAIN_AND_NUMPY = """
+import json, sys
+import strumscribe.cli as cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+class TestNumpyOnFirstUse:
+    def test_cli_import_loads_no_numpy_submodule(self):
+        result = fresh_python(
+            "import sys, strumscribe.cli; "
+            "sys.exit(any(m.startswith('numpy.') for m in sys.modules))"
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("command", ["barlines", "decode", "eval", "render"])
+    def test_fresh_process_writes_in_process_bytes(self, tmp_path, synth_dir, vocab_file,
+                                                   command):
+        argv = song_argv(command, synth_dir, vocab_file)
+        in_process, fresh = tmp_path / "in_process.out", tmp_path / "fresh.out"
+        assert main([*argv, "--out", str(in_process)]) == 0
+        result = fresh_python(MAIN_AND_NUMPY, json.dumps([*argv, "--out", str(fresh)]))
+        assert result.returncode == 0, result.stderr
+        code, numpy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert bool(numpy_modules) == (command not in COMPUTE_FREE)
+        assert fresh.read_bytes() == in_process.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_only_numeric_commands_load_numpy_before_input(self, tmp_path, command):
+        # none of REQUIRED's input files exists, so each run fails on its
+        # first read or check, before any stage computes
+        result = fresh_python(MAIN_AND_NUMPY, json.dumps([command, *REQUIRED[command]]),
+                              cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        code, numpy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert code in (1, 2)
+        assert bool(numpy_modules) == (command not in COMPUTE_FREE)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_imported_first_is_the_one_bound(self):
+        script = "import sys, numpy, strumscribe.onsets as o; sys.exit(o.np is not numpy)"
+        result = fresh_python(script)
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_numpy_fails_at_import(self):
+        # a None entry in sys.modules makes `import numpy` fail as if it
+        # were not installed
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "try:\n"
+            "    import strumscribe\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name, exc)\n"
+            "else:\n"
+            "    print('imported')\n"
+        )
+        result = fresh_python(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "numpy No module named 'numpy'"
 
 
 @pytest.fixture
@@ -882,11 +969,7 @@ class TestOnsetsAndPipeline:
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, loaded\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
+        result = fresh_python(script)
         assert result.returncode == 0, result.stderr
         assert len(json.loads(out.read_text())["strums_sec"]) == 3
 

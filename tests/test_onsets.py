@@ -1,12 +1,17 @@
+import io
+import os
 import struct
+import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strumscribe import onsets as onsets_module
 from strumscribe import (
     AudioBuffer,
     OnsetConfig,
@@ -130,14 +135,19 @@ def make_signal(n_samples, kind, seed):
 
 
 def traced_peak(fn, *args):
-    """Peak traced allocation of fn(*args), in bytes."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """Peak traced allocation of fn(*args), in bytes, plus the size of every
+    buffer that `onsets._mapped` made meanwhile. Those are the song-sized
+    ones (the WAV file's bytes, the mel matrix), and tracemalloc does not
+    see memory maps."""
+    with mock.patch.object(onsets_module, "_mapped", wraps=onsets_module._mapped) as mapped:
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            fn(*args)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return traced + sum(call.args[0] for call in mapped.call_args_list)
 
 
 def assert_bit_exact(audio, cfg):
@@ -274,6 +284,17 @@ class TestPcmMemory:
         path.write_bytes(riff(fmt_chunk(channels=2, width=3), chunk(b"data", pcm.tobytes())))
         del pcm
         assert traced_peak(load_wav, str(path)) < 2.5 * path.stat().st_size
+
+    def test_song_sized_buffers_are_memory_maps(self, tmp_path):
+        # the file's bytes and the mel matrix stay out of malloc's heap
+        pcm = (np.random.default_rng(10).uniform(-0.5, 0.5, 10 * SR) * 32767).astype("<i2")
+        path = tmp_path / "mono.wav"
+        path.write_bytes(riff(fmt_chunk(), chunk(b"data", pcm.tobytes())))
+        with mock.patch.object(onsets_module, "_mapped", wraps=onsets_module._mapped) as mapped:
+            detect_onsets(load_wav(str(path)))
+        n_frames = 1 + len(pcm) // HOP
+        assert [call.args[0] for call in mapped.call_args_list] == [
+            path.stat().st_size, n_frames * OnsetConfig().n_mels * 8]
 
 
 class TestPickPeaks:
@@ -632,4 +653,44 @@ class TestWavIO:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_wav("/nonexistent/file.wav")
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="not a RIFF file"):
+            load_wav(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe reports no size, so it is read whole rather than mapped
+        pcm = (np.arange(-2000, 2000) * 8).astype("<i2")
+        path = tmp_path / "pipe.wav"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes,
+                                  args=(riff(fmt_chunk(), chunk(b"data", pcm.tobytes())),),
+                                  daemon=True)
+        writer.start()
+        try:
+            audio = load_wav(str(path))
+        finally:
+            writer.join(timeout=10)
+        assert audio.pcm.tobytes() == pcm.tobytes()
+
+    @given(st.binary(max_size=40),
+           st.lists(st.tuples(st.sampled_from(["read", "seek", "skip"]), st.integers(-60, 60)),
+                    max_size=12))
+    def test_stream_moves_as_bytesio(self, content, moves):
+        # the WAV parser's stream over the file's bytes, with io.BytesIO's
+        # reads past the end and seeks on either side of it
+        want, got = io.BytesIO(content), onsets_module._Stream(memoryview(content))
+        for move, n in moves:
+            if move == "read":
+                assert got.read(abs(n)) == want.read(abs(n))
+            elif move == "seek":
+                got.seek(abs(n))
+                want.seek(abs(n))
+            else:
+                got.seek(n, io.SEEK_CUR)
+                want.seek(n, io.SEEK_CUR)
+            assert got.tell() == want.tell()
 
