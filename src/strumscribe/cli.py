@@ -55,15 +55,6 @@ class RunConfig:
     seed: int = 0
 
 
-_SECTIONS = {
-    "decoder": DecoderConfig,
-    "barlines": barlines_mod.PostprocConfig,
-    "onsets": onsets_mod.OnsetConfig,
-    "render": render_mod.RenderOptions,
-}
-_SCALARS = ("strum_tolerance_sec", "seed")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -96,72 +87,69 @@ def _defaults(cls) -> dict:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse a JSON config file, rejecting any unknown key or mistyped value."""
+    """Parse a JSON config file, rejecting any unknown key or mistyped value.
+    RunConfig's dataclass fields are the file's sections, its other fields
+    the scalars; keys are checked in RunConfig's field order."""
     with open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(payload) - set(_SECTIONS) - set(_SCALARS)
+    defaults = _defaults(RunConfig)
+    unknown = set(payload) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for section, cls in _SECTIONS.items():
-        overrides = payload.get(section, {})
+    for key, default in defaults.items():
+        if key not in payload:
+            continue
+        if not dataclasses.is_dataclass(default):
+            kwargs[key] = _typed(key, payload[key], default)
+            continue
+        overrides = payload[key]
         if not isinstance(overrides, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        defaults = _defaults(cls)
-        bad = set(overrides) - set(defaults)
+            raise ValueError(f"config section {key!r} must be an object")
+        fields = _defaults(type(default))
+        bad = set(overrides) - set(fields)
         if bad:
-            raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
-        kwargs[section] = cls(
-            **{
-                field: _typed(f"{section}.{field}", value, defaults[field])
-                for field, value in overrides.items()
-            }
-        )
-    defaults = _defaults(RunConfig)
-    for key in _SCALARS:
-        if key in payload:
-            kwargs[key] = _typed(key, payload[key], defaults[key])
+            raise ValueError(f"unknown keys in config section {key!r}: {sorted(bad)}")
+        kwargs[key] = type(default)(**{
+            field: _typed(f"{key}.{field}", overrides[field], field_default)
+            for field, field_default in fields.items() if field in overrides
+        })
     return RunConfig(**kwargs)
 
 
-# Every tuning flag: {config section: {field: flag}}. A flag parses like its
-# field's default: a bool flag sets the opposite of the default, a tuple
-# takes comma-separated ints, anything else takes the default's type. Fields
-# missing here (onsets.log_compression) are config-file only.
+# Every tuning flag: {RunConfig field, dotted below a section: flag}. A flag
+# parses like its field's default: a bool flag sets the opposite of the
+# default, a tuple takes comma-separated ints, anything else takes the
+# default's type. Fields missing here (onsets.log_compression) are
+# config-file only.
 _FLAGS = {
-    "decoder": {
-        "timing_sigma": "--timing-sigma",
-        "pattern_change_penalty": "--pattern-change-penalty",
-        "timesig_change_penalty": "--timesig-change-penalty",
-    },
-    "barlines": {
-        "subdivision_factors": "--subdivision-factors",
-        "deletion_penalty": "--deletion-penalty",
-        "insertion_penalty": "--insertion-penalty",
-        "tempo_change_penalty": "--tempo-change-penalty",
-        "snap_tolerance_sec": "--snap-tolerance",
-        "lookahead": "--lookahead",
-    },
-    "onsets": {
-        "frame_size": "--frame-size",
-        "hop_size": "--hop-size",
-        "n_mels": "--n-mels",
-        "fmin_hz": "--fmin",
-        "fmax_hz": "--fmax",
-        "delta": "--delta",
-        "pre_max": "--pre-max",
-        "post_max": "--post-max",
-        "pre_avg": "--pre-avg",
-        "post_avg": "--post-avg",
-        "min_gap_sec": "--min-gap",
-    },
-    "render": {
-        "use_repeat_symbol": "--no-repeat-symbol",
-        "grid_resolution": "--grid-resolution",
-        "show_pattern_ids": "--show-pattern-ids",
-    },
+    "decoder.timing_sigma": "--timing-sigma",
+    "decoder.pattern_change_penalty": "--pattern-change-penalty",
+    "decoder.timesig_change_penalty": "--timesig-change-penalty",
+    "barlines.subdivision_factors": "--subdivision-factors",
+    "barlines.deletion_penalty": "--deletion-penalty",
+    "barlines.insertion_penalty": "--insertion-penalty",
+    "barlines.tempo_change_penalty": "--tempo-change-penalty",
+    "barlines.snap_tolerance_sec": "--snap-tolerance",
+    "barlines.lookahead": "--lookahead",
+    "onsets.frame_size": "--frame-size",
+    "onsets.hop_size": "--hop-size",
+    "onsets.n_mels": "--n-mels",
+    "onsets.fmin_hz": "--fmin",
+    "onsets.fmax_hz": "--fmax",
+    "onsets.delta": "--delta",
+    "onsets.pre_max": "--pre-max",
+    "onsets.post_max": "--post-max",
+    "onsets.pre_avg": "--pre-avg",
+    "onsets.post_avg": "--post-avg",
+    "onsets.min_gap_sec": "--min-gap",
+    "render.use_repeat_symbol": "--no-repeat-symbol",
+    "render.grid_resolution": "--grid-resolution",
+    "render.show_pattern_ids": "--show-pattern-ids",
+    "strum_tolerance_sec": "--tolerance",
+    "seed": "--seed",
 }
 
 
@@ -178,37 +166,34 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, *sections: str) -> None:
-    """Add --config and the tuning flags of the named config sections."""
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add --config and the flags of the named config sections and fields."""
     parser.add_argument("--config", help="JSON config file; unknown keys are errors")
-    for section in sections:
-        defaults = _defaults(_SECTIONS[section])
-        for field, flag in _FLAGS[section].items():
-            default = defaults[field]
-            if isinstance(default, bool):
-                parser.add_argument(flag, action="store_const", const=not default)
-            elif isinstance(default, tuple):
-                parser.add_argument(flag, type=_int_tuple,
-                                    help="comma-separated, e.g. " + ",".join(map(str, default)))
-            else:
-                parser.add_argument(flag, type=type(default))
+    defaults = RunConfig()
+    for field, flag in _FLAGS.items():
+        if field.partition(".")[0] not in names:
+            continue
+        default = functools.reduce(getattr, field.split("."), defaults)
+        if isinstance(default, bool):
+            parser.add_argument(flag, action="store_const", const=not default)
+        elif isinstance(default, tuple):
+            parser.add_argument(flag, type=_int_tuple,
+                                help="comma-separated, e.g. " + ",".join(map(str, default)))
+        else:
+            parser.add_argument(flag, type=type(default))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    changes: dict = {}
-    for section, flags in _FLAGS.items():
-        overrides = {
-            field: getattr(args, _dest(flag))
-            for field, flag in flags.items()
-            if getattr(args, _dest(flag), None) is not None
-        }
-        if overrides:
-            changes[section] = dataclasses.replace(getattr(cfg, section), **overrides)
-    for key, dest in (("seed", "seed"), ("strum_tolerance_sec", "tolerance")):
-        if getattr(args, dest, None) is not None:
-            changes[key] = getattr(args, dest)
-    return dataclasses.replace(cfg, **changes)
+    changes: dict = {}  # {section, or "" for RunConfig itself: {field: value}}
+    for field, flag in _FLAGS.items():
+        value = getattr(args, _dest(flag), None)
+        if value is not None:
+            section, _, name = field.rpartition(".")
+            changes.setdefault(section, {})[name] = value
+    sections = {section: dataclasses.replace(getattr(cfg, section), **fields)
+                for section, fields in changes.items() if section}
+    return dataclasses.replace(cfg, **changes.get("", {}), **sections)
 
 
 class Outputs(NamedTuple):
@@ -529,10 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", dest="ground_truth")
     p.add_argument("--manifest", help="newline-delimited JSON records for batch evaluation")
     p.add_argument("--out", required=True)
-    p.add_argument("--tolerance", type=float)
     p.add_argument("--jobs", type=int, default=1,
                    help="evaluate manifest records in N worker processes (default 1)")
-    _add_common(p)
+    _add_common(p, "strum_tolerance_sec")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth song")
@@ -544,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--switch-prob", dest="switch_prob", type=float, default=0.0)
     p.add_argument("--miss-rate", dest="miss_rate", type=float, default=0.0)
     p.add_argument("--spurious-rate", dest="spurious_rate", type=float, default=0.0)
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="RNG seed")
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("render", help="render a transcription as slash-notation text")
@@ -563,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-text", dest="out_text")
     p.add_argument("--dump-dir", dest="dump_dir")
     p.add_argument("--no-barline-postproc", action="store_true")
-    _add_common(p, *_FLAGS)
+    _add_common(p, "decoder", "barlines", "onsets", "render")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

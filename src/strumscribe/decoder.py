@@ -17,6 +17,15 @@ is not the lexicographically smallest per-measure index sequence: with
 A = [0.0] and B = [0.5] in 4/4, measures (0.0), (0.0, 0.5), (0.5) decode to
 A, B, B, not to A, A, B at the same cost and change count.
 
+The rule settles exact ties of the forward pass, which compares partial
+sums at each measure: where two tilings meet, the one with the lower
+(cost so far, changes) key is kept, even if the two totals round equal
+once the later emissions are added. With P0 = 4/4 (0, 1/16, 3/16) and
+P1 = 3/4 (3/4), measures (0.7095379170839322), (), (1e-06) and
+`DecoderConfig(0.1, 0.5, 1.0)` decode to P1, EMPTY_3_4, P0: into P0,
+(a + 0.5) + 1.5 is one ulp below (a + 1.5) + 0.5, although the backward
+rule alone would take EMPTY_4_4 at the same total cost and change count.
+
 The implementation is a first-order Viterbi pass over (pattern, phase)
 states. A transition costs nothing for a repeat, c1 within a time-signature
 group and c1+c2 across groups, so at each measure only one state per group

@@ -10,7 +10,6 @@ recordings; it makes no attempt at polyphonic mixtures.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import os
@@ -141,78 +140,65 @@ def _mapped(nbytes: int):
     return mmap.mmap(-1, nbytes)
 
 
-class _Stream:
-    """`io.BytesIO`'s read, seek and tell over a buffer it does not copy."""
-
-    def __init__(self, buffer) -> None:
-        self.buffer, self.pos = buffer, 0
-
-    def read(self, size: int) -> bytes:
-        start = self.pos
-        self.pos = max(start, min(start + size, len(self.buffer)))
-        return bytes(self.buffer[start : self.pos])
-
-    def seek(self, offset: int, whence: int = io.SEEK_SET) -> None:
-        self.pos = max(0, offset + (self.pos if whence == io.SEEK_CUR else 0))
-
-    def tell(self) -> int:
-        return self.pos
-
-
-def _unpack(fp: _Stream, fmt: str) -> tuple:
-    size = struct.calcsize(fmt)
-    raw = fp.read(size)
-    if len(raw) != size:
+def _unpack(fmt: str, content: memoryview, offset: int) -> tuple:
+    """struct.unpack_from, raising ValueError when the file ends first."""
+    if offset + struct.calcsize(fmt) > len(content):
         raise ValueError("unexpected end of file")
-    return struct.unpack(fmt, raw)
+    return struct.unpack_from(fmt, content, offset)
 
 
-def _read_fmt_chunk(fp: _Stream) -> tuple[int, int, int, int, int]:
-    """(format tag, channels, sample rate, block align, bits per sample)."""
-    (size,) = _unpack(fp, "<I")
+def _read_fmt_chunk(content: memoryview, offset: int) -> tuple[tuple, int]:
+    """(format tag, channels, sample rate, block align, bits per sample) of
+    the fmt chunk whose size field is at `offset`, and the offset after it.
+
+    The header reads 16 bytes after the size field, 40 when it reads a
+    WAVE_FORMAT_EXTENSIBLE extension, even past a shorter chunk's end; the
+    chunk resumes after the greater of that and its size, but not past the
+    end of the file, and then after its pad byte."""
+    (size,) = _unpack("<I", content, offset)
     if size < 16:
         raise ValueError(f"fmt chunk of {size} bytes is shorter than 16")
-    tag, channels, rate, byte_rate, block_align, bits = _unpack(fp, "<HHIIHH")
+    tag, channels, rate, byte_rate, block_align, bits = _unpack("<HHIIHH", content, offset + 4)
     consumed = 16
     if tag == _EXTENSIBLE and size >= 18:
-        (extension_size,) = _unpack(fp, "<H")
+        (extension_size,) = _unpack("<H", content, offset + 20)
         if extension_size < 22:
             raise ValueError("WAVE_FORMAT_EXTENSIBLE extension is shorter than 22 bytes")
-        guid = fp.read(22)[6:]
-        consumed += 24
+        guid = bytes(content[offset + 28 : offset + 44])
+        consumed = 40
         if guid.endswith(_GUID_TAIL):
             (tag,) = struct.unpack("<I", guid[:4])
     if tag not in (_PCM, _IEEE_FLOAT):
         raise ValueError(f"unsupported WAV format tag {tag:#06x}")
-    if size > consumed:
-        fp.read(size - consumed)
-    fp.seek(size % 2, io.SEEK_CUR)
     if tag == _PCM and byte_rate != rate * block_align:
         raise ValueError(
             f"byte rate {byte_rate} is not sample rate {rate} times block align {block_align}"
         )
-    return tag, channels, rate, block_align, bits
+    end = min(offset + 4 + max(size, consumed), len(content)) + size % 2
+    return (tag, channels, rate, block_align, bits), end
 
 
-def _read_data_chunk(fp: _Stream, content: memoryview, fmt: tuple,
-                     rf64_size: int | None) -> np.ndarray:
-    """The chunk's samples as stored, frames x channels when multichannel,
-    read from fp, the stream over `content`. Samples of 1, 2, 4 or 8 bytes
-    are a view into `content`; integer samples of 3, 5, 6 or 7
-    bytes are left-justified into a new int32 or int64 array. 8-bit and
-    smaller PCM is unsigned. The stream resumes after the whole samples
-    read and the chunk's pad byte."""
+def _read_data_chunk(content: memoryview, offset: int, fmt: tuple,
+                     rf64_size: int | None) -> tuple[np.ndarray, int]:
+    """The samples as stored of the data chunk whose size field is at
+    `offset`, frames x channels when multichannel, and the offset after it.
+
+    Samples of 1, 2, 4 or 8 bytes are a view into `content`; integer
+    samples of 3, 5, 6 or 7 bytes are left-justified into a new int32 or
+    int64 array. 8-bit and smaller PCM is unsigned. An RF64 file's size
+    comes from its ds64 chunk. The samples stop at the end of the file,
+    and the chunk resumes after the whole samples read and its pad byte,
+    not after its size."""
     tag, channels, _, block_align, bits = fmt
     if rf64_size is None:
-        (size,) = _unpack(fp, "<I")
+        (size,) = _unpack("<I", content, offset)
     else:
         size = rf64_size
-        fp.read(4)
     if channels == 0 or block_align < channels:
         raise ValueError(f"block align {block_align} leaves no bytes per sample "
                          f"for {channels} channel(s)")
     width = block_align // channels
-    start = min(fp.tell(), len(content))
+    start = min(offset + 4, len(content))
     if tag == _PCM and width in (3, 5, 6, 7) and not 1 <= bits <= 8:
         length = min(size, len(content) - start)
         if length % width:
@@ -240,58 +226,57 @@ def _read_data_chunk(fp: _Stream, content: memoryview, fmt: tuple,
             raise ValueError(f"data chunk of {size} bytes is too long to read")
         length = min(length, len(content) - start)
         data = np.frombuffer(content, dtype, count=length // dtype.itemsize, offset=start)
-    fp.seek(start + length + size % 2)
-    return data.reshape(-1, channels) if channels > 1 else data
+    data = data.reshape(-1, channels) if channels > 1 else data
+    return data, start + length + size % 2
 
 
 def _read_wav(content: memoryview) -> tuple[int, np.ndarray]:
     """Sample rate and samples of a little-endian RIFF or RF64 WAV file's
     bytes.
 
-    Chunks are read in file order: the last fmt and data chunks win, other
-    chunks are skipped over their pad byte, and a file cut short after a
-    data chunk keeps the samples read.
+    Chunks are read in file order, each at the offset where the one
+    before it resumes: the last fmt and data chunks win, and a file cut
+    short after a data chunk keeps the samples read. A read stops at the
+    end of the file; a skip does not: other chunks are skipped over their
+    size and pad byte, and an RF64 file's ds64 chunk over its size alone,
+    an unsigned field, so the offset never goes below 0.
     """
-    fp = _Stream(content)
-    signature = fp.read(4)
+    signature = bytes(content[:4])
     rf64_size = None
     if signature == b"RIFF":
-        (riff_size,) = _unpack(fp, "<I")
-        form = fp.read(4)
+        (riff_size,) = _unpack("<I", content, 4)
+        offset = 12
     elif signature == b"RF64":
         # the RIFF and data sizes are 64-bit fields of a ds64 chunk
-        fp.read(4)
-        form = fp.read(4)
-        if fp.read(4) != b"ds64":
+        if content[12:16] != b"ds64":
             raise ValueError("RF64 file has no ds64 chunk")
-        ds64_size, riff_size, rf64_size = _unpack(fp, "<IQQ")
-        fp.seek(ds64_size - 16, io.SEEK_CUR)
+        ds64_size, riff_size, rf64_size = _unpack("<IQQ", content, 16)
+        offset = 20 + ds64_size
     elif signature == b"RIFX":
         raise ValueError("big-endian RIFX files are not supported")
     else:
         raise ValueError(f"not a RIFF file (starts with {signature!r})")
+    form = bytes(content[8:12])
     if form != b"WAVE":
         raise ValueError(f"RIFF form type is {form!r}, not b'WAVE'")
     fmt = data = None
-    while fp.tell() < riff_size + 8:
-        chunk_id = fp.read(4)
+    while offset < riff_size + 8:
+        chunk_id = content[offset : offset + 4]
         if len(chunk_id) < 4:
             if data is None:
                 raise ValueError("file ends before a data chunk")
             break
         if chunk_id == b"fmt ":
-            fmt = _read_fmt_chunk(fp)
+            fmt, offset = _read_fmt_chunk(content, offset + 4)
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("data chunk before the fmt chunk")
-            data = _read_data_chunk(fp, content, fmt, rf64_size)
-        else:
-            size_field = fp.read(4)
-            if len(size_field) == 4:
-                (size,) = struct.unpack("<I", size_field)
-                fp.seek(size + size % 2, io.SEEK_CUR)
-            elif size_field:
-                raise ValueError("unexpected end of file")
+            data, offset = _read_data_chunk(content, offset + 4, fmt, rf64_size)
+        elif offset + 4 < len(content):
+            (size,) = _unpack("<I", content, offset + 4)
+            offset += 8 + size + size % 2
+        else:  # the file ends after the chunk id
+            offset += 4
     if data is None:
         raise ValueError("no data chunk")
     return fmt[2], data

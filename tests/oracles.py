@@ -45,16 +45,24 @@ from strumscribe.vocabulary import TimeSignature, Vocabulary
 
 
 def nearest_sq(x, ys):
-    return min((x - y) ** 2 for y in ys)
+    """The least squared distance from x to ys, squared as a product: `**`
+    goes through libm's pow, which can round one ulp away from x * x."""
+    return min((x - y) * (x - y) for y in ys)
 
 
 def two_way_mismatch(observed, onsets):
-    """Naive evaluation of the two-way mismatch sum."""
+    """Naive evaluation of the two-way mismatch sum: the strums' terms and
+    the onsets' terms, each added left to right, then the two sums. That is
+    the library's order for fewer than 8 terms a side; sum() would not do,
+    as from Python 3.12 it compensates float sums."""
     if not observed and not onsets:
         return 0.0
-    return sum(nearest_sq(s, onsets) for s in observed) + sum(
-        nearest_sq(r, observed) for r in onsets
-    )
+    to_onsets = from_onsets = 0.0
+    for s in observed:
+        to_onsets += nearest_sq(s, onsets)
+    for r in onsets:
+        from_onsets += nearest_sq(r, observed)
+    return to_onsets + from_onsets
 
 
 def half_cost(observed, onsets, cfg):
@@ -63,7 +71,7 @@ def half_cost(observed, onsets, cfg):
         return 0.0
     if not observed or not onsets:
         return None
-    return two_way_mismatch(observed, onsets) / (2.0 * cfg.timing_sigma**2)
+    return two_way_mismatch(observed, onsets) / (2.0 * cfg.timing_sigma * cfg.timing_sigma)
 
 
 def transition(prev, cur, cfg):

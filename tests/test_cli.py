@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strumscribe import cli
 from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
@@ -774,6 +778,19 @@ class TestConfigFile:
         assert type(cfg.decoder.timing_sigma) is float and cfg.decoder.timing_sigma == 1.0
         assert type(cfg.strum_tolerance_sec) is float
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"seed": 1.5, "decoder": {"timesig_change_penalty": "a", "timing_sigma": "b"}},
+         {"decoder": {"timing_sigma": "b", "timesig_change_penalty": "a"}, "seed": 1.5}],
+        ids=["file_order_reversed", "file_order_as_fields"],
+    )
+    def test_first_fault_named_in_field_order(self, tmp_path, payload):
+        # RunConfig's field order picks the fault named, whatever the file's
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"^config field decoder\.timing_sigma "):
+            cli.load_run_config(str(config))
+
     def test_config_applies_and_flag_overrides(self, tmp_path, vocab_file, synth_dir):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"decoder": {"pattern_change_penalty": 0.0}}))
@@ -882,6 +899,27 @@ def write_wav(path, samples, sr=44100):
     wavfile.write(path, sr, data)
 
 
+# a valid 1 s, 8 kHz, 16-bit mono WAV: 44 bytes of header, then 16,000 of
+# plucks; its size fields are at bytes 4 (RIFF), 16 (fmt) and 40 (data)
+MUTATED_WAV_BASE = riff(
+    fmt_chunk(rate=8000),
+    chunk(b"data", (np.clip(pluck_train([0.1, 0.4, 0.7], sr=8000, tail=0.3).samples, -1, 1)
+                    * 32767).astype("<i2").tobytes()),
+)
+# (kind, byte offset, value): flips and inserts land in the header half the time
+wav_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.one_of(st.integers(0, 47), st.integers(0, 16_100)),
+              st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 16_100), st.none()),
+    st.tuples(st.just("size"), st.sampled_from([4, 16, 40]),
+              st.one_of(st.sampled_from([0, 1, 15, 16, 17, 18, 40, 15_999, 16_000, 16_001,
+                                         2**32 - 1]),
+                        st.integers(0, 2**32 - 1))),
+    st.tuples(st.just("insert"), st.one_of(st.integers(0, 47), st.integers(0, 16_100)),
+              st.binary(min_size=1, max_size=8)),
+)
+
+
 class TestOnsetsAndPipeline:
     def test_onsets_command(self, tmp_path):
         times = np.arange(6) * 0.5 + 0.25
@@ -951,6 +989,36 @@ class TestOnsetsAndPipeline:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert str(wav) in err
         assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutations=st.lists(wav_mutations, min_size=1, max_size=4))
+    @example(mutations=[("cut", 30, None)])
+    def test_mutated_wav_exits_0_or_1(self, tmp_path_factory, mutations):
+        # byte flips, cuts, size-field rewrites and inserts on a valid 1 s,
+        # 8 kHz, 16-bit file: onsets succeeds or ends with one error line
+        wav = bytearray(MUTATED_WAV_BASE)
+        for kind, at, value in mutations:
+            at %= len(wav) + 1
+            if kind == "flip" and at < len(wav):
+                wav[at] = value
+            elif kind == "cut":
+                del wav[at:]
+            elif kind == "size":
+                wav[at : at + 4] = struct.pack("<I", value)
+            elif kind == "insert":
+                wav[at:at] = value
+        folder = tmp_path_factory.mktemp("mutated")
+        path, out = folder / "a.wav", folder / "strums.json"
+        path.write_bytes(wav)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["onsets", "--audio", path, "--out", out])
+        assert code in (0, 1)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists()
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # the CLI must start and read a WAV file with numpy and the standard

@@ -197,6 +197,29 @@ class TestOracleEquivalence:
         result = decode(measures_from((), (), ()), vocab, DecoderConfig())
         assert result.pattern_ids() == ["EMPTY_4_4"] * 3
 
+    def test_rounding_tie_settled_by_partial_sums(self):
+        # both tilings total the same, but into P0 (a + 0.5) + 1.5 is one
+        # ulp below (a + 1.5) + 0.5: the forward pass keeps EMPTY_3_4, where
+        # the backward rule alone would take the lower-index EMPTY_4_4
+        vocab = make_vocab(("P0", "4/4", [0.0, 1 / 16, 3 / 16]), ("P1", "3/4", [0.75]))
+        measures = measures_from([0.7095379170839322], [], [1e-06])
+        cfg = DecoderConfig(0.1, 0.5, 1.0)
+        result = decode(measures, vocab, cfg)
+        expected_cost, expected_labels = enumerate_decode(measures, vocab, cfg)
+        assert result.pattern_ids() == ["P1", "EMPTY_3_4", "P0"]
+        assert result.total_cost.hex() == expected_cost.hex() == "0x1.0779f24522ea8p+2"
+        assert [pattern_id for pattern_id, _ in expected_labels] == ["P1", "EMPTY_4_4", "P0"]
+
+    def test_oracle_cost_squares_as_the_library_does(self):
+        # (1e-12 - 0.1875) ** 2 rounds one ulp away from the product numpy
+        # takes; the oracle squares by a product, so its cost is decode's
+        vocab = make_vocab(("P", "4/4", [0.1875]))
+        measures = measures_from([1e-12])
+        cfg = DecoderConfig(timing_sigma=0.03)
+        expected_cost, _ = enumerate_decode(measures, vocab, cfg)
+        assert decode(measures, vocab, cfg).total_cost.hex() == expected_cost.hex()
+        assert expected_cost.hex() == "0x1.387ffffff1af0p+5"
+
 
 SIGNATURES = ("4/4", "3/4", "6/8", "5/4")
 

@@ -1,4 +1,3 @@
-import io
 import os
 import struct
 import threading
@@ -675,22 +674,3 @@ class TestWavIO:
         finally:
             writer.join(timeout=10)
         assert audio.pcm.tobytes() == pcm.tobytes()
-
-    @given(st.binary(max_size=40),
-           st.lists(st.tuples(st.sampled_from(["read", "seek", "skip"]), st.integers(-60, 60)),
-                    max_size=12))
-    def test_stream_moves_as_bytesio(self, content, moves):
-        # the WAV parser's stream over the file's bytes, with io.BytesIO's
-        # reads past the end and seeks on either side of it
-        want, got = io.BytesIO(content), onsets_module._Stream(memoryview(content))
-        for move, n in moves:
-            if move == "read":
-                assert got.read(abs(n)) == want.read(abs(n))
-            elif move == "seek":
-                got.seek(abs(n))
-                want.seek(abs(n))
-            else:
-                got.seek(n, io.SEEK_CUR)
-                want.seek(n, io.SEEK_CUR)
-            assert got.tell() == want.tell()
-
