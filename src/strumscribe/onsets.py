@@ -15,6 +15,7 @@ import mmap
 import os
 import struct
 import sys
+import weakref
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
@@ -25,15 +26,17 @@ from .timeline import StrumSequence
 class AudioBuffer:
     """Audio whose signal is pcm / full_scale, channels averaged.
 
-    `pcm` holds the samples as stored: int16, int32 or float, one column
-    per channel when there is more than one. `load_wav` keeps a file's
-    samples this way, as a view into the file's bytes, and `samples`
-    builds the float64 mono signal in [-1, 1] on demand, so a loaded song
-    is held once, as its PCM. `AudioBuffer(samples, sample_rate)` takes
-    that mono signal itself, with full scale 1.0.
+    `pcm` holds the samples as stored, int16, int32 or float, one column
+    per channel when there is more than one: an array, or for a file that
+    `load_wav` read, the file's data chunk itself, whose slices are read
+    from the file when they are taken (see _StoredSamples). `samples`
+    builds the float64 mono signal in [-1, 1] on demand, and
+    `onset_strength` converts one span of samples at a time, so a loaded
+    song is never held in memory. `AudioBuffer(samples, sample_rate)`
+    takes that mono signal itself, with full scale 1.0.
     """
 
-    pcm: np.ndarray
+    pcm: np.ndarray | _StoredSamples
     full_scale: float
     sample_rate: int
 
@@ -44,17 +47,23 @@ class AudioBuffer:
         self._store(samples, 1.0, sample_rate)
 
     @classmethod
-    def _from_pcm(cls, pcm: np.ndarray, full_scale: float, sample_rate: int) -> AudioBuffer:
+    def _from_pcm(cls, pcm: np.ndarray | _StoredSamples, full_scale: float,
+                  sample_rate: int) -> AudioBuffer:
         audio = cls.__new__(cls)
         audio._store(pcm, full_scale, sample_rate)
         return audio
 
-    def _store(self, pcm: np.ndarray, full_scale: float, sample_rate: int) -> None:
+    def _store(self, pcm: np.ndarray | _StoredSamples, full_scale: float,
+               sample_rate: int) -> None:
         if sample_rate <= 0:
             raise ValueError("sample rate must be > 0")
-        # integer PCM is finite by construction
-        if pcm.dtype.kind == "f" and not np.all(np.isfinite(pcm)):
-            raise ValueError("samples must be finite")
+        # integer PCM is finite by construction; float PCM is scanned a
+        # block of rows at a time
+        if pcm.dtype.kind == "f":
+            step = max(1, _SCAN_SAMPLES // math.prod(pcm.shape[1:]))
+            for lo in range(0, len(pcm), step):
+                if not np.isfinite(pcm[lo : lo + step]).all():
+                    raise ValueError("samples must be finite")
         object.__setattr__(self, "pcm", pcm)
         object.__setattr__(self, "full_scale", full_scale)
         object.__setattr__(self, "sample_rate", sample_rate)
@@ -78,6 +87,10 @@ class AudioBuffer:
             scaled = np.divide(pcm, self.full_scale,
                                out=None if channels is None else channels[: hi - lo])
             np.mean(scaled, axis=1, out=out)
+
+
+# samples per block of the finite check of float PCM
+_SCAN_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,26 +141,95 @@ def _mapped(nbytes: int):
     """A zeroed buffer of `nbytes` in an anonymous memory map of its own,
     unmapped once nothing refers to it.
 
-    The song-sized buffers, the WAV file's bytes and the mel matrix, come
-    from here and not from malloc. glibc serves such a block by mmap too,
-    but freeing it raises malloc's mmap threshold to the block's size, so
-    later song-sized blocks come from the heap, whose free top is given
-    back only beyond twice that size: how much of the heap then stays
-    resident hangs on what else the process allocated, and in which order
-    (in a client that runs one song after another, even on when numpy was
-    imported).
+    The one song-sized buffer, the mel matrix, comes from here and not from
+    malloc. glibc serves such a block by mmap too, but freeing it raises
+    malloc's mmap threshold to the block's size, so later song-sized
+    blocks come from the heap, whose free top is given back only beyond
+    twice that size: how much of the heap then stays resident hangs on
+    what else the process allocated, and in which order (in a client that
+    runs one song after another, even on when numpy was imported).
     """
     return mmap.mmap(-1, nbytes)
 
 
-def _unpack(fmt: str, content: memoryview, offset: int) -> tuple:
-    """struct.unpack_from, raising ValueError when the file ends first."""
-    if offset + struct.calcsize(fmt) > len(content):
+class _OpenFile:
+    """The bytes of an open file, read by position.
+
+    `len` is the file's size when it was opened, and `content[a:b]` reads
+    the bytes a .. b - 1 (clipped to that size) with one pread, as the
+    bytes of a buffer in memory would be sliced, except that a file that
+    has since shrunk gives fewer. The file is closed when this view is
+    collected.
+    """
+
+    def __init__(self, fp, size: int) -> None:
+        self._fd = fp.fileno()
+        self._size = size
+        weakref.finalize(self, fp.close)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(self._size)
+        return os.pread(self._fd, max(stop - start, 0), start)
+
+
+class _ShortRead(ValueError):
+    """A WAV file turned out shorter than when it was loaded."""
+
+
+class _StoredSamples:
+    """A WAV data chunk's samples as stored, read as they are sliced.
+
+    `samples[lo:hi]` reads rows lo .. hi - 1 from `content` (an _OpenFile,
+    or the bytes of a file read whole) and returns them as an array, frames
+    x channels when there is more than one channel; samples of 3, 5, 6 or
+    7 bytes are left-justified into int32 or int64 as they are read. `len`,
+    `dtype`, `ndim` and `shape` are those of the whole chunk as an array.
+    Slices are contiguous: a step is ignored.
+    """
+
+    def __init__(self, path: str, content, start: int, frames: int, dtype: np.dtype,
+                 width: int, channels: int) -> None:
+        self._path, self._content, self._start = path, content, start
+        self._width, self._channels = width, channels
+        self.dtype = dtype
+        self.shape = (frames, channels) if channels > 1 else (frames,)
+        self.ndim = len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(len(self))
+        row = self._width * self._channels
+        at, size = self._start + lo * row, max(hi - lo, 0) * row
+        raw = self._content[at : at + size]
+        if len(raw) < size:
+            raise _ShortRead(f"cannot read WAV file {self._path!r}: it is shorter than when it "
+                             f"was loaded ({len(raw)} of {size} bytes at byte {at})")
+        itemsize = self.dtype.itemsize
+        if self._width == itemsize:
+            data = np.frombuffer(raw, self.dtype)
+        else:
+            wide = np.zeros((size // self._width, itemsize), np.uint8)
+            wide[:, itemsize - self._width :] = np.frombuffer(raw, np.uint8).reshape(-1, self._width)
+            data = wide.view(self.dtype).reshape(-1)
+        return data.reshape(-1, self._channels) if self._channels > 1 else data
+
+
+def _unpack(fmt: str, content, offset: int) -> tuple:
+    """struct.unpack of the bytes at `offset`, raising ValueError when the
+    file ends first."""
+    size = struct.calcsize(fmt)
+    field = content[offset : offset + size]
+    if len(field) < size:
         raise ValueError("unexpected end of file")
-    return struct.unpack_from(fmt, content, offset)
+    return struct.unpack(fmt, field)
 
 
-def _read_fmt_chunk(content: memoryview, offset: int) -> tuple[tuple, int]:
+def _read_fmt_chunk(content, offset: int) -> tuple[tuple, int]:
     """(format tag, channels, sample rate, block align, bits per sample) of
     the fmt chunk whose size field is at `offset`, and the offset after it.
 
@@ -178,17 +260,18 @@ def _read_fmt_chunk(content: memoryview, offset: int) -> tuple[tuple, int]:
     return (tag, channels, rate, block_align, bits), end
 
 
-def _read_data_chunk(content: memoryview, offset: int, fmt: tuple,
-                     rf64_size: int | None) -> tuple[np.ndarray, int]:
-    """The samples as stored of the data chunk whose size field is at
-    `offset`, frames x channels when multichannel, and the offset after it.
+def _read_data_chunk(content, offset: int, fmt: tuple,
+                     rf64_size: int | None) -> tuple[tuple, int]:
+    """The layout of the data chunk whose size field is at `offset`, and
+    the offset after it.
 
-    Samples of 1, 2, 4 or 8 bytes are a view into `content`; integer
-    samples of 3, 5, 6 or 7 bytes are left-justified into a new int32 or
-    int64 array. 8-bit and smaller PCM is unsigned. An RF64 file's size
-    comes from its ds64 chunk. The samples stop at the end of the file,
-    and the chunk resumes after the whole samples read and its pad byte,
-    not after its size."""
+    The layout is where the samples start, the frames they hold, their
+    dtype as read, their width in the file and the channel count. Samples
+    of 1, 2, 4 or 8 bytes are read as they are stored; integer samples of
+    3, 5, 6 or 7 bytes are read into int32 or int64. 8-bit and smaller PCM
+    is unsigned. An RF64 file's size comes from its ds64 chunk. The
+    samples stop at the end of the file, and the chunk resumes after the
+    whole samples read and its pad byte, not after its size."""
     tag, channels, _, block_align, bits = fmt
     if rf64_size is None:
         (size,) = _unpack("<I", content, offset)
@@ -203,11 +286,7 @@ def _read_data_chunk(content: memoryview, offset: int, fmt: tuple,
         length = min(size, len(content) - start)
         if length % width:
             raise ValueError(f"data chunk is not a whole number of {width}-byte samples")
-        itemsize = 4 if width == 3 else 8
-        wide = np.zeros((length // width, itemsize), np.uint8)
-        wide[:, itemsize - width :] = np.frombuffer(
-            content, np.uint8, count=length, offset=start).reshape(-1, width)
-        data = wide.view(f"<i{itemsize}").reshape(-1)
+        dtype = np.dtype(f"<i{4 if width == 3 else 8}")
     else:
         if tag == _PCM and 1 <= bits <= 8:
             name = "u1"
@@ -225,14 +304,18 @@ def _read_data_chunk(content: memoryview, offset: int, fmt: tuple,
         if length > sys.maxsize:
             raise ValueError(f"data chunk of {size} bytes is too long to read")
         length = min(length, len(content) - start)
-        data = np.frombuffer(content, dtype, count=length // dtype.itemsize, offset=start)
-    data = data.reshape(-1, channels) if channels > 1 else data
-    return data, start + length + size % 2
+        # the samples are read back to back, whatever the block align
+        width = dtype.itemsize
+    count = length // width
+    if count % channels:
+        # in the words of numpy's reshape, which gave this error before
+        raise ValueError(f"cannot reshape array of size {count} into shape ({channels})")
+    return (start, count // channels, dtype, width, channels), start + length + size % 2
 
 
-def _read_wav(content: memoryview) -> tuple[int, np.ndarray]:
-    """Sample rate and samples of a little-endian RIFF or RF64 WAV file's
-    bytes.
+def _read_wav(content) -> tuple[int, tuple]:
+    """Sample rate and data chunk layout (see _read_data_chunk) of a
+    little-endian RIFF or RF64 WAV file's bytes.
 
     Chunks are read in file order, each at the offset where the one
     before it resumes: the last fmt and data chunks win, and a file cut
@@ -259,11 +342,11 @@ def _read_wav(content: memoryview) -> tuple[int, np.ndarray]:
     form = bytes(content[8:12])
     if form != b"WAVE":
         raise ValueError(f"RIFF form type is {form!r}, not b'WAVE'")
-    fmt = data = None
+    fmt = layout = None
     while offset < riff_size + 8:
         chunk_id = content[offset : offset + 4]
         if len(chunk_id) < 4:
-            if data is None:
+            if layout is None:
                 raise ValueError("file ends before a data chunk")
             break
         if chunk_id == b"fmt ":
@@ -271,15 +354,15 @@ def _read_wav(content: memoryview) -> tuple[int, np.ndarray]:
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("data chunk before the fmt chunk")
-            data, offset = _read_data_chunk(content, offset + 4, fmt, rf64_size)
+            layout, offset = _read_data_chunk(content, offset + 4, fmt, rf64_size)
         elif offset + 4 < len(content):
             (size,) = _unpack("<I", content, offset + 4)
             offset += 8 + size + size % 2
         else:  # the file ends after the chunk id
             offset += 4
-    if data is None:
+    if layout is None:
         raise ValueError("no data chunk")
-    return fmt[2], data
+    return fmt[2], layout
 
 
 # the value that maps a stored sample dtype to [-1, 1]
@@ -289,36 +372,47 @@ _FULL_SCALE = {"<i2": 32768.0, "<i4": 2147483648.0, "<f4": 1.0, "<f8": 1.0}
 def load_wav(path: str) -> AudioBuffer:
     """Read a WAV file as audio whose `samples` are mono in [-1, 1].
 
-    The buffer holds the file's samples as stored, a view into the file's
-    bytes, so a loaded song costs about the file's size; the float64
-    signal is built only on request. Accepted: little-endian RIFF (or RF64)
-    WAV with a plain or WAVE_FORMAT_EXTENSIBLE header and any channel count
-    (mixed down by averaging), holding integer PCM in 2-, 3- or 4-byte
-    samples or IEEE float in 4- or 8-byte samples. WAV keeps samples
+    Only the chunk headers are read here: the buffer keeps the file open,
+    and its samples are read from the file as they are used, so a loaded
+    song costs no memory for its samples. The file is closed once the
+    buffer is collected, or at once when loading fails. A pipe, which
+    cannot be read by position, is read whole and its samples kept as
+    stored. Accepted: little-endian RIFF (or RF64) WAV with a plain or
+    WAVE_FORMAT_EXTENSIBLE header and any channel count (mixed down by
+    averaging), holding integer PCM in 2-, 3- or 4-byte samples or IEEE
+    float in 4- or 8-byte samples, all of them finite. WAV keeps samples
     left-justified in their container and 3-byte samples are widened to 32
-    bits at the left (into a new array), so a 12-bit or 20-bit file scales
+    bits at the left as they are read, so a 12-bit or 20-bit file scales
     to [-1, 1] too. Rejected: 8-bit and 64-bit PCM, compressed formats and
     big-endian RIFX. A file that cannot be opened raises OSError; any other
-    failure raises ValueError naming the file.
+    failure raises ValueError naming the file, and so does a read of the
+    samples that finds the file shorter than it was when loaded.
     """
-    # read from memory: a header can claim a chunk far longer than the file,
-    # and a read from memory returns what there is without allocating more
-    with open(path, "rb") as fp:
+    fp = open(path, "rb")
+    try:
+        # a header can claim a chunk far longer than the file; a read by
+        # position, like a read from memory, returns what there is
         size = os.fstat(fp.fileno()).st_size
         if size:
-            mapped = _mapped(size)
-            content = memoryview(mapped)[: fp.readinto(mapped)]
-        else:  # empty, or a pipe, which reports no size
-            content = memoryview(fp.read())
-    try:
-        sample_rate, data = _read_wav(content)
-        full_scale = _FULL_SCALE.get(data.dtype.str)
-        if full_scale is None:
-            raise ValueError(f"unsupported sample format {data.dtype}")
-        return AudioBuffer._from_pcm(data, full_scale, int(sample_rate))
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: an RF64 data size too large to be a read length
-        raise ValueError(f"cannot read WAV file {path!r}: {exc}") from None
+            content = _OpenFile(fp, size)
+        else:  # empty, or a pipe, which reports no size: read it whole
+            with fp:
+                content = memoryview(fp.read())
+        try:
+            sample_rate, layout = _read_wav(content)
+            pcm = _StoredSamples(path, content, *layout)
+            full_scale = _FULL_SCALE.get(pcm.dtype.str)
+            if full_scale is None:
+                raise ValueError(f"unsupported sample format {pcm.dtype}")
+            return AudioBuffer._from_pcm(pcm if size else pcm[:], full_scale, int(sample_rate))
+        except _ShortRead:
+            raise
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: an RF64 data size too large to be a read length
+            raise ValueError(f"cannot read WAV file {path!r}: {exc}") from None
+    except BaseException:
+        fp.close()
+        raise
 
 
 def _hz_to_mel(f):
@@ -392,24 +486,24 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays one
     product over all frames. A product's magnitudes are filled
     _STFT_BLOCK_FRAMES frames at a time, each batch into its own rows.
-    A batch's span of samples is converted from the stored PCM into one
-    float64 buffer made once per call (pcm / full_scale, then the mean over
-    channels: per sample the operations that build `audio.samples`) and
-    zero-filled past either end, and its frames are windowed into a second
-    such buffer; windowing, rfft along a row and abs act on one frame
+    A batch's span of samples is read from the stored PCM (from the file,
+    for a buffer that load_wav made), converted into one float64 buffer
+    made once per call (pcm / full_scale, then the mean over channels: per
+    sample the operations that build `audio.samples`) and zero-filled past
+    either end, and its frames are windowed into a second such buffer; windowing, rfft along a row and abs act on one frame
     alone, so any batching gives the same magnitudes. The log compression
     works in place on the mel matrix, and the flux of each block of frames
     is summed straight into the envelope, one row per frame as in a
     whole-song sum.
 
-    Live at once, besides the caller's PCM: the n_mels x frequency bins
-    filter bank, the n_frames x n_mels mel matrix, and either the
-    magnitudes of one product's rows together with one batch's float64
-    span of samples (with its frames x channels copy when there is more
-    than one channel), windowed frames and complex spectrum, or the
-    envelope and one block's flux. No float64 copy of the song is made,
-    and with a band count that is a multiple of _BLAS_TILE_COLUMNS no array
-    scales as frames x frequency bins.
+    Live at once, besides the caller's PCM when it is an array: the n_mels
+    x frequency bins filter bank, the n_frames x n_mels mel matrix, and
+    either the magnitudes of one product's rows together with one batch's
+    span of samples as stored and as float64 (with its frames x channels
+    copy when there is more than one channel), windowed frames and complex
+    spectrum, or the envelope and one block's flux. No float64 copy of the
+    song is made, and with a band count that is a multiple of
+    _BLAS_TILE_COLUMNS no array scales as frames x frequency bins.
     """
     cfg = cfg or OnsetConfig()
     frame, hop = cfg.frame_size, cfg.hop_size

@@ -235,6 +235,97 @@ class TestDecodeCommand:
         assert not out.exists()
 
 
+# a valid decode: two 4/4 measures of quarters, then the two measures of a
+# 3/4 pattern
+DECODE_BASE = {
+    "strums": json.dumps({"strums_sec": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.75, 5.5]}),
+    "barlines": json.dumps({"barlines_sec": [0.0, 2.0, 4.0, 5.5, 7.0]}),
+    "vocab": json.dumps({"patterns": [
+        {"id": "Q", "time_signature": "4/4", "measures": 1, "onsets": [[0.0, 0.25, 0.5, 0.75]]},
+        {"id": "W", "time_signature": "3/4", "measures": 2, "onsets": [[0.0, 0.5], [0.0]]},
+    ]}),
+}
+# values of every JSON type, and of the types a field expects but out of range
+SWAP_VALUES = [None, True, False, 0, -1, 2, 1.5, -0.25, 1e308, 10**400, float("nan"),
+               float("inf"), "", "x", "4/4", "0/4", [], [0.5], [[0.5]], {}, {"x": 1}]
+# (kind, position, value): flips, cuts and inserts on the file's bytes, or a
+# JSON value (the position-th in document order) swapped for another
+json_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 400), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 400), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 400), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("swap"), st.integers(0, 100), st.sampled_from(SWAP_VALUES)),
+)
+
+
+def json_values(node):
+    """Every value in a parsed JSON document, the root first, each as a
+    (container, key) pair that sets it; the root's container is None."""
+    found = [(None, None)]
+    stack = [node]
+    while stack:
+        container = stack.pop()
+        keys = container.keys() if isinstance(container, dict) else range(len(container))
+        for key in keys:
+            found.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+    return found
+
+
+def mutate_json(text, mutations):
+    data = bytearray(text.encode())
+    for kind, at, value in mutations:
+        if kind == "swap":
+            try:
+                document = json.loads(data)
+            except ValueError:
+                continue
+            values = json_values(document) if isinstance(document, (dict, list)) else [(None, None)]
+            container, key = values[at % len(values)]
+            if container is None:
+                document = value
+            else:
+                container[key] = value
+            data = bytearray(json.dumps(document).encode())
+            continue
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data[at] = value
+        elif kind == "cut":
+            del data[at:]
+        elif kind == "insert":
+            data[at:at] = value
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(sorted(DECODE_BASE)),
+       mutations=st.lists(json_mutations, min_size=1, max_size=3))
+# null for the 3/4 pattern's second measure of onsets; NaN for the first bar line
+@example(which="vocab", mutations=[("swap", 9, None)])
+@example(which="barlines", mutations=[("swap", 2, float("nan"))])
+def test_mutated_decode_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations):
+    # decode succeeds, or ends with one error line, no traceback and no output
+    folder = tmp_path_factory.mktemp("decode")
+    for name, text in DECODE_BASE.items():
+        payload = mutate_json(text, mutations) if name == which else text.encode()
+        (folder / f"{name}.json").write_bytes(payload)
+    out = folder / "out.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["decode", "--strums", folder / "strums.json",
+                    "--barlines", folder / "barlines.json", "--vocab", folder / "vocab.json",
+                    "--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        # a stage that succeeded before the failure may have printed a note
+        lines = err.getvalue().splitlines()
+        assert lines and [line for line in lines if line.startswith("error:")] == lines[-1:], lines
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+
 # malformed transcription payloads, as (edit, field named in the error); an
 # edit maps a valid transcription dict to a broken one
 BAD_TRANSCRIPTIONS = {
@@ -1019,6 +1110,26 @@ class TestOnsetsAndPipeline:
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert "Traceback" not in err.getvalue()
             assert not out.exists()
+
+    def test_file_cut_after_loading_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the samples are read from the file as the envelope reaches them,
+        # so a file cut to its header after loading fails then, as bad input
+        wav, out = tmp_path / "a.wav", tmp_path / "strums.json"
+        write_wav(wav, pluck_train([0.25, 0.75], seed=2).samples)
+        load_wav = cli.onsets_mod.load_wav
+
+        def load_then_cut(path):
+            audio = load_wav(path)
+            os.truncate(path, 44)
+            return audio
+
+        monkeypatch.setattr(cli.onsets_mod, "load_wav", load_then_cut)
+        assert run(["onsets", "--audio", wav, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read WAV file {str(wav)!r}: ")
+        assert not out.exists()
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # the CLI must start and read a WAV file with numpy and the standard

@@ -260,6 +260,43 @@ def relaxation_cases(draw):
     return measures_from(*(sorted(set(s)) for s in strums)), vocab, cfg
 
 
+eighth_half = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True).map(
+    lambda xs: tuple(sorted(x / 8 for x in xs))
+)
+
+
+@st.composite
+def eighth_grid_cases(draw):
+    """(measures, vocab, cfg) with every onset and strum on a 1/8 grid and
+    no jitter, so that exact ties are the usual case. Every distance is a
+    multiple of 1/8, and sigma and the change penalties are powers of two
+    or 0, so each cost is exact and costs that are equal as numbers are
+    equal as floats. The patterns are made of a few shared halves, most in
+    more than one signature: a measure that copies a half costs 0 for every
+    pattern in every signature that plays it there, silent measures tie
+    among the empty patterns, a 2-measure pattern ties the pair of
+    1-measure patterns made of its halves, and change penalties of 0 tie
+    the change counts too."""
+    n_sigs = draw(st.integers(2, 3))
+    pool = st.sampled_from(draw(st.lists(eighth_half, min_size=1, max_size=3, unique=True)))
+    shapes = draw(st.lists(st.lists(pool, min_size=1, max_size=2).map(tuple),
+                           min_size=1, max_size=4, unique=True))
+    # each shape in every signature, or in some
+    sigs = st.just(set(range(n_sigs))) | st.sets(st.integers(0, n_sigs - 1), min_size=1)
+    patterns = []
+    for halves in shapes:
+        for sig in sorted(draw(sigs)):
+            patterns.append(make_pattern(f"P{len(patterns)}", SIGNATURES[sig], *halves))
+    vocab = Vocabulary.build(patterns)
+    strums = draw(st.lists(st.one_of(st.just(()), pool, eighth_half), min_size=1, max_size=8))
+    cfg = DecoderConfig(
+        timing_sigma=draw(st.sampled_from([0.125, 0.25, 0.5])),
+        pattern_change_penalty=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        timesig_change_penalty=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return measures_from(*strums), vocab, cfg
+
+
 def assert_same_as_lexsort(measures, vocab, cfg):
     try:
         want = lexsort_decode(measures, vocab, cfg)
@@ -345,6 +382,13 @@ class TestRelaxation:
     @settings(deadline=None, max_examples=300)
     @given(relaxation_cases())
     def test_bit_exact_against_lexsort_reference(self, case):
+        assert_same_as_lexsort(*case)
+
+    @settings(deadline=None, max_examples=300)
+    @given(eighth_grid_cases())
+    def test_bit_exact_against_lexsort_reference_on_ties(self, case):
+        # lexsort_decode compares partial sums as decode does, so it must
+        # settle every exact tie the same way
         assert_same_as_lexsort(*case)
 
     @pytest.mark.parametrize(

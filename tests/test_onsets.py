@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -23,6 +24,7 @@ from strumscribe import (
 from strumscribe.onsets import (
     _BLAS_TILE_COLUMNS,
     _MAGNITUDE_BLOCK_FRAMES,
+    _SCAN_SAMPLES,
     _mel_filterbank,
     _window_max,
 )
@@ -135,9 +137,8 @@ def make_signal(n_samples, kind, seed):
 
 def traced_peak(fn, *args):
     """Peak traced allocation of fn(*args), in bytes, plus the size of every
-    buffer that `onsets._mapped` made meanwhile. Those are the song-sized
-    ones (the WAV file's bytes, the mel matrix), and tracemalloc does not
-    see memory maps."""
+    buffer that `onsets._mapped` made meanwhile. That is the song-sized one,
+    the mel matrix, and tracemalloc does not see memory maps."""
     with mock.patch.object(onsets_module, "_mapped", wraps=onsets_module._mapped) as mapped:
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -244,13 +245,13 @@ class TestBlockedMagnitudes:
 
 
 class TestPcmMemory:
-    """load_wav keeps the file's PCM, and the envelope converts it one block
-    at a time: a float64 copy of a 16-bit song alone is 4x the file."""
+    """load_wav leaves the samples in the file, and the envelope reads and
+    converts them one span at a time: a float64 copy of a 16-bit song alone
+    is 4x the file."""
 
     def test_detect_onsets_peak_on_a_long_mono_song(self, tmp_path):
-        # 140 s of 22.05 kHz 16-bit mono, a long benchmark song: the file's
-        # bytes, the mel matrix (about the file's size again) and one
-        # block's buffers
+        # 140 s of 22.05 kHz 16-bit mono, a long benchmark song: the mel
+        # matrix (about the file's size) and one block's buffers
         pcm = (np.random.default_rng(140).uniform(-0.5, 0.5, 140 * 22050) * 32767).astype("<i2")
         path = tmp_path / "mono.wav"
         path.write_bytes(riff(fmt_chunk(rate=22050), chunk(b"data", pcm.tobytes())))
@@ -259,14 +260,24 @@ class TestPcmMemory:
         assert peak < 4.5 * path.stat().st_size
 
     def test_detect_onsets_peak_with_short_stft_batches(self, tmp_path):
-        # the same song: besides the file's bytes and the mel matrix, one
-        # product's magnitudes and one short batch of STFT buffers
+        # the same song: besides the mel matrix, one product's magnitudes
+        # and one short batch of STFT buffers
         pcm = (np.random.default_rng(140).uniform(-0.5, 0.5, 140 * 22050) * 32767).astype("<i2")
         path = tmp_path / "mono.wav"
         path.write_bytes(riff(fmt_chunk(rate=22050), chunk(b"data", pcm.tobytes())))
         del pcm
         peak = traced_peak(lambda: detect_onsets(load_wav(str(path))))
         assert peak < 3.2 * path.stat().st_size
+
+    def test_detect_onsets_peak_holds_no_copy_of_the_file(self, tmp_path):
+        # the same song: the mel matrix, one product's magnitudes and the
+        # filter bank, with none of the file's samples held whole
+        pcm = (np.random.default_rng(140).uniform(-0.5, 0.5, 140 * 22050) * 32767).astype("<i2")
+        path = tmp_path / "mono.wav"
+        path.write_bytes(riff(fmt_chunk(rate=22050), chunk(b"data", pcm.tobytes())))
+        del pcm
+        peak = traced_peak(lambda: detect_onsets(load_wav(str(path))))
+        assert peak < 2.0 * path.stat().st_size
 
     def test_load_wav_peak_on_a_stereo_song(self, tmp_path):
         pcm = (np.random.default_rng(60).uniform(-0.5, 0.5, (60 * SR, 2)) * 32767).astype("<i2")
@@ -275,9 +286,17 @@ class TestPcmMemory:
         del pcm
         assert traced_peak(load_wav, str(path)) < 1.5 * path.stat().st_size
 
+    def test_load_wav_reads_no_samples(self, tmp_path):
+        # the same 10.1 MiB file: load_wav reads its chunk headers alone
+        pcm = (np.random.default_rng(60).uniform(-0.5, 0.5, (60 * SR, 2)) * 32767).astype("<i2")
+        path = tmp_path / "stereo.wav"
+        path.write_bytes(riff(fmt_chunk(channels=2), chunk(b"data", pcm.tobytes())))
+        del pcm
+        assert traced_peak(load_wav, str(path)) < 256 * 1024
+
     def test_load_wav_peak_on_a_24bit_stereo_song(self, tmp_path):
-        # 3-byte samples are widened straight from the file's bytes into
-        # int32: the file plus 4/3 of it, with no second copy of the chunk
+        # 3-byte samples are widened into int32 as each span is read, so
+        # no copy of the chunk is made at load
         pcm = np.random.default_rng(24).integers(0, 256, 60 * SR * 2 * 3, dtype=np.uint8)
         path = tmp_path / "stereo24.wav"
         path.write_bytes(riff(fmt_chunk(channels=2, width=3), chunk(b"data", pcm.tobytes())))
@@ -285,7 +304,8 @@ class TestPcmMemory:
         assert traced_peak(load_wav, str(path)) < 2.5 * path.stat().st_size
 
     def test_song_sized_buffers_are_memory_maps(self, tmp_path):
-        # the file's bytes and the mel matrix stay out of malloc's heap
+        # the mel matrix stays out of malloc's heap; the file's bytes are
+        # read a span at a time and never held whole
         pcm = (np.random.default_rng(10).uniform(-0.5, 0.5, 10 * SR) * 32767).astype("<i2")
         path = tmp_path / "mono.wav"
         path.write_bytes(riff(fmt_chunk(), chunk(b"data", pcm.tobytes())))
@@ -293,7 +313,86 @@ class TestPcmMemory:
             detect_onsets(load_wav(str(path)))
         n_frames = 1 + len(pcm) // HOP
         assert [call.args[0] for call in mapped.call_args_list] == [
-            path.stat().st_size, n_frames * OnsetConfig().n_mels * 8]
+            n_frames * OnsetConfig().n_mels * 8]
+
+
+def open_descriptors():
+    """The number of file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+needs_descriptor_list = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/fd") or os.path.isdir("/dev/fd")),
+    reason="needs /proc/self/fd or /dev/fd")
+
+
+class TestSamplesReadFromTheFile:
+    """load_wav keeps the file open and reads the samples as they are used;
+    the file is closed with the buffer, or at once when loading fails."""
+
+    @pytest.fixture
+    def song(self, tmp_path):
+        pcm = (np.random.default_rng(2).uniform(-0.5, 0.5, SR) * 32767).astype("<i2")
+        path = tmp_path / "song.wav"
+        path.write_bytes(riff(fmt_chunk(), chunk(b"data", pcm.tobytes())))
+        return path
+
+    def test_file_cut_after_loading_names_the_file(self, song):
+        audio = load_wav(str(song))
+        os.truncate(song, 44)
+        with pytest.raises(ValueError, match=f"^cannot read WAV file {re.escape(repr(str(song)))}: "):
+            onset_strength(audio)
+
+    def test_file_cut_while_loading_named_once(self, tmp_path, monkeypatch):
+        # the file is cut right after load_wav takes its size, so the finite
+        # check of its float samples is the read that comes up short
+        path = tmp_path / "float.wav"
+        path.write_bytes(riff(fmt_chunk(3, width=4), chunk(b"data", bytes(4 * 4096))))
+        fstat = os.fstat
+
+        def fstat_then_cut(fd):
+            result = fstat(fd)
+            os.truncate(path, 144)
+            return result
+
+        monkeypatch.setattr(os, "fstat", fstat_then_cut)
+        with pytest.raises(ValueError, match="shorter than when it was loaded") as failure:
+            load_wav(str(path))
+        assert str(failure.value).count("cannot read WAV file") == 1
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("at", [0, _SCAN_SAMPLES - 1, _SCAN_SAMPLES, 3 * _SCAN_SAMPLES - 1])
+    def test_non_finite_sample_in_any_block_rejected(self, tmp_path, channels, at):
+        # float samples are checked a block at a time when the file loads
+        pcm = np.zeros(3 * _SCAN_SAMPLES, "<f4")
+        pcm[at] = np.inf
+        path = tmp_path / "float.wav"
+        path.write_bytes(riff(fmt_chunk(3, channels=channels, width=4),
+                              chunk(b"data", pcm.tobytes())))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            load_wav(str(path))
+
+    @needs_descriptor_list
+    def test_loads_leave_no_descriptor_open(self, song):
+        before = open_descriptors()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(100):
+                detect_onsets(load_wav(str(song)))
+        assert open_descriptors() == before
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @needs_descriptor_list
+    def test_failed_load_leaves_no_descriptor_open(self, tmp_path):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(fmt_chunk(channels=0), chunk(b"data", bytes(64))))
+        before = open_descriptors()
+        with pytest.raises(ValueError, match="block align") as failure:
+            load_wav(str(path))
+        # the traceback still refers to the loader's frame, and so to its
+        # view of the file, which must not be what keeps the file open
+        assert failure.traceback
+        assert open_descriptors() == before
 
 
 class TestPickPeaks:
