@@ -39,6 +39,19 @@ This is exact, not an approximation: the key order is total, so the
 minimum does not depend on the order in which candidates are compared, and
 each candidate's cost is the same floating-point expression (`cost + c1`,
 `cost + (c1 + c2)`) as in a full pairwise relaxation.
+
+No table the size of the song is held. The emission tables are made a
+block of about _BLOCK_CELLS (measures x patterns) cells at a time, in one
+memory map that every block reuses, and the pass reads each row once; a
+2-measure instance ending at a block's first measure takes its first
+half's emission from the row carried over from the block before. For the
+backtrack the pass keeps one bit per (measure, pattern), set where the
+instance of that pattern entered at that measure switched, and each
+signature group's switch source per measure. An instance that starts at
+measure 0 has no predecessor; one that starts later follows its group's
+source when its bit is set, and an instance of its own pattern when not.
+That is the predecessor the pass chose, by construction: a state switches
+exactly when its predecessor is not itself.
 """
 
 from __future__ import annotations
@@ -47,10 +60,13 @@ import json
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from ._lazy import numpy as np
+from ._lazy import _mapped, numpy as np
 from .likelihood import DecoderConfig, contribution_tables
 from .timeline import BarlineTrack, MeasureStrums, StrumSequence
 from .vocabulary import TimeSignature, Vocabulary
+
+# (measures x patterns) cells of the emission tables made at a time
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -210,7 +226,8 @@ def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
     """Best way to enter a new pattern instance, given the costs of ending
     the previous instance at the preceding measure and each signature
     group's `_champion` of them. Returns per-state (cost, switches,
-    predecessor).
+    predecessor) and each group's switch source: a state's predecessor is
+    its group's source if it switches, and itself if it repeats.
 
     Repeating the pattern costs nothing and wins ties; a switch costs c1
     within the group and c1+c2 across groups. A state's best switch within
@@ -229,12 +246,14 @@ def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
             o = champions[order[1] if g == order[0] else order[0]]
             key = min(key, (prev_cost[o] + (c1 + c2), prev_sw[o] + 1, o))
         switch.append(key)
-    cc, cs, cp = (np.array(col)[sig_codes] for col in zip(*switch))
+    cc, cs, sources = (np.array(col) for col in zip(*switch))
+    cc, cs, cp = cc[sig_codes], cs[sig_codes], sources[sig_codes]
     take = (cc < prev_cost) | ((cc == prev_cost) & (cs < prev_sw))
     return (
         np.where(take, cc, prev_cost),
         np.where(take, cs, prev_sw),
         np.where(take, cp, pattern_index),
+        sources,
     )
 
 
@@ -256,41 +275,52 @@ def decode(
 
     n = len(patterns)
     pattern_index = np.arange(n, dtype=np.int64)
-    spans = np.array([p.measures for p in patterns], dtype=np.int64)
+    spans = [p.measures for p in patterns]
+    multi = np.flatnonzero(np.array(spans) == 2)
     sig_ids: dict[TimeSignature, int] = {}
     sig_codes = np.array(
         [sig_ids.setdefault(p.time_signature, len(sig_ids)) for p in patterns],
         dtype=np.int64,
     )
     members = [np.flatnonzero(sig_codes == g) for g in range(len(sig_ids))]
-    is_one = spans == 1
-    first, second = contribution_tables(measures, vocab, cfg)
     c1 = cfg.pattern_change_penalty
     c2 = cfg.timesig_change_penalty
 
     # end_cost/end_sw: best tiling of measures[0..m] whose last instance is
     # pattern p ending exactly at measure m, one row rolled forward per
-    # measure; end_prev[m, p] keeps every row's backpointer for the backtrack
-    end_prev = np.full((n_measures, n), -1, dtype=np.int32)
+    # measure. A 2-measure instance ending at m was entered at m - 1: on the
+    # 2-measure columns, enter_cost/enter_sw hold that entry and
+    # first_before its first half's emission. switched[m] packs, 8 states a
+    # byte, which states switched on entering at m, and sources[m] holds
+    # each signature group's switch source there.
+    switched = np.zeros((n_measures, (n + 7) // 8), dtype=np.uint8)
+    sources = np.zeros((n_measures, len(members)), dtype=np.int64)
     live = []  # does any feasible tiling of measures[0..m] end at m?
-    for m in range(n_measures):
-        if m == 0:
-            s_cost = np.zeros(n)
-            s_sw = np.zeros(n, dtype=np.int64)
-            s_prev = np.full(n, -1, dtype=np.int64)
-            two_cost, p_sw, p_prev = np.inf, 0, -1
-        else:
-            s_cost, s_sw, s_prev = _enter(
-                end_cost, end_sw, champions, sig_codes, pattern_index, c1, c2
-            )
-            p_cost, p_sw, p_prev = start_before
-            two_cost = (p_cost + first[m - 1]) + second[m]
-        end_cost = np.where(is_one, s_cost + first[m], two_cost)
-        end_sw = np.where(is_one, s_sw, p_sw)
-        end_prev[m] = np.where(is_one, s_prev, p_prev)
-        start_before = (s_cost, s_sw, s_prev)
-        champions = [_champion(end_cost, end_sw, g) for g in members]
-        live.append(min(end_cost[b] for b in champions) < np.inf)
+    per_block = max(1, min(n_measures, _BLOCK_CELLS // n))
+    block = np.ndarray((per_block, n), buffer=_mapped(8 * per_block * n))
+    for block_start in range(0, n_measures, per_block):
+        chunk = measures[block_start : block_start + per_block]
+        first, second = contribution_tables(chunk, vocab, cfg, block[: len(chunk)])
+        for row in range(len(first)):
+            m = block_start + row
+            if m == 0:
+                s_cost = np.zeros(n)
+                s_sw = np.zeros(n, dtype=np.int64)
+                two_cost, two_sw = np.inf, 0
+            else:
+                s_cost, s_sw, s_prev, sources[m] = _enter(
+                    end_cost, end_sw, champions, sig_codes, pattern_index, c1, c2
+                )
+                switched[m] = np.packbits(s_prev != pattern_index)
+                two_cost = (enter_cost + first_before) + second[row]
+                two_sw = enter_sw
+            enter_cost, enter_sw, first_before = s_cost[multi], s_sw[multi], first[row, multi]
+            end_cost = s_cost + first[row]
+            end_cost[multi] = two_cost
+            end_sw = s_sw
+            end_sw[multi] = two_sw
+            champions = [_champion(end_cost, end_sw, g) for g in members]
+            live.append(min(end_cost[b] for b in champions) < np.inf)
 
     if not live[-1]:
         # measure m is covered by an instance ending at m or, as phase 0, at m+1
@@ -302,15 +332,15 @@ def decode(
     entries: list[TranscriptionEntry | None] = [None] * n_measures
     m, p = n_measures - 1, best
     while m >= 0:
-        span = int(spans[p])
-        start = m - span + 1
+        start = m - spans[p] + 1
         pat = patterns[p]
-        for phase in range(span):
+        for phase in range(spans[p]):
             entries[start + phase] = TranscriptionEntry(
                 start + phase, pat.id, phase, pat.time_signature
             )
-        p_prev = int(end_prev[m, p])
-        m, p = start - 1, p_prev
+        if start > 0 and switched[start, p >> 3] & (0x80 >> (p & 7)):
+            p = int(sources[start, sig_codes[p]])
+        m = start - 1
     return Transcription(tuple(entries), total_cost)  # type: ignore[arg-type]
 
 

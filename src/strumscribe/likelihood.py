@@ -99,19 +99,72 @@ def _lane_sums(column, lanes: range, end: int) -> np.ndarray:
     return total
 
 
+def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
+    """The per-vocabulary set-up of a table whose columns are patterns with
+    the given onset lists for this half: (width, silent, rows, alphabet,
+    slots, below, above). `silent` lists the columns whose half has no
+    onsets and `rows` those whose half has some; the rest are the lookups
+    of `contribution_tables` over the `rows` columns, None when there are
+    none."""
+    silent = np.flatnonzero([h == () for h in halves])
+    rows = np.flatnonzero([bool(h) for h in halves])
+    if rows.size == 0:
+        return len(halves), silent, rows, None, None, None, None
+    lengths = np.array([len(halves[i]) for i in rows])
+    onsets = np.concatenate([halves[i] for i in rows])
+    alphabet = np.unique(onsets)
+    slot = np.searchsorted(alphabet, onsets)
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    rank = np.arange(len(onsets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # slot index of each onset in the alphabet, (rank x pattern); padding
+    # points one past it, at the 0 appended to the per-member distances
+    slots = np.full((lengths.max(), len(rows)), len(alphabet))
+    slots[rank, owner] = slot
+    member = np.zeros((len(alphabet) + 2, len(rows)), dtype=bool)
+    member[[0, -1]] = True
+    member[slot + 1, owner] = True
+    extended = np.concatenate(([-np.inf], alphabet, [np.inf]))
+    # the nearest member at or below, and at or above, each position
+    position = np.arange(len(extended))[:, None]
+    below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=0)]
+    reversed_above = np.where(member, position, len(extended) - 1)[::-1]
+    above = extended[np.minimum.accumulate(reversed_above, axis=0)[::-1]]
+    return len(halves), silent, rows, alphabet, slots, below, above
+
+
+def _setup(vocab: Vocabulary) -> tuple[tuple, tuple]:
+    """The two tables' set-up, built on a vocabulary's first use and kept on
+    it: none of it depends on the measures or the config."""
+    setup = vocab._compiled.get(__name__)
+    if setup is None:
+        patterns = vocab.patterns
+        setup = vocab._compiled[__name__] = (
+            _half_setup([p.onsets[0] for p in patterns]),
+            _half_setup([p.onsets[1] for p in patterns if p.measures == 2]),
+        )
+    return setup
+
+
 def contribution_tables(
     measures: Sequence[MeasureStrums],
     vocab: Vocabulary,
     cfg: DecoderConfig,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-measure emission contributions for all patterns.
 
-    Returns (first, second), each of shape (n_measures, n_patterns). first[m, p]
-    is the cost contribution of pattern p's first measure matched against
-    measure m; second[m, p] is the contribution of its second measure (only
-    meaningful for 2-measure patterns). Impossible pairings are np.inf, which
-    the decoder treats as pruned; this is the only place an impossible
-    emission is marked.
+    Returns (first, second). first has shape (n_measures, n_patterns), and
+    first[m, p] is the cost contribution of pattern p's first measure
+    matched against measure m. second has one column per 2-measure pattern,
+    in vocabulary order, shape (n_measures, n_two_measure_patterns), and
+    holds the contribution of that pattern's second measure. Impossible
+    pairings are np.inf, which the decoder treats as pruned; this is the
+    only place an impossible emission is marked. first is written into
+    `out` when it is given, an array of first's shape and dtype.
+
+    A cell depends on its own measure alone, so a song's tables may be
+    filled a block of measures at a time, as `decode` does, with the same
+    bits as in one call.
 
     Each half works over its onset alphabet U, the sorted distinct onsets of
     the patterns that play in that half. Per pattern it tabulates, over U
@@ -123,6 +176,7 @@ def contribution_tables(
     exactly, and a minimum does not depend on evaluation order. The onset
     side takes each alphabet member's distance to its nearest strum and
     gathers its square into the pattern's onset slots, padding with 0.
+    These lookups are built once per vocabulary and kept on it.
 
     Played measures are grouped by strum count S and each group is taken in
     slabs of about _SLAB_ELEMENTS (measures x patterns) cells. A cell's two
@@ -134,40 +188,19 @@ def contribution_tables(
     the division by 2 sigma^2. So the tables match that evaluation
     (tests/oracles.py) bit for bit.
     """
-    patterns = vocab.patterns
-    n_measures, n_patterns = len(measures), len(patterns)
+    n_measures = len(measures)
     denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
     counts = np.array([len(m.positions) for m in measures])
     silent = np.flatnonzero(counts == 0)
 
-    tables = (np.full((n_measures, n_patterns), np.inf), np.full((n_measures, n_patterns), np.inf))
-    for half, table in enumerate(tables):
-        halves = [p.onsets[half] if half < p.measures else None for p in patterns]
-        table[np.ix_(silent, [i for i, h in enumerate(halves) if h == ()])] = 0.0
-        rows = np.flatnonzero([bool(h) for h in halves])
+    setup = _setup(vocab)
+    first = np.empty((n_measures, setup[0][0])) if out is None else out
+    first.fill(np.inf)
+    tables = (first, np.full((n_measures, setup[1][0]), np.inf))
+    for table, (_, silent_columns, rows, alphabet, slots, below, above) in zip(tables, setup):
+        table[np.ix_(silent, silent_columns)] = 0.0
         if rows.size == 0:
             continue
-
-        lengths = np.array([len(halves[i]) for i in rows])
-        onsets = np.concatenate([halves[i] for i in rows])
-        alphabet = np.unique(onsets)
-        slot = np.searchsorted(alphabet, onsets)
-        owner = np.repeat(np.arange(len(rows)), lengths)
-        rank = np.arange(len(onsets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        # slot index of each onset in the alphabet, (rank x pattern); padding
-        # points one past it, at the 0 appended to the per-member distances
-        slots = np.full((lengths.max(), len(rows)), len(alphabet))
-        slots[rank, owner] = slot
-        member = np.zeros((len(alphabet) + 2, len(rows)), dtype=bool)
-        member[[0, -1]] = True
-        member[slot + 1, owner] = True
-        extended = np.concatenate(([-np.inf], alphabet, [np.inf]))
-        # the nearest member at or below, and at or above, each position
-        position = np.arange(len(extended))[:, None]
-        below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=0)]
-        reversed_above = np.where(member, position, len(extended) - 1)[::-1]
-        above = extended[np.minimum.accumulate(reversed_above, axis=0)[::-1]]
-
         per_slab = max(1, _SLAB_ELEMENTS // len(rows))
         for count in np.unique(counts[counts > 0]):
             group = np.flatnonzero(counts == count)

@@ -418,7 +418,11 @@ def lexsort_decode(
     )
     is_one = spans == 1
     is_two = spans == 2
-    first, second = contribution_tables(measures, vocab, cfg)
+    first, narrow = contribution_tables(measures, vocab, cfg)
+    # the library's second table holds the 2-measure patterns' columns
+    # only; widened back, every other column is np.inf
+    second = np.full(first.shape, np.inf)
+    second[:, is_two] = narrow
     c1 = cfg.pattern_change_penalty
     c2 = cfg.timesig_change_penalty
 
@@ -489,10 +493,22 @@ def brute_max_matching(reference, estimate, tolerance):
 
 def brute_barline_cost(times, cfg, free_band=0.05):
     """Minimum cleanup cost by enumerating every keep-subset and factor
-    assignment, scoring the resulting measure-length sequence directly."""
+    assignment, scoring the resulting measure-length sequence directly.
+
+    A path is abandoned once its partial cost, summed in the complete
+    cost's order with the counts so far, reaches the best complete cost:
+    every term is >= 0, and float addition and multiplication by a
+    nonnegative penalty are monotone, so no completion of that path costs
+    less, and the minimum is the same float as with no path abandoned."""
     times = list(times)
     n = len(times)
     best = [float("inf")]
+
+    def path_cost(lengths, deleted, inserted):
+        cost = cfg.deletion_penalty * deleted + cfg.insertion_penalty * inserted
+        for prev, cur in zip(lengths, lengths[1:]):
+            cost += cfg.tempo_change_penalty * max(0.0, abs(cur - prev) / prev - free_band)
+        return cost
 
     def span_cost(j, i, k):
         a, b = times[j], times[i]
@@ -504,10 +520,10 @@ def brute_barline_cost(times, cfg, free_band=0.05):
         return deleted, [(b - a) / k] * k
 
     def recurse(j, lengths, deleted, inserted):
+        cost = path_cost(lengths, deleted, inserted)
+        if cost >= best[0]:
+            return
         if j == n - 1:
-            cost = cfg.deletion_penalty * deleted + cfg.insertion_penalty * inserted
-            for prev, cur in zip(lengths, lengths[1:]):
-                cost += cfg.tempo_change_penalty * max(0.0, abs(cur - prev) / prev - free_band)
             best[0] = min(best[0], cost)
             return
         for i in range(j + 1, min(j + cfg.lookahead, n - 1) + 1):

@@ -326,6 +326,70 @@ def test_mutated_decode_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations)
         assert not out.exists()
 
 
+# DECODE_BASE's vocabulary and bar lines, its song's transcription, the
+# strums it was decoded from as ground truth, and a manifest record naming
+# those files
+EVAL_BASE = {
+    "vocab": DECODE_BASE["vocab"],
+    "barlines": DECODE_BASE["barlines"],
+    "ground_truth": DECODE_BASE["strums"],
+    "transcription": json.dumps({"total_cost": 0.5, "measures": [
+        {"index": 0, "pattern_id": "Q", "phase": 0, "time_signature": "4/4"},
+        {"index": 1, "pattern_id": "Q", "phase": 0, "time_signature": "4/4"},
+        {"index": 2, "pattern_id": "W", "phase": 0, "time_signature": "3/4"},
+        {"index": 3, "pattern_id": "W", "phase": 1, "time_signature": "3/4"},
+    ]}),
+    "manifest": json.dumps({"song_id": "s", "transcription": "transcription.json",
+                            "barlines": "barlines.json", "ground_truth": "ground_truth.json",
+                            "vocab": "vocab.json"}),
+}
+
+
+def run_mutated(command, which, mutations, tmp_path_factory):
+    """Write EVAL_BASE with file `which` mutated, run the command line that
+    `command` builds from the folder, and check that it succeeds or ends
+    with one error line, no traceback and no output file."""
+    folder = tmp_path_factory.mktemp(which)
+    for name, text in EVAL_BASE.items():
+        payload = mutate_json(text, mutations) if name == which else text.encode()
+        (folder / f"{name}.json").write_bytes(payload)
+    out = folder / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(command(folder, out))
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.sampled_from(["transcription", "vocab"]),
+       mutations=st.lists(json_mutations, min_size=1, max_size=3))
+def test_mutated_render_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations):
+    run_mutated(
+        lambda folder, out: ["render", "--transcription", folder / "transcription.json",
+                             "--vocab", folder / "vocab.json", "--out", out],
+        which, mutations, tmp_path_factory)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["transcription", "barlines", "ground_truth", "vocab", "manifest"]),
+       mutations=st.lists(json_mutations, min_size=1, max_size=3),
+       via_manifest=st.booleans())
+def test_mutated_eval_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations, via_manifest):
+    def command(folder, out):
+        if via_manifest or which == "manifest":
+            return ["eval", "--manifest", folder / "manifest.json", "--out", out]
+        return ["eval", "--transcription", folder / "transcription.json",
+                "--barlines", folder / "barlines.json", "--vocab", folder / "vocab.json",
+                "--ground-truth", folder / "ground_truth.json", "--out", out]
+
+    run_mutated(command, which, mutations, tmp_path_factory)
+
+
 # malformed transcription payloads, as (edit, field named in the error); an
 # edit maps a valid transcription dict to a broken one
 BAD_TRANSCRIPTIONS = {

@@ -1,9 +1,13 @@
+import hashlib
 import io
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from strumscribe import (
@@ -18,6 +22,7 @@ from strumscribe import (
     decode,
     reconstruct_strums,
 )
+from strumscribe import decoder as decoder_module
 from strumscribe.decoder import _champion, _enter, load_transcription, save_transcription
 
 from conftest import make_pattern, make_vocab
@@ -399,6 +404,49 @@ class TestRelaxation:
     def test_bit_exact_at_c10_size(self, cfg):
         measures, vocab = c10_instance()
         assert_same_as_lexsort(measures, vocab, cfg)
+
+
+class TestBlocks:
+    """decode makes the emission tables a block of measures at a time and
+    keeps one bit per backpointer; neither may change a bit."""
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=relaxation_cases() | eighth_grid_cases(), per_block=st.integers(1, 3))
+    # TWO's instances at measures 1-2 and 3-4 cross the edges of 2-measure
+    # blocks, and the switches into and out of them are read back from bits
+    @example(
+        case=(
+            measures_from([0.0], [0.0, 0.5], [0.25], [0.0, 0.5], [0.25], [0.5]),
+            make_vocab(("A", "4/4", [0.0]), ("B", "4/4", [0.5]),
+                       ("TWO", "4/4", [0.0, 0.5], [0.25])),
+            DecoderConfig(),
+        ),
+        per_block=2,
+    )
+    def test_small_blocks_match_lexsort(self, monkeypatch, case, per_block):
+        measures, vocab, cfg = case
+        monkeypatch.setattr(decoder_module, "_BLOCK_CELLS", per_block * len(vocab))
+        assert_same_as_lexsort(measures, vocab, cfg)
+
+    def test_ten_thousand_measures_in_bounded_memory(self):
+        # the c10 song tiled to 10^4 measures against its 1002 patterns:
+        # whole-song tables and int32 backpointers took 192.7 MiB here
+        measures, vocab = c10_instance()
+        song = [MeasureStrums(m, measures[m % len(measures)].positions) for m in range(10_000)]
+        with mock.patch.object(decoder_module, "_mapped", wraps=decoder_module._mapped) as mapped:
+            tracemalloc.start()
+            try:
+                result = decode(song, vocab, DecoderConfig())
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # tracemalloc does not see memory maps
+        assert traced + sum(call.args[0] for call in mapped.call_args_list) < 16 * 2**20
+        payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+        # the digest decode gave when it made whole-song tables
+        assert hashlib.sha256(payload).hexdigest() == (
+            "94d204c429131f53224c580755dc7b25a49cf052e40bc2f550319c0029f78224")
 
 
 class TestDecodeProperties:

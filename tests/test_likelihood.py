@@ -62,11 +62,17 @@ def emission_cases(draw):
 
 
 def assert_bit_exact(measures, vocab, cfg):
-    got = contribution_tables(measures, vocab, cfg)
-    want = dense_contribution_tables(measures, vocab, cfg)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    first, second = contribution_tables(measures, vocab, cfg)
+    want_first, want_second = dense_contribution_tables(measures, vocab, cfg)
+    assert first.shape == want_first.shape
+    assert first.tobytes() == want_first.tobytes()
+    # the library keeps the second table's 2-measure columns, and the dense
+    # table's other columns are all np.inf: nothing the decoder reads is lost
+    two = np.array([p.measures == 2 for p in vocab.patterns], dtype=bool)
+    want_two = np.ascontiguousarray(want_second[:, two])
+    assert second.shape == want_two.shape
+    assert second.tobytes() == want_two.tobytes()
+    assert np.isinf(want_second[:, ~two]).all()
 
 
 SIXTEENTHS = [k / 16 for k in range(16)]
@@ -314,12 +320,17 @@ class TestContributionTables:
                 MeasureStrums(m, tuple(sorted(rng.uniform(0, 1, size=count).tolist())))
             )
         tables = contribution_tables(measures, vocab, cfg)
+        # the second table's columns are the 2-measure patterns, in order
+        columns = (
+            list(range(len(vocab))),
+            [i for i, p in enumerate(vocab.patterns) if p.measures == 2],
+        )
         for m, measure in enumerate(measures):
             for i, pattern in enumerate(vocab.patterns):
                 # every half of every pattern, checked on its own
                 for half, onsets in enumerate(pattern.onsets):
                     expected = half_cost(list(measure.positions), list(onsets), cfg)
-                    got = tables[half][m, i]
+                    got = tables[half][m, columns[half].index(i)]
                     if expected is None:
                         assert np.isinf(got)
                     else:

@@ -758,6 +758,16 @@ class TestWavIO:
         with pytest.raises(ValueError, match="not a RIFF file"):
             load_wav(str(path))
 
+    def test_partial_frame_names_samples_and_channels(self, tmp_path):
+        # 5 int16 samples of a stereo file: two frames and half of a third
+        path = tmp_path / "a.wav"
+        path.write_bytes(riff(fmt_chunk(channels=2), chunk(b"data", bytes(10))))
+        with pytest.raises(ValueError) as failure:
+            load_wav(str(path))
+        assert str(failure.value) == (
+            f"cannot read WAV file {str(path)!r}: "
+            "data chunk holds 5 samples, not a whole number of 2-channel frames")
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_a_pipe(self, tmp_path):
         # a pipe reports no size, so it is read whole rather than mapped
