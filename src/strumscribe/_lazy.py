@@ -1,5 +1,4 @@
-"""numpy, bound now and imported on its first attribute read, and the
-memory maps that hold the package's largest arrays.
+"""numpy, bound now and imported on its first attribute read.
 
 Each numpy-using module binds `np` with `from ._lazy import numpy as np`,
 not `import numpy as np`: an `import` statement that finds numpy in
@@ -11,7 +10,6 @@ and a missing numpy still fails at `import strumscribe`, not at first use.
 """
 
 import importlib.util
-import mmap
 import sys
 
 numpy = sys.modules.get("numpy")
@@ -23,19 +21,3 @@ if numpy is None:
     numpy = importlib.util.module_from_spec(_spec)
     sys.modules["numpy"] = numpy
     _spec.loader.exec_module(numpy)
-
-
-def _mapped(nbytes: int):
-    """A zeroed buffer of `nbytes` in an anonymous memory map of its own,
-    unmapped once nothing refers to it.
-
-    The package's largest buffers, the song's mel matrix and the block of
-    emission tables that `decode` reuses, come from here and not from
-    malloc. glibc serves such a block by mmap too, but freeing it raises
-    malloc's mmap threshold to the block's size, so later blocks of that
-    size come from the heap, whose free top is given back only beyond
-    twice that size: how much of the heap then stays resident hangs on
-    what else the process allocated, and in which order (in a client that
-    runs one song after another, even on when numpy was imported).
-    """
-    return mmap.mmap(-1, nbytes)

@@ -41,8 +41,8 @@ each candidate's cost is the same floating-point expression (`cost + c1`,
 `cost + (c1 + c2)`) as in a full pairwise relaxation.
 
 No table the size of the song is held. The emission tables are made a
-block of about _BLOCK_CELLS (measures x patterns) cells at a time, in one
-memory map that every block reuses, and the pass reads each row once; a
+block of about _BLOCK_CELLS (measures x patterns) cells at a time, each
+dropped before the next is made, and the pass reads each row once; a
 2-measure instance ending at a block's first measure takes its first
 half's emission from the row carried over from the block before. For the
 backtrack the pass keeps one bit per (measure, pattern), set where the
@@ -60,7 +60,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from ._lazy import _mapped, numpy as np
+from ._lazy import numpy as np
 from .likelihood import DecoderConfig, contribution_tables
 from .timeline import BarlineTrack, MeasureStrums, StrumSequence
 from .vocabulary import TimeSignature, Vocabulary
@@ -296,11 +296,12 @@ def decode(
     switched = np.zeros((n_measures, (n + 7) // 8), dtype=np.uint8)
     sources = np.zeros((n_measures, len(members)), dtype=np.int64)
     live = []  # does any feasible tiling of measures[0..m] end at m?
-    per_block = max(1, min(n_measures, _BLOCK_CELLS // n))
-    block = np.ndarray((per_block, n), buffer=_mapped(8 * per_block * n))
+    per_block = max(1, _BLOCK_CELLS // n)
     for block_start in range(0, n_measures, per_block):
-        chunk = measures[block_start : block_start + per_block]
-        first, second = contribution_tables(chunk, vocab, cfg, block[: len(chunk)])
+        first = second = None  # the last block's tables go before the next is made
+        first, second = contribution_tables(
+            measures[block_start : block_start + per_block], vocab, cfg
+        )
         for row in range(len(first)):
             m = block_start + row
             if m == 0:

@@ -16,6 +16,7 @@ costs; the decoder charges them between consecutive pattern instances.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -132,16 +133,23 @@ def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     return len(halves), silent, rows, alphabet, slots, below, above
 
 
+# each live vocabulary's _setup, by id: hashing a Vocabulary hashes every
+# pattern, and the lookup runs once per block of a decode
+_SETUPS: dict[int, tuple[tuple, tuple]] = {}
+
+
 def _setup(vocab: Vocabulary) -> tuple[tuple, tuple]:
-    """The two tables' set-up, built on a vocabulary's first use and kept on
-    it: none of it depends on the measures or the config."""
-    setup = vocab._compiled.get(__name__)
+    """The two tables' set-up, built on a vocabulary's first use and kept
+    until the vocabulary is collected: none of it depends on the measures
+    or the config."""
+    setup = _SETUPS.get(id(vocab))
     if setup is None:
         patterns = vocab.patterns
-        setup = vocab._compiled[__name__] = (
+        setup = _SETUPS[id(vocab)] = (
             _half_setup([p.onsets[0] for p in patterns]),
             _half_setup([p.onsets[1] for p in patterns if p.measures == 2]),
         )
+        weakref.finalize(vocab, _SETUPS.pop, id(vocab), None)
     return setup
 
 
@@ -149,7 +157,6 @@ def contribution_tables(
     measures: Sequence[MeasureStrums],
     vocab: Vocabulary,
     cfg: DecoderConfig,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-measure emission contributions for all patterns.
 
@@ -159,8 +166,7 @@ def contribution_tables(
     in vocabulary order, shape (n_measures, n_two_measure_patterns), and
     holds the contribution of that pattern's second measure. Impossible
     pairings are np.inf, which the decoder treats as pruned; this is the
-    only place an impossible emission is marked. first is written into
-    `out` when it is given, an array of first's shape and dtype.
+    only place an impossible emission is marked.
 
     A cell depends on its own measure alone, so a song's tables may be
     filled a block of measures at a time, as `decode` does, with the same
@@ -176,7 +182,7 @@ def contribution_tables(
     exactly, and a minimum does not depend on evaluation order. The onset
     side takes each alphabet member's distance to its nearest strum and
     gathers its square into the pattern's onset slots, padding with 0.
-    These lookups are built once per vocabulary and kept on it.
+    These lookups are built once per vocabulary and kept while it lives.
 
     Played measures are grouped by strum count S and each group is taken in
     slabs of about _SLAB_ELEMENTS (measures x patterns) cells. A cell's two
@@ -194,9 +200,7 @@ def contribution_tables(
     silent = np.flatnonzero(counts == 0)
 
     setup = _setup(vocab)
-    first = np.empty((n_measures, setup[0][0])) if out is None else out
-    first.fill(np.inf)
-    tables = (first, np.full((n_measures, setup[1][0]), np.inf))
+    tables = tuple(np.full((n_measures, half[0]), np.inf) for half in setup)
     for table, (_, silent_columns, rows, alphabet, slots, below, above) in zip(tables, setup):
         table[np.ix_(silent, silent_columns)] = 0.0
         if rows.size == 0:
@@ -204,8 +208,9 @@ def contribution_tables(
         per_slab = max(1, _SLAB_ELEMENTS // len(rows))
         for count in np.unique(counts[counts > 0]):
             group = np.flatnonzero(counts == count)
-            for start in range(0, len(group), per_slab):
-                chosen = group[start : start + per_slab]
+            # the whole number of slabs nearest the group's size, evened out,
+            # so no slab is a small remainder: under 1.5 per_slab measures each
+            for chosen in np.array_split(group, max(1, round(len(group) / per_slab))):
                 s = np.array([measures[m].positions for m in chosen], dtype=float)
                 at = np.searchsorted(alphabet, s)
                 nearest_sq = np.zeros((len(chosen), len(alphabet) + 1))

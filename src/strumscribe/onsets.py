@@ -11,13 +11,14 @@ recordings; it makes no attempt at polyphonic mixtures.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import sys
 import weakref
 from dataclasses import dataclass
 
-from ._lazy import _mapped, numpy as np
+from ._lazy import numpy as np
 from .timeline import StrumSequence
 
 
@@ -134,6 +135,21 @@ class OnsetConfig:
 # whose sub-format GUID ends in _GUID_TAIL and starts with one of the others
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _mapped(nbytes: int):
+    """A zeroed buffer of `nbytes` in an anonymous memory map of its own,
+    unmapped once nothing refers to it.
+
+    The one song-sized buffer, the mel matrix, comes from here and not from
+    malloc. glibc serves such a block by mmap too, but freeing it raises
+    malloc's mmap threshold to the block's size, so later song-sized
+    blocks come from the heap, whose free top is given back only beyond
+    twice that size: how much of the heap then stays resident hangs on
+    what else the process allocated, and in which order (in a client that
+    runs one song after another, even on when numpy was imported).
+    """
+    return mmap.mmap(-1, nbytes)
 
 
 class _OpenFile:

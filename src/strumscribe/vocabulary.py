@@ -126,9 +126,6 @@ class Vocabulary:
 
     patterns: tuple[RhythmicPattern, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # what other modules derive from the patterns alone, kept per vocabulary
-    # under the deriving module's name (likelihood's emission lookups)
-    _compiled: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", tuple(self.patterns))

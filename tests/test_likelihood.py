@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -17,6 +18,7 @@ from strumscribe import (
     decode,
     generate_song,
 )
+from strumscribe import likelihood
 from strumscribe.likelihood import _SLAB_ELEMENTS, _row_sums, contribution_tables
 
 from conftest import make_pattern
@@ -442,6 +444,17 @@ class TestContributionTables:
         )
         measures, _ = bin_strums(song.observed, song.barlines)
         assert_bit_exact(measures, vocab, DecoderConfig())
+
+    def test_setup_dropped_with_its_vocabulary(self):
+        # the lookups are kept by the vocabulary's id, which a later
+        # vocabulary may take once this one is collected
+        vocab = Vocabulary.build([make_pattern("A", "4/4", [0.0, 0.5])])
+        contribution_tables([MeasureStrums(0, (0.25,))], vocab, DecoderConfig())
+        key = id(vocab)
+        assert key in likelihood._SETUPS
+        del vocab
+        gc.collect()
+        assert key not in likelihood._SETUPS
 
     def test_peak_memory_bounded(self):
         # slabs and their term columns are made on demand, so at c10 size
