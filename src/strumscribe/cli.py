@@ -11,10 +11,10 @@ Within one process the argument parser is built once. A serial
 `eval --manifest` (the default, `--jobs 1`) parses each distinct vocabulary
 text once for all its records.
 
-Importing this module does not import numpy (see `_lazy`). The subcommands
-that compute with it (`_NUMERIC_COMMANDS`) load it right after their
-arguments parse; `render`, `barlines`, `--help` and an argument error never
-do, which saves such a one-shot process about 0.1 s of start-up.
+Importing this module does not import numpy (see `_lazy`): it loads at
+the first stage that computes with it. `render`, `barlines`, `--help`, an
+argument error and a run that fails before such a stage never load it,
+which saves such a one-shot process about 0.1 s of start-up.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import onsets as onsets_mod
 from . import render as render_mod
 from . import synth as synth_mod
 from . import timeline
-from ._lazy import numpy
 from .likelihood import DecoderConfig
 from .vocabulary import Vocabulary, load_vocabulary
 
@@ -557,18 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
-# Subcommands that compute with numpy. They load it right after parsing,
-# before reading any input: imported later, by the first stage, numpy's
-# long-lived objects land among the input parse's freed temporaries and keep
-# that memory in use. In the benchmark's decode_bigvocab client that was
-# about 1.2 MB more peak resident memory (48.6 against 47.4 MB).
-_NUMERIC_COMMANDS = ("onsets", "pipeline", "decode", "synth", "eval")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command in _NUMERIC_COMMANDS:
-        numpy.ndarray  # the first attribute read runs the deferred import
     try:
         outputs = args.func(args, _config_from_args(args))
         _commit(outputs.files, outputs.directory)

@@ -102,9 +102,6 @@ class Transcription:
                         f"entry {i}: phase 1 must directly follow phase 0 of the same pattern"
                     )
 
-    def pattern_ids(self) -> list[str]:
-        return [e.pattern_id for e in self.entries]
-
     def to_dict(self) -> dict:
         return {
             "total_cost": self.total_cost,

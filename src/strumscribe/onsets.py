@@ -29,11 +29,11 @@ class AudioBuffer:
     `pcm` holds the samples as stored, int16, int32 or float, one column
     per channel when there is more than one: an array, or for a file that
     `load_wav` read, the file's data chunk itself, whose slices are read
-    from the file when they are taken (see _StoredSamples). `samples`
-    builds the float64 mono signal in [-1, 1] on demand, and
-    `onset_strength` converts one span of samples at a time, so a loaded
-    song is never held in memory. `AudioBuffer(samples, sample_rate)`
-    takes that mono signal itself, with full scale 1.0.
+    when they are taken (see _StoredSamples). `onset_strength` converts
+    one span of samples at a time into the float64 mono signal in
+    [-1, 1], so a loaded song is never held in memory.
+    `AudioBuffer(samples, sample_rate)` takes that mono signal itself, with
+    full scale 1.0.
     """
 
     pcm: np.ndarray | _StoredSamples
@@ -68,24 +68,15 @@ class AudioBuffer:
         object.__setattr__(self, "full_scale", full_scale)
         object.__setattr__(self, "sample_rate", sample_rate)
 
-    @property
-    def samples(self) -> np.ndarray:
-        """The float64 mono signal, built anew on each access."""
-        signal = np.empty(len(self.pcm))
-        self._signal_into(0, len(self.pcm), signal)
-        return signal
-
-    def _signal_into(self, lo: int, hi: int, out: np.ndarray,
-                     channels: np.ndarray | None = None) -> None:
+    def _signal_into(self, lo: int, hi: int, out: np.ndarray, channels: np.ndarray | None) -> None:
         """Write the signal of samples lo .. hi - 1 into out, through the
         float64 frames x channels buffer `channels` when there is more than
-        one channel (a new array when it is None)."""
+        one channel."""
         pcm = self.pcm[lo:hi]
         if pcm.ndim == 1:
             np.divide(pcm, self.full_scale, out=out)
         else:
-            scaled = np.divide(pcm, self.full_scale,
-                               out=None if channels is None else channels[: hi - lo])
+            scaled = np.divide(pcm, self.full_scale, out=channels[: hi - lo])
             np.mean(scaled, axis=1, out=out)
 
 
@@ -136,6 +127,17 @@ class OnsetConfig:
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
+# The sample formats load_wav reads: (format tag, bytes per sample) -> the
+# dtype they are read into (3-byte samples widened at the left), named so
+# that importing this module loads no numpy, and the full scale of [-1, 1].
+_SAMPLE_FORMATS = {
+    (_PCM, 2): ("<i2", 32768.0),
+    (_PCM, 3): ("<i4", 2147483648.0),
+    (_PCM, 4): ("<i4", 2147483648.0),
+    (_IEEE_FLOAT, 4): ("<f4", 1.0),
+    (_IEEE_FLOAT, 8): ("<f8", 1.0),
+}
+
 
 def _mapped(nbytes: int):
     """A zeroed buffer of `nbytes` in an anonymous memory map of its own,
@@ -183,18 +185,18 @@ class _StoredSamples:
     """A WAV data chunk's samples as stored, read as they are sliced.
 
     `samples[lo:hi]` reads rows lo .. hi - 1 from `content` (an _OpenFile,
-    or the bytes of a file read whole) and returns them as an array, frames
-    x channels when there is more than one channel; samples of 3, 5, 6 or
-    7 bytes are left-justified into int32 or int64 as they are read. `len`,
+    or the bytes of a file read whole) and returns them as an array of
+    `dtype`, frames x channels when there is more than one channel; 3-byte
+    samples are left-justified into int32 as they are read. `len`,
     `dtype`, `ndim` and `shape` are those of the whole chunk as an array.
     Slices are contiguous: a step is ignored.
     """
 
-    def __init__(self, path: str, content, start: int, frames: int, dtype: np.dtype,
+    def __init__(self, path: str, content, start: int, frames: int, dtype: str,
                  width: int, channels: int) -> None:
         self._path, self._content, self._start = path, content, start
         self._width, self._channels = width, channels
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype)
         self.shape = (frames, channels) if channels > 1 else (frames,)
         self.ndim = len(self.shape)
 
@@ -266,10 +268,13 @@ def _read_data_chunk(content, offset: int, fmt: tuple,
     the offset after it.
 
     The layout is where the samples start, the frames they hold, their
-    dtype as read, their width in the file and the channel count. Samples
-    of 1, 2, 4 or 8 bytes are read as they are stored; integer samples of
-    3, 5, 6 or 7 bytes are read into int32 or int64. 8-bit and smaller PCM
-    is unsigned. An RF64 file's size comes from its ds64 chunk. The
+    entry in _SAMPLE_FORMATS (None for a format load_wav rejects), their
+    width in the file and the channel count. A chunk in a format that
+    load_wav rejects is walked all the same, so that a later fmt and data
+    chunk can still win: 8-bit and smaller PCM is one unsigned byte per
+    sample whatever its container, integer samples of 3, 5, 6 or 7 bytes
+    are read whole, and other samples are read back to back whatever the
+    block align. An RF64 file's size comes from its ds64 chunk. The
     samples stop at the end of the file, and the chunk resumes after the
     whole samples read and its pad byte, not after its size."""
     tag, channels, _, block_align, bits = fmt
@@ -286,31 +291,25 @@ def _read_data_chunk(content, offset: int, fmt: tuple,
         length = min(size, len(content) - start)
         if length % width:
             raise ValueError(f"data chunk is not a whole number of {width}-byte samples")
-        dtype = np.dtype(f"<i{4 if width == 3 else 8}")
     else:
         if tag == _PCM and 1 <= bits <= 8:
-            name = "u1"
-        elif tag == _PCM and bits <= 64:
-            name = f"<i{width}"
-        elif tag == _IEEE_FLOAT and bits in (32, 64):
-            name = f"<f{width}"
-        else:
+            length, width = size // width, 1
+        elif tag == _PCM and bits > 64 or tag == _IEEE_FLOAT and bits not in (32, 64):
             raise ValueError(f"unsupported bit depth {bits}")
-        try:
-            dtype = np.dtype(name)
-        except TypeError:
-            raise ValueError(f"unsupported {width}-byte sample width") from None
-        length = size // width * dtype.itemsize
+        # the widths of numpy's integer and float types (16: x86-64's long double)
+        elif width not in ((1, 2, 4, 8) if tag == _PCM else (2, 4, 8, 16)):
+            raise ValueError(f"unsupported {width}-byte sample width")
+        else:
+            length = size // width * width
         if length > sys.maxsize:
             raise ValueError(f"data chunk of {size} bytes is too long to read")
         length = min(length, len(content) - start)
-        # the samples are read back to back, whatever the block align
-        width = dtype.itemsize
     count = length // width
     if count % channels:
         raise ValueError(f"data chunk holds {count} samples, not a whole number of "
                          f"{channels}-channel frames")
-    return (start, count // channels, dtype, width, channels), start + length + size % 2
+    layout = (start, count // channels, _SAMPLE_FORMATS.get((tag, width)), width, channels)
+    return layout, start + length + size % 2
 
 
 def _read_wav(content) -> tuple[int, tuple]:
@@ -365,26 +364,23 @@ def _read_wav(content) -> tuple[int, tuple]:
     return fmt[2], layout
 
 
-# the value that maps a stored sample dtype to [-1, 1]
-_FULL_SCALE = {"<i2": 32768.0, "<i4": 2147483648.0, "<f4": 1.0, "<f8": 1.0}
-
-
 def load_wav(path: str) -> AudioBuffer:
-    """Read a WAV file as audio whose `samples` are mono in [-1, 1].
+    """Read a WAV file as audio: its samples as stored (see AudioBuffer).
 
     Only the chunk headers are read here: the buffer keeps the file open,
     and its samples are read from the file as they are used, so a loaded
     song costs no memory for its samples. The file is closed once the
     buffer is collected, or at once when loading fails. A pipe, which
-    cannot be read by position, is read whole and its samples kept as
-    stored. Accepted: little-endian RIFF (or RF64) WAV with a plain or
-    WAVE_FORMAT_EXTENSIBLE header and any channel count (mixed down by
-    averaging), holding integer PCM in 2-, 3- or 4-byte samples or IEEE
-    float in 4- or 8-byte samples, all of them finite. WAV keeps samples
-    left-justified in their container and 3-byte samples are widened to 32
-    bits at the left as they are read, so a 12-bit or 20-bit file scales
-    to [-1, 1] too. Rejected: 8-bit and 64-bit PCM, compressed formats and
-    big-endian RIFX. A file that cannot be opened raises OSError; any other
+    cannot be read by position, is read whole, and its samples are kept
+    as stored in those bytes. Accepted: little-endian RIFF (or RF64) WAV
+    with a plain or WAVE_FORMAT_EXTENSIBLE header and any channel count
+    (mixed down by averaging), holding the formats of _SAMPLE_FORMATS:
+    integer PCM in 2-, 3- or 4-byte samples or IEEE float in 4- or 8-byte
+    samples, all of them finite. WAV keeps samples left-justified in their
+    container and 3-byte samples are widened to 32 bits at the left as
+    they are read, so a 12-bit or 20-bit file scales to [-1, 1] too.
+    Rejected: 8-bit and 64-bit PCM, compressed formats and big-endian
+    RIFX. A file that cannot be opened raises OSError; any other
     failure raises ValueError naming the file, and so does a read of the
     samples that finds the file shorter than it was when loaded.
     """
@@ -399,12 +395,13 @@ def load_wav(path: str) -> AudioBuffer:
             with fp:
                 content = memoryview(fp.read())
         try:
-            sample_rate, layout = _read_wav(content)
-            pcm = _StoredSamples(path, content, *layout)
-            full_scale = _FULL_SCALE.get(pcm.dtype.str)
-            if full_scale is None:
-                raise ValueError(f"unsupported sample format {pcm.dtype}")
-            return AudioBuffer._from_pcm(pcm if size else pcm[:], full_scale, int(sample_rate))
+            sample_rate, (start, frames, sample_format, width, channels) = _read_wav(content)
+            if sample_format is None:
+                raise ValueError("unsupported sample format: only PCM of 2, 3 or 4 bytes and "
+                                 "float of 4 or 8 bytes per sample are read")
+            dtype, full_scale = sample_format
+            pcm = _StoredSamples(path, content, start, frames, dtype, width, channels)
+            return AudioBuffer._from_pcm(pcm, full_scale, int(sample_rate))
         except _ShortRead:
             raise
         except (ValueError, OverflowError) as exc:
@@ -476,8 +473,8 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     aligned with the t*hop/sample_rate convention used by pick_peaks.
 
     The envelope is bit for bit the one from a single whole-song
-    spectrogram and one whole-song mel product of `audio.samples`, without
-    any of the three existing. BLAS can give a row of a product different
+    spectrogram and one whole-song mel product of the audio's float64 mono
+    signal, without any of the three existing. BLAS can give a row of a product different
     bits depending on how many rows the product has, so every mel product
     has the same row count, min(n_frames, _MAGNITUDE_BLOCK_FRAMES): the
     last block is the song's final frames and recomputes, with the same
@@ -488,10 +485,11 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     _STFT_BLOCK_FRAMES frames at a time, each batch into its own rows.
     A batch's span of samples is read from the stored PCM (from the file,
     for a buffer that load_wav made), converted into one float64 buffer
-    made once per call (pcm / full_scale, then the mean over channels: per
-    sample the operations that build `audio.samples`) and zero-filled past
-    either end, and its frames are windowed into a second such buffer; windowing, rfft along a row and abs act on one frame
-    alone, so any batching gives the same magnitudes. The log compression
+    made once per call (pcm / full_scale, then the mean over channels, per
+    sample the operations that build the whole signal) and zero-filled past
+    either end, and its frames are windowed into a second such buffer;
+    windowing, rfft along a row and abs act on one frame alone, so any
+    batching gives the same magnitudes. The log compression
     works in place on the mel matrix, and the flux of each block of frames
     is summed straight into the envelope, one row per frame as in a
     whole-song sum.

@@ -3,8 +3,9 @@
 Everything here shares no code path with the library internals it verifies:
 exhaustive recursion and naive arithmetic in plain Python, plus the dense
 numpy emission tables that the library's onset-alphabet lookup must
-reproduce bit for bit, the whole-array onset envelope that the library's
-blocked STFT and mel products must reproduce bit for bit, the lexsort
+reproduce bit for bit, the whole-song mono signal and onset envelope that
+the library's span-by-span conversion and blocked STFT and mel products
+must reproduce bit for bit, the lexsort
 Viterbi pass that the library's per-group champion relaxation must
 reproduce bit for bit, the scipy peak-picking window and WAV reader that
 the library's numpy-only ones replace, the per-record transcription
@@ -120,6 +121,16 @@ def dense_contribution_tables(measures, vocab, cfg):
     return tables[0], tables[1]
 
 
+def mono_signal(audio):
+    """The float64 mono signal of an AudioBuffer, built whole: its samples
+    as stored divided by their full scale into float64, then the mean over
+    channels. These are the numpy operations the library applies to one
+    span at a time, so its signal must give these bits exactly."""
+    pcm = audio.pcm[:]
+    signal = np.divide(pcm, audio.full_scale, out=np.empty(pcm.shape))
+    return signal.mean(axis=1) if signal.ndim > 1 else signal
+
+
 def dense_onset_strength(audio, cfg=None):
     """Reference onset envelope from one whole-song padded copy, windowed
     copy, complex spectrum and magnitude matrix, one mel product over all
@@ -128,7 +139,7 @@ def dense_onset_strength(audio, cfg=None):
     (`tobytes()` equality). Only the mel filterbank is shared with the
     library."""
     cfg = cfg or OnsetConfig()
-    samples = audio.samples
+    samples = mono_signal(audio)
     if len(samples) < cfg.frame_size:
         raise ValueError(f"audio shorter than one frame ({cfg.frame_size} samples)")
     left = cfg.frame_size - cfg.hop_size

@@ -19,7 +19,8 @@ from strumscribe import cli
 from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
 
 from conftest import make_vocab
-from test_onsets import chunk, fmt_chunk, pluck_train, riff
+from oracles import mono_signal
+from test_onsets import chunk, fmt_chunk, pluck_train, rf64, riff
 
 
 @pytest.fixture
@@ -390,6 +391,24 @@ def test_mutated_eval_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations, v
     run_mutated(command, which, mutations, tmp_path_factory)
 
 
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(json_mutations, min_size=1, max_size=3), bypass=st.booleans())
+def test_mutated_barlines_input_exit_0_1_or_2(tmp_path_factory, mutations, bypass):
+    run_mutated(
+        lambda folder, out: ["barlines", "--raw", folder / "barlines.json", "--out", out,
+                             *(["--no-barline-postproc"] if bypass else [])],
+        "barlines", mutations, tmp_path_factory)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(json_mutations, min_size=1, max_size=3))
+def test_mutated_synth_input_exit_0_1_or_2(tmp_path_factory, mutations):
+    run_mutated(
+        lambda folder, out: ["synth", "--vocab", folder / "vocab.json", "--out-dir", out,
+                             "--measures", "4"],
+        "vocab", mutations, tmp_path_factory)
+
+
 # malformed transcription payloads, as (edit, field named in the error); an
 # edit maps a valid transcription dict to a broken one
 BAD_TRANSCRIPTIONS = {
@@ -688,13 +707,14 @@ class TestNumpyOnFirstUse:
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_only_numeric_commands_load_numpy_before_input(self, tmp_path, command):
         # none of REQUIRED's input files exists, so each run fails on its
-        # first read or check, before any stage computes
+        # first read or check, before any stage computes: numpy loads at the
+        # first stage that computes, so no subcommand has loaded it yet
         result = fresh_python(MAIN_AND_NUMPY, json.dumps([command, *REQUIRED[command]]),
                               cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         code, numpy_modules = json.loads(result.stdout.splitlines()[-1])
         assert code in (1, 2)
-        assert bool(numpy_modules) == (command not in COMPUTE_FREE)
+        assert numpy_modules == []
         assert list(tmp_path.iterdir()) == []
 
     def test_numpy_imported_first_is_the_one_bound(self):
@@ -1058,8 +1078,33 @@ def write_wav(path, samples, sr=44100):
 # plucks; its size fields are at bytes 4 (RIFF), 16 (fmt) and 40 (data)
 MUTATED_WAV_BASE = riff(
     fmt_chunk(rate=8000),
-    chunk(b"data", (np.clip(pluck_train([0.1, 0.4, 0.7], sr=8000, tail=0.3).samples, -1, 1)
+    chunk(b"data", (np.clip(mono_signal(pluck_train([0.1, 0.4, 0.7], sr=8000, tail=0.3)), -1, 1)
                     * 32767).astype("<i2").tobytes()),
+)
+# MUTATED_WAV_BASE's samples in an RF64 file, whose RIFF and data sizes are
+# fields of a ds64 chunk
+MUTATED_RF64_BASE = rf64(fmt_chunk(rate=8000), MUTATED_WAV_BASE[44:])
+# the header fields of the two files that the pipeline fuzz rewrites: their
+# struct format and their offsets in MUTATED_WAV_BASE and MUTATED_RF64_BASE
+# (None where the file has no such field)
+WAV_FIELDS = {
+    "riff_size": ("<I", 4, None),
+    "ds64_riff_size": ("<Q", None, 20),
+    "ds64_data_size": ("<Q", None, 28),
+    "format_tag": ("<H", 20, 56),
+    "block_align": ("<H", 32, 68),
+    "bits": ("<H", 34, 70),
+    "data_size": ("<I", 40, 76),
+}
+# (kind, field or byte offset, value): header field rewrites, header byte
+# flips and cuts
+wav_header_mutations = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from(sorted(WAV_FIELDS)),
+              st.one_of(st.sampled_from([0, 1, 2, 3, 4, 8, 16, 24, 32, 64, 65, 0xFFFE, 15_999,
+                                         16_000, 16_001, 2**32 - 1, 2**63, 2**64 - 1]),
+                        st.integers(0, 2**64 - 1))),
+    st.tuples(st.just("flip"), st.integers(0, 80), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 16_100), st.none()),
 )
 # (kind, byte offset, value): flips and inserts land in the header half the time
 wav_mutations = st.one_of(
@@ -1080,7 +1125,7 @@ class TestOnsetsAndPipeline:
         times = np.arange(6) * 0.5 + 0.25
         audio = pluck_train(times.tolist(), seed=2)
         wav = tmp_path / "a.wav"
-        write_wav(wav, audio.samples)
+        write_wav(wav, mono_signal(audio))
         out = tmp_path / "strums.json"
         assert run(["onsets", "--audio", wav, "--out", out]) == 0
         detected = json.loads(out.read_text())["strums_sec"]
@@ -1175,11 +1220,52 @@ class TestOnsetsAndPipeline:
             assert "Traceback" not in err.getvalue()
             assert not out.exists()
 
+    @settings(max_examples=300, deadline=None)
+    @given(rf64_file=st.booleans(), wav_edits=st.lists(wav_header_mutations, max_size=3),
+           which=st.sampled_from(["raw_barlines", "vocab"]),
+           json_edits=st.lists(json_mutations, max_size=2))
+    def test_mutated_pipeline_inputs_exit_0_1_or_2(self, tmp_path_factory, rf64_file, wav_edits,
+                                                   which, json_edits):
+        # the WAV's header and the JSON inputs mutated: pipeline succeeds,
+        # or ends with one error line, no traceback and no output
+        wav = bytearray(MUTATED_RF64_BASE if rf64_file else MUTATED_WAV_BASE)
+        for kind, at, value in wav_edits:
+            if kind == "field":
+                form, *offsets = WAV_FIELDS[at]
+                offset = offsets[rf64_file]
+                if offset is not None and offset < len(wav):
+                    size = struct.calcsize(form)
+                    wav[offset : offset + size] = struct.pack(form, value % (1 << 8 * size))
+            elif kind == "flip" and at < len(wav):
+                wav[at] = value
+            elif kind == "cut":
+                del wav[at:]
+        folder = tmp_path_factory.mktemp("pipeline")
+        (folder / "audio.wav").write_bytes(wav)
+        for name, text in (("raw_barlines", DECODE_BASE["barlines"]),
+                           ("vocab", DECODE_BASE["vocab"])):
+            payload = mutate_json(text, json_edits) if name == which else text.encode()
+            (folder / f"{name}.json").write_bytes(payload)
+        out, dump = folder / "out.json", folder / "dump"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["pipeline", "--audio", folder / "audio.wav",
+                        "--raw-barlines", folder / "raw_barlines.json",
+                        "--vocab", folder / "vocab.json", "--out", out, "--dump-dir", dump])
+        assert code in (0, 1, 2)
+        if code:
+            # decode prints a note before render, which may still fail
+            lines = err.getvalue().splitlines()
+            errors = [line for line in lines if line.startswith("error:")]
+            assert lines and errors == lines[-1:], lines
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists() and not dump.exists()
+
     def test_file_cut_after_loading_exit_1(self, tmp_path, capsys, monkeypatch):
         # the samples are read from the file as the envelope reaches them,
         # so a file cut to its header after loading fails then, as bad input
         wav, out = tmp_path / "a.wav", tmp_path / "strums.json"
-        write_wav(wav, pluck_train([0.25, 0.75], seed=2).samples)
+        write_wav(wav, mono_signal(pluck_train([0.25, 0.75], seed=2)))
         load_wav = cli.onsets_mod.load_wav
 
         def load_then_cut(path):
@@ -1204,7 +1290,7 @@ class TestOnsetsAndPipeline:
             fp.setnchannels(1)
             fp.setsampwidth(2)
             fp.setframerate(audio.sample_rate)
-            fp.writeframes((np.clip(audio.samples, -1, 1) * 32767).astype("<i2").tobytes())
+            fp.writeframes((np.clip(mono_signal(audio), -1, 1) * 32767).astype("<i2").tobytes())
         script = (
             "import sys\n"
             "import strumscribe.cli as cli\n"
@@ -1226,7 +1312,7 @@ class TestOnsetsAndPipeline:
         times = [m + 0.5 * b for m in bars[:-1] for b in range(4)]
         audio = pluck_train(times, seed=4, tail=0.6)
         wav = tmp_path / "song.wav"
-        write_wav(wav, audio.samples)
+        write_wav(wav, mono_signal(audio))
         raw_bars = tmp_path / "raw_bars.json"
         # corrupt the bar-line track with one spurious line
         raw_bars.write_text(json.dumps({"barlines_sec": bars[:3] + [5.0] + bars[3:]}))
@@ -1278,7 +1364,7 @@ class TestOnsetsAndPipeline:
         bars = [2.0 * i for i in range(5)]
         times = [m + 0.5 * b for m in bars[:-1] for b in range(4)]
         wav = tmp_path / "song.wav"
-        write_wav(wav, pluck_train(times, seed=9, tail=0.6).samples)
+        write_wav(wav, mono_signal(pluck_train(times, seed=9, tail=0.6)))
         raw_bars = tmp_path / "raw.json"
         raw_bars.write_text(json.dumps({"barlines_sec": bars[:2] + [3.0] + bars[2:]}))
 

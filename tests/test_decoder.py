@@ -89,7 +89,7 @@ class TestDecodeExamples:
         cfg = DecoderConfig(pattern_change_penalty=2.0, timesig_change_penalty=6.0)
         measures = measures_from([0.0, 0.5], [0.0, 0.5], [0.0, 1 / 3, 2 / 3])
         result = decode(measures, vocab, cfg)
-        assert result.pattern_ids() == ["A", "A", "B"]
+        assert [e.pattern_id for e in result.entries] == ["A", "A", "B"]
         assert result.total_cost == pytest.approx(
             cfg.pattern_change_penalty + cfg.timesig_change_penalty
         )
@@ -97,7 +97,7 @@ class TestDecodeExamples:
     def test_all_empty_measures(self):
         vocab = make_vocab(("A", "4/4", [0.0, 0.5]))
         result = decode(measures_from((), (), ()), vocab, DecoderConfig())
-        assert result.pattern_ids() == ["EMPTY_4_4"] * 3
+        assert [e.pattern_id for e in result.entries] == ["EMPTY_4_4"] * 3
         assert result.total_cost == 0.0
 
     def test_two_measure_pattern_cannot_start_at_final_measure(self):
@@ -106,7 +106,7 @@ class TestDecodeExamples:
             ("ONE", "4/4", [0.0, 0.5]),
         )
         result = decode(measures_from([0.0, 0.5]), vocab, DecoderConfig())
-        assert result.pattern_ids() == ["ONE"]
+        assert [e.pattern_id for e in result.entries] == ["ONE"]
 
     def test_two_measure_pattern_wins_over_pair(self):
         vocab = make_vocab(
@@ -191,7 +191,7 @@ class TestOracleEquivalence:
         cfg = DecoderConfig()
         result = decode(measures, vocab, cfg)
         expected_cost, expected_labels = enumerate_decode(measures, vocab, cfg)
-        assert result.pattern_ids() == ["A", "B", "B"]
+        assert [e.pattern_id for e in result.entries] == ["A", "B", "B"]
         assert result.total_cost.hex() == expected_cost.hex()
         assert [pattern_id for pattern_id, _ in expected_labels] == ["A", "A", "B"]
 
@@ -199,7 +199,7 @@ class TestOracleEquivalence:
         # two identical-cost empties: constant run of the lower-index one wins
         vocab = make_vocab(("A", "4/4", [0.0]), ("B", "3/4", [0.0]))
         result = decode(measures_from((), (), ()), vocab, DecoderConfig())
-        assert result.pattern_ids() == ["EMPTY_4_4"] * 3
+        assert [e.pattern_id for e in result.entries] == ["EMPTY_4_4"] * 3
 
     def test_rounding_tie_settled_by_partial_sums(self):
         # both tilings total the same, but into P0 (a + 0.5) + 1.5 is one
@@ -210,7 +210,7 @@ class TestOracleEquivalence:
         cfg = DecoderConfig(0.1, 0.5, 1.0)
         result = decode(measures, vocab, cfg)
         expected_cost, expected_labels = enumerate_decode(measures, vocab, cfg)
-        assert result.pattern_ids() == ["P1", "EMPTY_3_4", "P0"]
+        assert [e.pattern_id for e in result.entries] == ["P1", "EMPTY_3_4", "P0"]
         assert result.total_cost.hex() == expected_cost.hex() == "0x1.0779f24522ea8p+2"
         assert [pattern_id for pattern_id, _ in expected_labels] == ["P1", "EMPTY_4_4", "P0"]
 
@@ -501,7 +501,8 @@ class TestDecodeProperties:
         strums = StrumSequence(tuple(nominal))
         measures, _ = bin_strums(strums, bars)
         result = decode(measures, basic_vocab, DecoderConfig())
-        assert result.pattern_ids() == ["QUARTERS", "QUARTERS", "TWOBAR", "TWOBAR", "HALVES"]
+        assert [e.pattern_id for e in result.entries] == [
+            "QUARTERS", "QUARTERS", "TWOBAR", "TWOBAR", "HALVES"]
         assert reconstruct_strums(result, bars, basic_vocab).times_sec == pytest.approx(
             strums.times_sec
         )

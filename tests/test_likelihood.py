@@ -218,19 +218,19 @@ class TestTransitionCost:
     def test_same_pattern_free(self, basic_vocab):
         cfg = DecoderConfig()
         result = decode_pair(basic_vocab, "QUARTERS", "QUARTERS", cfg)
-        assert result.pattern_ids() == ["QUARTERS", "QUARTERS"]
+        assert [e.pattern_id for e in result.entries] == ["QUARTERS", "QUARTERS"]
         assert result.total_cost == 0.0
 
     def test_same_signature(self, basic_vocab):
         cfg = DecoderConfig(pattern_change_penalty=2.0, timesig_change_penalty=6.0)
         result = decode_pair(basic_vocab, "QUARTERS", "HALVES", cfg)
-        assert result.pattern_ids() == ["QUARTERS", "HALVES"]
+        assert [e.pattern_id for e in result.entries] == ["QUARTERS", "HALVES"]
         assert result.total_cost == 2.0
 
     def test_cross_signature(self, basic_vocab):
         cfg = DecoderConfig(pattern_change_penalty=2.0, timesig_change_penalty=6.0)
         result = decode_pair(basic_vocab, "QUARTERS", "WALTZ", cfg)
-        assert result.pattern_ids() == ["QUARTERS", "WALTZ"]
+        assert [e.pattern_id for e in result.entries] == ["QUARTERS", "WALTZ"]
         assert result.total_cost == 8.0
 
     @given(st.data())
@@ -261,7 +261,7 @@ class TestTransitionCost:
                     + (cfg.timesig_change_penalty if a.time_signature != b.time_signature else 0.0)
                 )
                 result = decode_pair(vocab, a.id, b.id, cfg)
-                assert result.pattern_ids() == [a.id, b.id]
+                assert [e.pattern_id for e in result.entries] == [a.id, b.id]
                 assert result.total_cost == expected
 
 
