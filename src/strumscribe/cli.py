@@ -7,9 +7,7 @@ short list of stages that returns its outputs in memory; `_commit` writes
 them only once every stage has succeeded. Exit codes: 0 success,
 1 validation or decoding failure, 2 I/O failure.
 
-Within one process the argument parser is built once. A serial
-`eval --manifest` (the default, `--jobs 1`) parses each distinct vocabulary
-text once for all its records.
+Within one process the argument parser is built once.
 
 Importing this module does not import numpy (see `_lazy`): it loads at
 the first stage that computes with it. `render`, `barlines`, `--help`, an
@@ -281,18 +279,6 @@ def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[bytes, timelin
     return raw_bytes, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
-def _vocabulary(path: str, parses: dict) -> Vocabulary:
-    """The vocabulary file at path, read as _load reads it, so an error is
-    the one _load gives. Its parse is looked up in parses by the text, or
-    made and added there; a failed parse adds nothing. A Vocabulary is
-    immutable, so the records that share one parse share the object."""
-    with open(path, encoding="utf-8") as fp:
-        text = fp.read()
-    if text not in parses:
-        parses[text] = load_vocabulary(text)
-    return parses[text]
-
-
 def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Transcription:
     """Bin the strums into measures and decode them."""
     measures, discarded = timeline.bin_strums(strums, bars)
@@ -302,7 +288,7 @@ def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Tran
 
 
 def _eval_one(
-    record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float, parses: dict
+    record: dict, base_dir: Path, fallback_vocab: str | None, tolerance: float
 ) -> tuple[str, metrics_mod.TranscriptionReport]:
     def resolve(key: str) -> str:
         try:
@@ -315,7 +301,7 @@ def _eval_one(
     vocab_path = resolve("vocab") if "vocab" in record else fallback_vocab
     if not vocab_path:
         raise ValueError("manifest record has no vocab and no --vocab fallback was given")
-    vocab = _vocabulary(vocab_path, parses)
+    vocab = _load(load_vocabulary, vocab_path)
     transcription = _load(decoder_mod.load_transcription, resolve("transcription"))
     bars = _load(timeline.load_barlines, resolve("barlines"))
     ground_truth = _load(timeline.load_strums, resolve("ground_truth"))
@@ -345,7 +331,6 @@ def _eval_record(
     base_dir: Path,
     fallback_vocab: str | None,
     tolerance: float,
-    parses: dict,
 ) -> tuple[str, metrics_mod.TranscriptionReport]:
     """_eval_one on a manifest record. An error names the record's song_id,
     or its manifest line when it has none, and keeps its exit code: OSError
@@ -353,7 +338,7 @@ def _eval_record(
     line_no, record = numbered
     label = f"song_id {record['song_id']!r}" if "song_id" in record else f"manifest line {line_no}"
     try:
-        return _eval_one(record, base_dir, fallback_vocab, tolerance, parses)
+        return _eval_one(record, base_dir, fallback_vocab, tolerance)
     except OSError as exc:
         raise OSError(f"{label}: {exc}") from None
     except (ValueError, KeyError) as exc:
@@ -395,10 +380,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     tolerance = cfg.strum_tolerance_sec
     if args.manifest:
         records = _read_manifest(args.manifest)
-        # a pool worker gets its own copy of parses with each record, so
-        # only a serial run shares parses between records
         evaluate = functools.partial(_eval_record, base_dir=Path(args.manifest).parent,
-                                     fallback_vocab=args.vocab, tolerance=tolerance, parses={})
+                                     fallback_vocab=args.vocab, tolerance=tolerance)
         jobs = min(args.jobs, len(records))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -415,7 +398,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
             "barlines": args.barlines,
             "ground_truth": args.ground_truth,
         }
-        results = [_eval_one(record, Path("."), args.vocab, tolerance, {})]
+        results = [_eval_one(record, Path("."), args.vocab, tolerance)]
     payload = {
         "songs": [{"song_id": song_id, **report.to_dict()} for song_id, report in results],
         "aggregate": metrics_mod.aggregate_reports([report for _, report in results]),

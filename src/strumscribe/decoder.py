@@ -179,7 +179,11 @@ def _entry_from_record(i: int, rec, signatures: dict) -> TranscriptionEntry:
 
 
 def load_transcription(source: IO) -> Transcription:
-    return Transcription.from_dict(json.load(source))
+    try:
+        payload = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"transcription is not valid JSON: {exc}") from exc
+    return Transcription.from_dict(payload)
 
 
 # one measure record as json.dump(..., indent=2, sort_keys=True) lays it out

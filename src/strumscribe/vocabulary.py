@@ -8,6 +8,7 @@ so that silent measures can always be covered.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -261,12 +262,21 @@ def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary
     Empty patterns (ids EMPTY_<num>_<den>) are appended for every time
     signature that appears on a non-empty pattern and has no empty pattern
     in the file already.
+
+    A stream is read and loaded as its text. The parses of the last 4
+    distinct texts are kept, so the same text gives back the same, shared
+    and immutable, Vocabulary while it is kept. A failed parse is not kept.
     """
+    return _parse(source if isinstance(source, (str, bytes)) else source.read())
+
+
+# each kept parse holds about 1.1 MiB at 1002 patterns: the Vocabulary, its
+# text and the likelihood set-up that lives as long as the Vocabulary does
+@functools.lru_cache(maxsize=4)
+def _parse(text: Union[str, bytes]) -> Vocabulary:
+    """The validated Vocabulary of one JSON text."""
     try:
-        if isinstance(source, (str, bytes)):
-            payload = json.loads(source)
-        else:
-            payload = json.load(source)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise VocabularyError(f"vocabulary is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or set(payload) != {"patterns"}:
@@ -275,4 +285,3 @@ def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary
         raise VocabularyError('"patterns" must be a list')
     signatures: dict[str, TimeSignature] = {}
     return Vocabulary.build(_pattern_from_record(r, signatures) for r in payload["patterns"])
-

@@ -1,7 +1,9 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
-from strumscribe import RhythmicPattern, TimeSignature, Vocabulary
+from strumscribe import RhythmicPattern, TimeSignature, Vocabulary, vocabulary
 
 
 # CI runs `pytest --hypothesis-profile=ci`: shared runners are too slow and
@@ -32,3 +34,19 @@ def basic_vocab():
         ("WALTZ", "3/4", [0.0, 1 / 3, 2 / 3]),
         ("TWOBAR", "4/4", [0.0, 0.5, 0.75], [0.0, 0.25, 0.5]),
     )
+
+
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """The texts parsed behind load_vocabulary's memo during a test, which
+    starts with an empty memo of the same bound. A failed parse counts."""
+    texts = []
+    parse = vocabulary._parse.__wrapped__
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    maxsize = vocabulary._parse.cache_parameters()["maxsize"]
+    monkeypatch.setattr(vocabulary, "_parse", functools.lru_cache(maxsize=maxsize)(counting))
+    return texts

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strumscribe import cli
+from strumscribe import cli, vocabulary
 from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
 
 from conftest import make_vocab
@@ -160,6 +160,9 @@ class TestDecodeCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        if text == "{broken":
+            kind = {"strums": "strum", "barlines": "bar-line"}[which]
+            assert err.startswith(f"error: {kind} file is not valid JSON: ")
 
 
     def test_uncoverable_measure_exit_1(self, tmp_path, capsys):
@@ -454,6 +457,22 @@ def test_malformed_transcription_exit_1(tmp_path, vocab_file, synth_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["render", "eval"])
+def test_transcription_not_json_exit_1(tmp_path, vocab_file, synth_dir, capsys, command):
+    bad = tmp_path / "t.json"
+    bad.write_text((synth_dir / "transcription.json").read_text()[:-20])
+    out = tmp_path / "out"
+    args = {"render": ["render", "--transcription", bad, "--vocab", vocab_file, "--out", out],
+            "eval": ["eval", "--transcription", bad, "--barlines", synth_dir / "barlines.json",
+                     "--vocab", vocab_file, "--ground-truth", synth_dir / "nominal_strums.json",
+                     "--out", out]}[command]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: transcription is not valid JSON: ")
+    assert not out.exists()
+
+
 class TestBarlinesCommand:
     def test_cleanup(self, tmp_path):
         raw = tmp_path / "raw.json"
@@ -740,23 +759,10 @@ class TestNumpyOnFirstUse:
         assert result.stdout.strip() == "numpy No module named 'numpy'"
 
 
-@pytest.fixture
-def counted_parses(monkeypatch):
-    """Calls of load_vocabulary from cli, as a tracer of it would see them."""
-    calls = []
-    original = cli.load_vocabulary
-
-    def counting(source):
-        calls.append(source)
-        return original(source)
-
-    monkeypatch.setattr(cli, "load_vocabulary", counting)
-    return calls
-
-
 class TestVocabularyMemo:
-    """`eval --manifest --jobs 1` parses each distinct vocabulary text once;
-    every command reads its vocabulary files and parses them afresh."""
+    """Every command reads its vocabulary file, and load_vocabulary's memo
+    parses each distinct text once per process: the commands of one process
+    share its Vocabulary, and a run gives what a fresh process gives."""
 
     def manifest(self, tmp_path, synth_dir, vocabs):
         """A manifest of one record per entry of vocabs, a path or None for
@@ -808,8 +814,16 @@ class TestVocabularyMemo:
         assert capsys.readouterr().err == f"error: song_id 's1': {expected.value}\n"
         assert not out.exists()
 
-    def test_each_command_parses_afresh(self, tmp_path, vocab_file, synth_dir,
-                                        counted_parses):
+    def test_commands_share_one_parse(self, tmp_path, vocab_file, synth_dir, counted_parses,
+                                      monkeypatch):
+        loaded = []
+        load = cli.load_vocabulary
+
+        def loading(source):
+            loaded.append(load(source))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_vocabulary", loading)
         transcription = tmp_path / "t.json"
         assert run(["decode", "--strums", synth_dir / "strums.json",
                     "--barlines", synth_dir / "barlines.json",
@@ -820,7 +834,76 @@ class TestVocabularyMemo:
                     "--barlines", synth_dir / "barlines.json", "--vocab", vocab_file,
                     "--ground-truth", synth_dir / "nominal_strums.json",
                     "--out", tmp_path / "report.json"]) == 0
-        assert len(counted_parses) == 3
+        assert len(counted_parses) == 1
+        assert len(loaded) == 3 and all(vocab is loaded[0] for vocab in loaded)
+
+    def evaluate(self, synth_dir, vocab, out, fresh=False, capsys=None):
+        """eval's exit code, stderr and report bytes (None when it wrote
+        none), in this process or in a fresh one."""
+        argv = ["eval", "--transcription", str(synth_dir / "transcription.json"),
+                "--barlines", str(synth_dir / "barlines.json"), "--vocab", str(vocab),
+                "--ground-truth", str(synth_dir / "nominal_strums.json"), "--out", str(out)]
+        if fresh:
+            result = fresh_python("import json, sys, strumscribe.cli as cli\n"
+                                  "sys.exit(cli.main(json.loads(sys.argv[1])))", json.dumps(argv))
+            code, err = result.returncode, result.stderr
+        else:
+            code, err = run(argv), capsys.readouterr().err
+        return code, err, out.read_bytes() if out.exists() else None
+
+    def test_rewritten_vocab_parsed_again(self, tmp_path, vocab_file, synth_dir, capsys,
+                                          counted_parses):
+        # the new text has the old one's size and the file keeps its mtime:
+        # only the content tells the two apart
+        vocab = Path(vocab_file)
+        text = vocab.read_text()
+        edited = text.replace("0.75", "0.70")
+        assert edited != text and len(edited) == len(text)
+        before = vocab.stat()
+        first = self.evaluate(synth_dir, vocab, tmp_path / "first.json", capsys=capsys)
+        vocab.write_text(edited)
+        os.utime(vocab, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert vocab.stat().st_size == before.st_size
+        second = self.evaluate(synth_dir, vocab, tmp_path / "second.json", capsys=capsys)
+        assert len(counted_parses) == 2
+        assert second[0] == 0 and second[2] != first[2]
+        assert second == self.evaluate(synth_dir, vocab, tmp_path / "fresh.json", fresh=True)
+
+    @pytest.mark.parametrize("bad_text", ['{"patterns": [', '{"patterns": [%s, %s]}'],
+                             ids=["broken_json", "duplicate_id"])
+    @pytest.mark.parametrize("order", [("bad", "good", "bad"), ("good", "bad", "good")],
+                             ids=["bad_first", "good_first"])
+    def test_bad_and_good_vocab_as_in_fresh_processes(self, tmp_path, vocab_file, synth_dir,
+                                                      capsys, counted_parses, order, bad_text):
+        record = json.dumps(json.loads(Path(vocab_file).read_text())["patterns"][0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(bad_text.replace("%s", record))
+        files = {"good": Path(vocab_file), "bad": bad}
+        for step, which in enumerate(order):
+            out = tmp_path / f"{step}_{which}.json"
+            code, err, data = self.evaluate(synth_dir, files[which], out, capsys=capsys)
+            fresh = self.evaluate(synth_dir, files[which], tmp_path / f"{step}_fresh.json",
+                                  fresh=True)
+            assert (code, err, data) == fresh
+            assert (code == 0) == (which == "good")
+            assert code == 0 or err.startswith("error: ") and err.count("\n") == 1
+        # a failed parse is not kept, so the bad file is parsed at each use
+        assert len(counted_parses) == (3 if order[0] == "bad" else 2)
+
+    def test_manifest_jobs_2_matches_jobs_1(self, tmp_path, vocab_file, synth_dir):
+        # more distinct texts than the memo keeps, each met twice
+        text = Path(vocab_file).read_text()
+        vocabs = []
+        for i in range(vocabulary._parse.cache_parameters()["maxsize"] + 2):
+            vocabs.append(tmp_path / f"v{i}.json")
+            vocabs[-1].write_text(text + "\n" * i)
+        manifest = self.manifest(tmp_path, synth_dir, [*vocabs, None, *reversed(vocabs)])
+        reports = [tmp_path / "jobs_1.json", tmp_path / "jobs_2.json"]
+        for jobs, report in enumerate(reports, start=1):
+            assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                        "--out", report, "--jobs", jobs]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert len(json.loads(reports[0].read_text())["songs"]) == 2 * len(vocabs) + 1
 
 
 class TestSharedParser:

@@ -11,6 +11,7 @@ from strumscribe import (
     Vocabulary,
     VocabularyError,
     load_vocabulary,
+    vocabulary,
 )
 from strumscribe.vocabulary import empty_pattern
 
@@ -199,6 +200,39 @@ class TestLoadVocabulary:
                            "measures": 1, "onsets": [[0.0]]}]}
         ).encode())
         assert len(load_vocabulary(stream)) == 2
+
+
+class TestMemo:
+    """load_vocabulary keeps the parses of its last few distinct texts."""
+
+    def test_same_text_gives_the_same_object(self, basic_vocab, counted_parses):
+        text = json.dumps(basic_vocab.to_dict())
+        first = load_vocabulary(text)
+        assert load_vocabulary(io.StringIO(text)) is first
+        assert load_vocabulary(text) is first
+        other = load_vocabulary(text + " ")
+        assert other == first and other is not first
+        assert len(counted_parses) == 2
+
+    def test_failed_parse_is_not_kept(self, counted_parses):
+        record = {"id": "P", "time_signature": "4/4", "measures": 1, "onsets": [[0.0]]}
+        for _ in range(2):
+            with pytest.raises(VocabularyError, match="duplicate pattern id"):
+                load_from({"patterns": [record, record]})
+        assert len(counted_parses) == 2
+        assert vocabulary._parse.cache_info().currsize == 0
+
+    def test_bounded(self, basic_vocab, counted_parses):
+        kept = vocabulary._parse.cache_parameters()["maxsize"]
+        texts = [json.dumps(basic_vocab.to_dict()) + " " * i for i in range(kept + 1)]
+        first = load_vocabulary(texts[0])
+        for text in texts[1:]:
+            load_vocabulary(text)
+        assert vocabulary._parse.cache_info().currsize == kept
+        # the least recently used text went; a kept one is not parsed again
+        load_vocabulary(texts[-1])
+        assert load_vocabulary(texts[0]) is not first
+        assert len(counted_parses) == len(texts) + 1
 
 
 def test_round_trip(basic_vocab):
