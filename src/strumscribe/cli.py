@@ -247,10 +247,15 @@ def _commit(files: dict, directory: str | None = None) -> None:
         raise
 
 
-def _load(loader, path: str):
-    """loader applied to the UTF-8 text file at path."""
+def _load(loader, kind: str, path: str):
+    """loader applied to the UTF-8 text file at path. A file that is not
+    UTF-8 is a ValueError naming the input kind and the path."""
     with open(path, encoding="utf-8") as fp:
-        return loader(fp)
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} file {path} is not UTF-8: {exc}") from None
+    return loader(io.StringIO(text))
 
 
 def _encode(save, value) -> bytes:
@@ -275,7 +280,10 @@ def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[bytes, timelin
     """The raw bar-line file's bytes and its track, cleaned if postproc."""
     with open(path, "rb") as fp:
         raw_bytes = fp.read()
-    raw = timeline.load_barlines(io.BytesIO(raw_bytes))
+    try:
+        raw = timeline.load_barlines(io.BytesIO(raw_bytes))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bar-line file {path} is not UTF-8: {exc}") from None
     return raw_bytes, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
@@ -301,10 +309,11 @@ def _eval_one(
     vocab_path = resolve("vocab") if "vocab" in record else fallback_vocab
     if not vocab_path:
         raise ValueError("manifest record has no vocab and no --vocab fallback was given")
-    vocab = _load(load_vocabulary, vocab_path)
-    transcription = _load(decoder_mod.load_transcription, resolve("transcription"))
-    bars = _load(timeline.load_barlines, resolve("barlines"))
-    ground_truth = _load(timeline.load_strums, resolve("ground_truth"))
+    vocab = _load(load_vocabulary, "vocabulary", vocab_path)
+    transcription = _load(
+        decoder_mod.load_transcription, "transcription", resolve("transcription"))
+    bars = _load(timeline.load_barlines, "bar-line", resolve("barlines"))
+    ground_truth = _load(timeline.load_strums, "ground-truth", resolve("ground_truth"))
     report = metrics_mod.evaluate_transcription(transcription, bars, vocab, ground_truth, tolerance)
     return record.get("song_id", "?"), report
 
@@ -358,9 +367,9 @@ def cmd_barlines(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    vocab = _load(load_vocabulary, args.vocab)
-    strums = _load(timeline.load_strums, args.strums)
-    bars = _load(timeline.load_barlines, args.barlines)
+    vocab = _load(load_vocabulary, "vocabulary", args.vocab)
+    strums = _load(timeline.load_strums, "strum", args.strums)
+    bars = _load(timeline.load_barlines, "bar-line", args.barlines)
     transcription = _decode(strums, bars, vocab, cfg)
     return Outputs({args.out: _encode(decoder_mod.save_transcription, transcription)})
 
@@ -409,7 +418,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     spec = synth_mod.SynthSpec(
         seed=cfg.seed,
-        vocab=_load(load_vocabulary, args.vocab),
+        vocab=_load(load_vocabulary, "vocabulary", args.vocab),
         measures=args.measures,
         tempo_bpm=args.tempo_bpm,
         sigma_norm=args.sigma_norm,
@@ -436,14 +445,14 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_render(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    vocab = _load(load_vocabulary, args.vocab)
-    transcription = _load(decoder_mod.load_transcription, args.transcription)
+    vocab = _load(load_vocabulary, "vocabulary", args.vocab)
+    transcription = _load(decoder_mod.load_transcription, "transcription", args.transcription)
     text = render_mod.render_text(transcription, vocab, cfg.render)
     return Outputs({args.out: _lines(text)}) if args.out else Outputs({}, stdout=text)
 
 
 def cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    vocab = _load(load_vocabulary, args.vocab)
+    vocab = _load(load_vocabulary, "vocabulary", args.vocab)
     strums = _strums_from_audio(args.audio, cfg)
     _, bars = _barlines(args.raw_barlines, cfg, not args.no_barline_postproc)
     transcription = _decode(strums, bars, vocab, cfg)

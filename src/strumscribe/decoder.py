@@ -27,31 +27,39 @@ P1 = 3/4 (3/4), measures (0.7095379170839322), (), (1e-06) and
 rule alone would take EMPTY_4_4 at the same total cost and change count.
 
 The implementation is a first-order Viterbi pass over (pattern, phase)
-states. A transition costs nothing for a repeat, c1 within a time-signature
-group and c1+c2 across groups, so at each measure only one state per group
-can be a switch predecessor: its champion, the member with the smallest
-(cost, switches, index) key. Each group's switch key is resolved on these
-champions as Python scalars, broadcast over the group's states and compared
-once with the repeat; the champion takes its group's key too, since a
-switch from itself never beats its repeat. Each step thus costs
-O(patterns) with a fixed number of numpy calls instead of O(patterns^2).
-This is exact, not an approximation: the key order is total, so the
-minimum does not depend on the order in which candidates are compared, and
-each candidate's cost is the same floating-point expression (`cost + c1`,
-`cost + (c1 + c2)`) as in a full pairwise relaxation.
+states. Each state carries one complex key, cost + 1j * switches: numpy
+orders complex numbers by the real part first and then the imaginary part
+in np.less, np.minimum and argmin, which is the (cost, switches) order,
+and argmin takes the first of equal keys, which breaks the index tie. A
+transition costs nothing for a repeat, c1 within a time-signature group
+and c1+c2 across groups, so at each measure only one state per group can
+be a switch predecessor: its champion, the member with the smallest (key,
+index), found by one argmin over the group. Each group's switch key is
+resolved on these champions as Python scalars; a measure's step is then
+one gather of these keys over the states, one np.less for the switch
+bits, one np.minimum with the repeat, one add of the emission row, and
+one argmin per group. Each step thus costs O(patterns) with a fixed
+number of numpy calls instead of O(patterns^2). This is exact, not an
+approximation: the key order is total, so the minimum does not depend on
+the order in which candidates are compared, and each candidate's cost is
+the same floating-point expression (`cost + c1`, `cost + (c1 + c2)`) as in
+a full pairwise relaxation. The per-vocabulary state (signature groups,
+spans) is built once per vocabulary, with the emission tables' lookups
+(`likelihood.compiled`).
 
 No table the size of the song is held. The emission tables are made a
 block of about _BLOCK_CELLS (measures x patterns) cells at a time, each
 dropped before the next is made, and the pass reads each row once; a
 2-measure instance ending at a block's first measure takes its first
 half's emission from the row carried over from the block before. For the
-backtrack the pass keeps one bit per (measure, pattern), set where the
-instance of that pattern entered at that measure switched, and each
-signature group's switch source per measure. An instance that starts at
-measure 0 has no predecessor; one that starts later follows its group's
-source when its bit is set, and an instance of its own pattern when not.
-That is the predecessor the pass chose, by construction: a state switches
-exactly when its predecessor is not itself.
+backtrack the pass keeps one bit per (measure, pattern), packed once per
+block, set where the instance of that pattern entered at that measure
+switched, and each signature group's switch source per measure. An
+instance that starts at measure 0 has no predecessor; one that starts
+later follows its group's source when its bit is set, and an instance of
+its own pattern when not. That is the predecessor the pass chose, by
+construction: a state switches exactly when its predecessor is not
+itself.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from ._lazy import numpy as np
-from .likelihood import DecoderConfig, contribution_tables
+from .likelihood import DecoderConfig, compiled, contribution_tables
 from .timeline import BarlineTrack, MeasureStrums, StrumSequence
 from .vocabulary import TimeSignature, Vocabulary
 
@@ -214,48 +222,36 @@ def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
              % (records, json.dumps(transcription.total_cost)))
 
 
-def _champion(cost, sw, members):
-    """The member with the smallest (cost, switches, index) key. `members`
-    ascends, so the first argmin of the switch counts among the cheapest
-    members also breaks the index tie."""
-    c = cost[members]
-    tied = members[(c == c.min()).nonzero()[0]]
-    return int(tied[sw[tied].argmin()])
+def _enter(end, champions, sig_codes, c1, c2):
+    """Best way to enter a new pattern instance, given the keys `end` of
+    ending the previous instance at the preceding measure and each
+    signature group's champion: its member with the smallest (key, index).
+    Returns the entry keys, which states switched, and each group's switch
+    source: a state's predecessor is its group's source if it switched, and
+    itself if it repeated.
 
-
-def _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2):
-    """Best way to enter a new pattern instance, given the costs of ending
-    the previous instance at the preceding measure and each signature
-    group's `_champion` of them. Returns per-state (cost, switches,
-    predecessor) and each group's switch source: a state's predecessor is
-    its group's source if it switches, and itself if it repeats.
-
-    Repeating the pattern costs nothing and wins ties; a switch costs c1
-    within the group and c1+c2 across groups. A state's best switch within
-    its group is from the champion, and across groups from the champion of
-    the best group other than its own, so every state of a group shares one
-    switch key: the smaller of the two. The champion's switch from itself
-    never beats its repeat (cost + c1 >= cost, and at equal cost it has one
-    more switch), so the shared key is exact for the champion too.
+    A key is cost + 1j * switches. Repeating the pattern costs nothing and
+    wins ties; a switch costs c1 within the group and c1+c2 across groups.
+    A state's best switch within its group is from the champion, and across
+    groups from the champion of the best group other than its own, so every
+    state of a group shares one switch key: the smaller of the two. The
+    champion's switch from itself never beats its repeat (cost + c1 >=
+    cost, and at equal cost it has one more switch), so the shared key is
+    exact for the champion too.
     """
-    keys = [(prev_cost[b], prev_sw[b], b) for b in champions]
-    order = sorted(range(len(champions)), key=keys.__getitem__)
-    switch = []
-    for g, b in enumerate(champions):
-        key = (prev_cost[b] + c1, prev_sw[b] + 1, b)
-        if len(champions) > 1:
-            o = champions[order[1] if g == order[0] else order[0]]
-            key = min(key, (prev_cost[o] + (c1 + c2), prev_sw[o] + 1, o))
-        switch.append(key)
-    cc, cs, sources = (np.array(col) for col in zip(*switch))
-    cc, cs, cp = cc[sig_codes], cs[sig_codes], sources[sig_codes]
-    take = (cc < prev_cost) | ((cc == prev_cost) & (cs < prev_sw))
-    return (
-        np.where(take, cc, prev_cost),
-        np.where(take, cs, prev_sw),
-        np.where(take, cp, pattern_index),
-        sources,
-    )
+    keys = [(k.real, k.imag, b) for k, b in zip(end[champions].tolist(), champions)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    switch, sources = [], []
+    for g, (cost, switches, b) in enumerate(keys):
+        key = (cost + c1, switches + 1, b)
+        if len(keys) > 1:
+            other_cost, other_switches, o = keys[order[1] if g == order[0] else order[0]]
+            key = min(key, (other_cost + (c1 + c2), other_switches + 1, o))
+        switch.append(complex(key[0], key[1]))
+        sources.append(key[2])
+    offer = np.array(switch)[sig_codes]
+    switched = np.less(offer, end)
+    return np.minimum(end, offer, out=offer), switched, sources
 
 
 def decode(
@@ -275,29 +271,23 @@ def decode(
         raise ValueError("cannot decode with an empty vocabulary")
 
     n = len(patterns)
-    pattern_index = np.arange(n, dtype=np.int64)
-    spans = [p.measures for p in patterns]
-    multi = np.flatnonzero(np.array(spans) == 2)
-    sig_ids: dict[TimeSignature, int] = {}
-    sig_codes = np.array(
-        [sig_ids.setdefault(p.time_signature, len(sig_ids)) for p in patterns],
-        dtype=np.int64,
-    )
-    members = [np.flatnonzero(sig_codes == g) for g in range(len(sig_ids))]
+    _, spans, multi, sig_codes, members = compiled(vocab)
     c1 = cfg.pattern_change_penalty
     c2 = cfg.timesig_change_penalty
 
-    # end_cost/end_sw: best tiling of measures[0..m] whose last instance is
-    # pattern p ending exactly at measure m, one row rolled forward per
+    # end: the key of the best tiling of measures[0..m] whose last instance
+    # is pattern p ending exactly at measure m, one row rolled forward per
     # measure. A 2-measure instance ending at m was entered at m - 1: on the
-    # 2-measure columns, enter_cost/enter_sw hold that entry and
-    # first_before its first half's emission. switched[m] packs, 8 states a
-    # byte, which states switched on entering at m, and sources[m] holds
-    # each signature group's switch source there.
+    # 2-measure columns, enter holds that entry and first_before its first
+    # half's emission. switched[m] packs, 8 states a byte, which states
+    # switched on entering at m (bits holds a block's rows until they are
+    # packed), and sources[m] holds each signature group's switch source
+    # there.
     switched = np.zeros((n_measures, (n + 7) // 8), dtype=np.uint8)
     sources = np.zeros((n_measures, len(members)), dtype=np.int64)
     live = []  # does any feasible tiling of measures[0..m] end at m?
     per_block = max(1, _BLOCK_CELLS // n)
+    bits = np.zeros((min(per_block, n_measures), n), dtype=bool)
     for block_start in range(0, n_measures, per_block):
         first = second = None  # the last block's tables go before the next is made
         first, second = contribution_tables(
@@ -306,30 +296,25 @@ def decode(
         for row in range(len(first)):
             m = block_start + row
             if m == 0:
-                s_cost = np.zeros(n)
-                s_sw = np.zeros(n, dtype=np.int64)
-                two_cost, two_sw = np.inf, 0
+                entry = np.zeros(n, dtype=complex)
+                two = np.inf
             else:
-                s_cost, s_sw, s_prev, sources[m] = _enter(
-                    end_cost, end_sw, champions, sig_codes, pattern_index, c1, c2
-                )
-                switched[m] = np.packbits(s_prev != pattern_index)
-                two_cost = (enter_cost + first_before) + second[row]
-                two_sw = enter_sw
-            enter_cost, enter_sw, first_before = s_cost[multi], s_sw[multi], first[row, multi]
-            end_cost = s_cost + first[row]
-            end_cost[multi] = two_cost
-            end_sw = s_sw
-            end_sw[multi] = two_sw
-            champions = [_champion(end_cost, end_sw, g) for g in members]
-            live.append(min(end_cost[b] for b in champions) < np.inf)
+                entry, bits[row], sources[m] = _enter(end, champions, sig_codes, c1, c2)
+                two = (enter + first_before) + second[row]
+            enter, first_before = entry[multi], first[row, multi]
+            end = entry + first[row]
+            end[multi] = two
+            champions = [int(g[end[g].argmin()]) for g in members]
+            live.append(min(end[b].real for b in champions) < np.inf)
+        rows = len(first)
+        switched[block_start : block_start + rows] = np.packbits(bits[:rows], axis=1)
 
     if not live[-1]:
         # measure m is covered by an instance ending at m or, as phase 0, at m+1
         m = next(m for m in range(n_measures) if not any(live[m : m + 2]))
         raise ValueError(f"no feasible pattern assignment: measure {m} cannot be covered")
-    total_cost, _, best = min((end_cost[b], end_sw[b], b) for b in champions)
-    total_cost = float(total_cost)
+    best = int(end.argmin())
+    total_cost = float(end[best].real)
 
     entries: list[TranscriptionEntry | None] = [None] * n_measures
     m, p = n_measures - 1, best

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._lazy import numpy as np
 from .timeline import MeasureStrums
-from .vocabulary import Vocabulary
+from .vocabulary import TimeSignature, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -102,26 +102,26 @@ def _lane_sums(column, lanes: range, end: int) -> np.ndarray:
 
 def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     """The per-vocabulary set-up of a table whose columns are patterns with
-    the given onset lists for this half: (width, silent, rows, alphabet,
-    slots, below, above). `silent` lists the columns whose half has no
-    onsets and `rows` those whose half has some; the rest are the lookups
-    of `contribution_tables` over the `rows` columns, None when there are
-    none."""
+    the given onset lists for this half: (width, silent, alphabet, slots,
+    below, above). `silent` lists the columns whose half has no onsets; the
+    rest are the lookups of `contribution_tables`, over every column, and
+    None when no column has an onset. A silent column has only padding
+    slots and the -inf and +inf sentinels below and above every position,
+    so a played measure costs it +inf."""
     silent = np.flatnonzero([h == () for h in halves])
-    rows = np.flatnonzero([bool(h) for h in halves])
-    if rows.size == 0:
-        return len(halves), silent, rows, None, None, None, None
-    lengths = np.array([len(halves[i]) for i in rows])
-    onsets = np.concatenate([halves[i] for i in rows])
+    lengths = np.array([len(h) for h in halves], dtype=np.int64)
+    if not lengths.any():
+        return len(halves), silent, None, None, None, None
+    onsets = np.concatenate(halves)
     alphabet = np.unique(onsets)
     slot = np.searchsorted(alphabet, onsets)
-    owner = np.repeat(np.arange(len(rows)), lengths)
+    owner = np.repeat(np.arange(len(halves)), lengths)
     rank = np.arange(len(onsets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # slot index of each onset in the alphabet, (rank x pattern); padding
     # points one past it, at the 0 appended to the per-member distances
-    slots = np.full((lengths.max(), len(rows)), len(alphabet))
+    slots = np.full((lengths.max(), len(halves)), len(alphabet))
     slots[rank, owner] = slot
-    member = np.zeros((len(alphabet) + 2, len(rows)), dtype=bool)
+    member = np.zeros((len(alphabet) + 2, len(halves)), dtype=bool)
     member[[0, -1]] = True
     member[slot + 1, owner] = True
     extended = np.concatenate(([-np.inf], alphabet, [np.inf]))
@@ -130,24 +130,49 @@ def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=0)]
     reversed_above = np.where(member, position, len(extended) - 1)[::-1]
     above = extended[np.minimum.accumulate(reversed_above, axis=0)[::-1]]
-    return len(halves), silent, rows, alphabet, slots, below, above
+    return len(halves), silent, alphabet, slots, below, above
 
 
-# each live vocabulary's _setup, by id: hashing a Vocabulary hashes every
+class Compiled(NamedTuple):
+    """What decoding against one vocabulary needs of it whatever the
+    measures and the config: the two tables' set-up (`_half_setup`), each
+    pattern's span in measures, the indices of the 2-measure patterns,
+    each pattern's signature group, numbered in order of first appearance,
+    and each group's patterns in ascending order."""
+
+    tables: tuple[tuple, tuple]
+    spans: list[int]
+    multi: np.ndarray
+    sig_codes: np.ndarray
+    members: list[np.ndarray]
+
+
+# each live vocabulary's Compiled, by id: hashing a Vocabulary hashes every
 # pattern, and the lookup runs once per block of a decode
-_SETUPS: dict[int, tuple[tuple, tuple]] = {}
+_SETUPS: dict[int, Compiled] = {}
 
 
-def _setup(vocab: Vocabulary) -> tuple[tuple, tuple]:
-    """The two tables' set-up, built on a vocabulary's first use and kept
-    until the vocabulary is collected: none of it depends on the measures
-    or the config."""
+def compiled(vocab: Vocabulary) -> Compiled:
+    """The vocabulary's Compiled, built on its first use and kept until the
+    vocabulary is collected."""
     setup = _SETUPS.get(id(vocab))
     if setup is None:
         patterns = vocab.patterns
-        setup = _SETUPS[id(vocab)] = (
-            _half_setup([p.onsets[0] for p in patterns]),
-            _half_setup([p.onsets[1] for p in patterns if p.measures == 2]),
+        spans = [p.measures for p in patterns]
+        sig_ids: dict[TimeSignature, int] = {}
+        sig_codes = np.array(
+            [sig_ids.setdefault(p.time_signature, len(sig_ids)) for p in patterns],
+            dtype=np.int64,
+        )
+        setup = _SETUPS[id(vocab)] = Compiled(
+            (
+                _half_setup([p.onsets[0] for p in patterns]),
+                _half_setup([p.onsets[1] for p in patterns if p.measures == 2]),
+            ),
+            spans,
+            np.flatnonzero(np.array(spans) == 2),
+            sig_codes,
+            [np.flatnonzero(sig_codes == g) for g in range(len(sig_ids))],
         )
         weakref.finalize(vocab, _SETUPS.pop, id(vocab), None)
     return setup
@@ -181,8 +206,10 @@ def contribution_tables(
     nearest onset below s and the nearest above it hold the minimum |s - u|
     exactly, and a minimum does not depend on evaluation order. The onset
     side takes each alphabet member's distance to its nearest strum and
-    gathers its square into the pattern's onset slots, padding with 0.
-    These lookups are built once per vocabulary and kept while it lives.
+    gathers its square into the pattern's onset slots, padding with 0. A
+    pattern silent in that half has only the sentinels, so any strum costs
+    it +inf, and each slab is written as whole table rows. These lookups
+    are built once per vocabulary and kept while it lives.
 
     Played measures are grouped by strum count S and each group is taken in
     slabs of about _SLAB_ELEMENTS (measures x patterns) cells. A cell's two
@@ -199,13 +226,13 @@ def contribution_tables(
     counts = np.array([len(m.positions) for m in measures])
     silent = np.flatnonzero(counts == 0)
 
-    setup = _setup(vocab)
+    setup = compiled(vocab).tables
     tables = tuple(np.full((n_measures, half[0]), np.inf) for half in setup)
-    for table, (_, silent_columns, rows, alphabet, slots, below, above) in zip(tables, setup):
+    for table, (width, silent_columns, alphabet, slots, below, above) in zip(tables, setup):
         table[np.ix_(silent, silent_columns)] = 0.0
-        if rows.size == 0:
+        if alphabet is None:
             continue
-        per_slab = max(1, _SLAB_ELEMENTS // len(rows))
+        per_slab = max(1, _SLAB_ELEMENTS // width)
         for count in np.unique(counts[counts > 0]):
             group = np.flatnonzero(counts == count)
             # the whole number of slabs nearest the group's size, evened out,
@@ -231,5 +258,5 @@ def contribution_tables(
                 mismatch = _row_sums(int(count), to_pattern)
                 mismatch += _row_sums(len(slots), from_pattern)
                 mismatch /= denom
-                table[np.ix_(chosen, rows)] = mismatch
+                table[chosen] = mismatch
     return tables

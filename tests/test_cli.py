@@ -165,6 +165,23 @@ class TestDecodeCommand:
             assert err.startswith(f"error: {kind} file is not valid JSON: ")
 
 
+    @pytest.mark.parametrize("command", ["barlines", "decode"])
+    def test_bar_lines_not_utf8_exit_1(self, tmp_path, vocab_file, synth_dir, capsys, command):
+        # a file that ends in a lone lead byte fails to decode before the
+        # bar-line loader sees it; the error line still names the input
+        bad = tmp_path / "bad.json"
+        bad.write_bytes((synth_dir / "barlines.json").read_bytes() + b"\xc3")
+        out = tmp_path / "o.json"
+        args = {"barlines": ["barlines", "--raw", bad, "--out", out],
+                "decode": ["decode", "--strums", synth_dir / "strums.json", "--barlines", bad,
+                           "--vocab", vocab_file, "--out", out]}[command]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bar-line file {bad} is not UTF-8: 'utf-8' codec can't "
+                              "decode byte 0xc3 in position ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_uncoverable_measure_exit_1(self, tmp_path, capsys):
         # the only played pattern spans 2 measures: it covers measures 0-1 of
         # a 3-measure played song and cannot start at the final measure
@@ -309,6 +326,8 @@ def mutate_json(text, mutations):
 # null for the 3/4 pattern's second measure of onsets; NaN for the first bar line
 @example(which="vocab", mutations=[("swap", 9, None)])
 @example(which="barlines", mutations=[("swap", 2, float("nan"))])
+# a lone 0xc3 lead byte at the end of the file
+@example(which="barlines", mutations=[("insert", len(DECODE_BASE["barlines"]), b"\xc3")])
 def test_mutated_decode_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations):
     # decode succeeds, or ends with one error line, no traceback and no output
     folder = tmp_path_factory.mktemp("decode")
@@ -396,6 +415,8 @@ def test_mutated_eval_inputs_exit_0_1_or_2(tmp_path_factory, which, mutations, v
 
 @settings(max_examples=200, deadline=None)
 @given(mutations=st.lists(json_mutations, min_size=1, max_size=3), bypass=st.booleans())
+@example(mutations=[("insert", len(EVAL_BASE["barlines"]), b"\xc3")], bypass=False)
+@example(mutations=[("insert", len(EVAL_BASE["barlines"]), b"\xc3")], bypass=True)
 def test_mutated_barlines_input_exit_0_1_or_2(tmp_path_factory, mutations, bypass):
     run_mutated(
         lambda folder, out: ["barlines", "--raw", folder / "barlines.json", "--out", out,
@@ -811,7 +832,9 @@ class TestVocabularyMemo:
         out = tmp_path / "report.json"
         assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
                     "--out", out, "--jobs", 1]) == 1
-        assert capsys.readouterr().err == f"error: song_id 's1': {expected.value}\n"
+        assert capsys.readouterr().err == (
+            f"error: song_id 's1': vocabulary file {vocab.resolve()} is not UTF-8: "
+            f"{expected.value}\n")
         assert not out.exists()
 
     def test_commands_share_one_parse(self, tmp_path, vocab_file, synth_dir, counted_parses,

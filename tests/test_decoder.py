@@ -22,10 +22,11 @@ from strumscribe import (
     reconstruct_strums,
 )
 from strumscribe import decoder as decoder_module
-from strumscribe.decoder import _champion, _enter, load_transcription, save_transcription
+from strumscribe.decoder import _enter, load_transcription, save_transcription
 
 from conftest import make_pattern, make_vocab
 from oracles import (
+    _group_top2,
     _relax_entry,
     enumerate_decode,
     half_cost,
@@ -331,8 +332,8 @@ def entry_rows(draw):
     sig_codes = np.array([codes.setdefault(g, len(codes)) for g in raw], dtype=np.int64)
     prev_cost = np.array(draw(st.lists(st.sampled_from(ENTRY_COSTS), min_size=n, max_size=n)))
     prev_sw = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
-    c1 = draw(st.sampled_from([0.0, 0.5, 2.0]))
-    c2 = draw(st.sampled_from([0.0, 1.0, 6.0]))
+    c1 = draw(st.sampled_from([0.0, 0.5, 2.0, math.inf]))
+    c2 = draw(st.sampled_from([0.0, 1.0, 6.0, math.inf]))
     return prev_cost, prev_sw, sig_codes, c1, c2
 
 
@@ -366,22 +367,28 @@ class TestRelaxation:
     # 0.09 + (0.5 + 1.0) and (0.09 + 0.5) + 1.0 differ in the last bit
     @example((np.array([0.09, 4.0]), np.array([0, 0]), np.array([0, 1]), 0.5, 1.0))
     def test_entry_matches_lexsort_relaxation(self, row):
-        # switch counts and predecessors of infeasible (infinite-cost) states
-        # never reach a transcription, and the reference's come from an
-        # invalid runner-up, so only feasible states must agree on them
+        # decode's step on keys cost + 1j * switches, given each group's
+        # champion as the lexsort reference ranks it. Switch counts and
+        # predecessors of infeasible (infinite-cost) states never reach a
+        # transcription, and the reference's come from an invalid
+        # runner-up, so only feasible states must agree on them
         prev_cost, prev_sw, sig_codes, c1, c2 = row
         pattern_index = np.arange(len(prev_cost), dtype=np.int64)
         champions = [
-            _champion(prev_cost, prev_sw, np.flatnonzero(sig_codes == g))
+            int(_group_top2(prev_cost, prev_sw, np.flatnonzero(sig_codes == g))[0])
             for g in range(sig_codes.max() + 1)
         ]
-        got = _enter(prev_cost, prev_sw, champions, sig_codes, pattern_index, c1, c2)
-        want = _relax_entry(prev_cost, prev_sw, sig_codes, pattern_index, c1, c2)
-        assert got[0].tobytes() == want[0].tobytes()
-        feasible = np.isfinite(want[0])
-        for g, w in zip(got[1:], want[1:]):
-            assert g.dtype == w.dtype
-            assert g[feasible].tobytes() == w[feasible].tobytes()
+        entry, switched, sources = _enter(prev_cost + 1j * prev_sw, champions, sig_codes, c1, c2)
+        predecessor = np.where(switched, np.array(sources, dtype=np.int64)[sig_codes],
+                               pattern_index)
+        want_cost, want_sw, want_prev = _relax_entry(
+            prev_cost, prev_sw, sig_codes, pattern_index, c1, c2)
+        assert entry.dtype == np.complex128
+        assert entry.real.tobytes() == want_cost.tobytes()
+        feasible = np.isfinite(want_cost)
+        assert entry.imag[feasible].tobytes() == want_sw[feasible].astype(float).tobytes()
+        assert predecessor.dtype == want_prev.dtype
+        assert predecessor[feasible].tobytes() == want_prev[feasible].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(relaxation_cases())
@@ -395,6 +402,15 @@ class TestRelaxation:
         # settle every exact tie the same way
         assert_same_as_lexsort(*case)
 
+    @settings(deadline=None, max_examples=300)
+    @given(case=relaxation_cases() | eighth_grid_cases(),
+           c1=st.sampled_from([0.0, 2.0, math.inf]), c2=st.sampled_from([0.0, 6.0, math.inf]))
+    def test_bit_exact_against_lexsort_on_the_penalty_grid(self, case, c1, c2):
+        # the paper's change-penalty grid: an infinite penalty forbids that
+        # change, and a switch key's cost is then cost + inf
+        measures, vocab, cfg = case
+        assert_same_as_lexsort(measures, vocab, DecoderConfig(cfg.timing_sigma, c1, c2))
+
     @pytest.mark.parametrize(
         "cfg",
         [DecoderConfig(), DecoderConfig(pattern_change_penalty=0.0, timesig_change_penalty=0.0)],
@@ -403,6 +419,37 @@ class TestRelaxation:
     def test_bit_exact_at_c10_size(self, cfg):
         measures, vocab = c10_instance()
         assert_same_as_lexsort(measures, vocab, cfg)
+
+
+class TestComplexKeyOrder:
+    """decode keys each state by cost + 1j * switches and relies on numpy
+    ordering complex128 by the real part first, then the imaginary part,
+    in np.less, np.minimum and argmin, with argmin taking the first of
+    equal keys."""
+
+    # each pair ordered a < b: by real part, by imaginary part at an equal
+    # real part, and at an infinite real part
+    ORDERED = [(1.0 + 5j, 2.0 + 0j), (2.0 + 1j, 2.0 + 2j), (0.5 + 9j, complex(math.inf, 0)),
+               (complex(math.inf, 1), complex(math.inf, 2)), (NEXT_2 + 0j, complex(NEXT_2, 1))]
+
+    @pytest.mark.parametrize("a, b", ORDERED)
+    def test_less_and_minimum(self, a, b):
+        left, right = np.array([a, b]), np.array([b, a])
+        assert np.less(left, right).tolist() == [True, False]
+        assert np.minimum(left, right).tobytes() == np.array([a, a]).tobytes()
+        assert not np.less(left, left).any()
+
+    @pytest.mark.parametrize("a, b", ORDERED)
+    def test_argmin_takes_the_first_least_key(self, a, b):
+        assert np.array([b, a, b, a]).argmin() == 1
+        assert np.array([a, a, b]).argmin() == 0
+        assert np.array([b, b]).argmin() == 0
+
+    def test_keys_from_infinite_costs(self):
+        keys = np.array([math.inf, math.inf, 2.0]) + 1j * np.array([3, 1, 0])
+        assert keys.real.tolist() == [math.inf, math.inf, 2.0]
+        assert keys.imag.tolist() == [3.0, 1.0, 0.0]
+        assert not np.isnan(keys + complex(math.inf, 1)).any()
 
 
 class TestBlocks:

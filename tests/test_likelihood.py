@@ -402,6 +402,14 @@ class TestContributionTables:
             DecoderConfig(),
         )
     )
+    # no pattern plays in either half: a played measure costs every column +inf
+    @example(
+        (
+            [MeasureStrums(0, ()), MeasureStrums(1, (0.5,)), MeasureStrums(2, ())],
+            Vocabulary.build([make_pattern("R", "4/4", []), make_pattern("T", "3/4", [], [])]),
+            DecoderConfig(),
+        )
+    )
     def test_bit_exact_against_dense(self, case):
         assert_bit_exact(*case)
 
