@@ -87,8 +87,7 @@ def load_run_config(path: str) -> RunConfig:
     """Parse a JSON config file, rejecting any unknown key or mistyped value.
     RunConfig's dataclass fields are the file's sections, its other fields
     the scalars; keys are checked in RunConfig's field order."""
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
+    payload = _load(json.load, "config", path)
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
     defaults = _defaults(RunConfig)
@@ -321,17 +320,17 @@ def _eval_one(
 def _read_manifest(path: str) -> list[tuple[int, dict]]:
     """The manifest's (line number, record) pairs, skipping blank lines."""
     records = []
-    with open(path, encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"manifest line {line_no}: {exc}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"manifest line {line_no}: a record must be a JSON object")
-            records.append((line_no, record))
+    # list splits the text at "\n" alone, as iterating over the file would
+    for line_no, line in enumerate(_load(list, "manifest", path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"manifest line {line_no}: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"manifest line {line_no}: a record must be a JSON object")
+        records.append((line_no, record))
     return records
 
 

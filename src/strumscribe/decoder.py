@@ -35,15 +35,16 @@ transition costs nothing for a repeat, c1 within a time-signature group
 and c1+c2 across groups, so at each measure only one state per group can
 be a switch predecessor: its champion, the member with the smallest (key,
 index), found by one argmin over the group. Each group's switch key is
-resolved on these champions as Python scalars; a measure's step is then
-one gather of these keys over the states, one np.less for the switch
-bits, one np.minimum with the repeat, one add of the emission row, and
-one argmin per group. Each step thus costs O(patterns) with a fixed
-number of numpy calls instead of O(patterns^2). This is exact, not an
-approximation: the key order is total, so the minimum does not depend on
-the order in which candidates are compared, and each candidate's cost is
-the same floating-point expression (`cost + c1`, `cost + (c1 + c2)`) as in
-a full pairwise relaxation. The per-vocabulary state (signature groups,
+resolved on these champions as Python scalars, read with ndarray.item; a
+measure's step is then one gather of these keys over the states, one
+np.less that writes the switch bits into the block's bit rows, one
+np.minimum with the repeat, one add of the emission row, and one argmin
+per group. Each step thus costs O(patterns) with a fixed number of numpy
+calls instead of O(patterns^2). This is exact, not an approximation: the
+key order is total, so the minimum does not depend on the order in which
+candidates are compared, and each candidate's cost is the same
+floating-point expression (`cost + c1`, `cost + (c1 + c2)`) as in a full
+pairwise relaxation. The per-vocabulary state (signature groups,
 spans) is built once per vocabulary, with the emission tables' lookups
 (`likelihood.compiled`).
 
@@ -222,13 +223,13 @@ def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
              % (records, json.dumps(transcription.total_cost)))
 
 
-def _enter(end, champions, sig_codes, c1, c2):
+def _enter(end, champions, sig_codes, c1, c2, switched):
     """Best way to enter a new pattern instance, given the keys `end` of
     ending the previous instance at the preceding measure and each
     signature group's champion: its member with the smallest (key, index).
-    Returns the entry keys, which states switched, and each group's switch
-    source: a state's predecessor is its group's source if it switched, and
-    itself if it repeated.
+    Writes into the bool row `switched` which states switched, and returns
+    the entry keys and each group's switch source: a state's predecessor is
+    its group's source if it switched, and itself if it repeated.
 
     A key is cost + 1j * switches. Repeating the pattern costs nothing and
     wins ties; a switch costs c1 within the group and c1+c2 across groups.
@@ -239,7 +240,7 @@ def _enter(end, champions, sig_codes, c1, c2):
     cost, and at equal cost it has one more switch), so the shared key is
     exact for the champion too.
     """
-    keys = [(k.real, k.imag, b) for k, b in zip(end[champions].tolist(), champions)]
+    keys = [(k.real, k.imag, b) for b in champions for k in (end.item(b),)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     switch, sources = [], []
     for g, (cost, switches, b) in enumerate(keys):
@@ -250,8 +251,8 @@ def _enter(end, champions, sig_codes, c1, c2):
         switch.append(complex(key[0], key[1]))
         sources.append(key[2])
     offer = np.array(switch)[sig_codes]
-    switched = np.less(offer, end)
-    return np.minimum(end, offer, out=offer), switched, sources
+    np.less(offer, end, out=switched)
+    return np.minimum(end, offer, out=offer), sources
 
 
 def decode(
@@ -289,23 +290,25 @@ def decode(
     per_block = max(1, _BLOCK_CELLS // n)
     bits = np.zeros((min(per_block, n_measures), n), dtype=bool)
     for block_start in range(0, n_measures, per_block):
-        first = second = None  # the last block's tables go before the next is made
+        # the last block's tables go before the next is made
+        first = second = first_multi = None
         first, second = contribution_tables(
             measures[block_start : block_start + per_block], vocab, cfg
         )
+        first_multi = first[:, multi]
         for row in range(len(first)):
             m = block_start + row
             if m == 0:
                 entry = np.zeros(n, dtype=complex)
                 two = np.inf
             else:
-                entry, bits[row], sources[m] = _enter(end, champions, sig_codes, c1, c2)
+                entry, sources[m] = _enter(end, champions, sig_codes, c1, c2, bits[row])
                 two = (enter + first_before) + second[row]
-            enter, first_before = entry[multi], first[row, multi]
+            enter, first_before = entry[multi], first_multi[row]
             end = entry + first[row]
             end[multi] = two
             champions = [int(g[end[g].argmin()]) for g in members]
-            live.append(min(end[b].real for b in champions) < np.inf)
+            live.append(min(end.item(b).real for b in champions) < np.inf)
         rows = len(first)
         switched[block_start : block_start + rows] = np.packbits(bits[:rows], axis=1)
 

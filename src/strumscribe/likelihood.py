@@ -15,6 +15,7 @@ costs; the decoder charges them between consecutive pattern instances.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -55,54 +56,95 @@ _SLAB_ELEMENTS = 1 << 14
 _PAIRWISE_BLOCK = 128
 
 
-def _row_sums(n: int, column, start: int = 0) -> np.ndarray:
-    """np.sum(x, axis=-1) of a C-contiguous x of n nonnegative terms per row
-    whose j-th term is the array column(j), summed in numpy's own order.
+@functools.lru_cache(maxsize=64)
+def _pairwise_order(n: int, start: int = 0):
+    """The order in which numpy's pairwise sum adds a C-contiguous row of n
+    terms, numbered from start, as a tree: a leaf is a term's index and a
+    node a pair (left, right), added as left + right.
 
-    numpy sums a contiguous row pairwise: fewer than 8 terms in sequence; up
-    to _PAIRWISE_BLOCK terms in eight lanes, lane k adding terms k, k + 8,
-    ... over the whole blocks of 8, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), and then the rest in sequence; more terms split
-    at n // 2 rounded down to a multiple of 8, each side summed so and the
-    two added. The row sum starts from 0.0, which leaves a nonnegative first
-    term as it is. Each lane is summed in full before the next, in the
-    order they combine, and columns are made on demand and added in place,
-    so a few of them are alive at once, not all n.
+    numpy sums fewer than 8 terms in sequence; up to _PAIRWISE_BLOCK terms
+    in eight lanes, lane k adding terms k, k + 8, ... over the whole blocks
+    of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and
+    then the rest in sequence; more terms split at n // 2 rounded down to a
+    multiple of 8, each side summed so and the two added. Its sum starts
+    from 0.0, which leaves a nonnegative first term as it is.
     """
+    def chain(terms):
+        return functools.reduce(lambda left, right: (left, right), terms)
+
     if n < 8:
-        return _sequential_sum(column, range(start, start + n))
+        return chain(range(start, start + n))
     if n <= _PAIRWISE_BLOCK:
         end = start + n - n % 8
-        total = _lane_sums(column, range(start, start + 8), end)
-        for j in range(end, start + n):
-            total += column(j)
-        return total
+        lanes = [chain(range(k, end, 8)) for k in range(start, start + 8)]
+        while len(lanes) > 1:
+            lanes = list(zip(lanes[::2], lanes[1::2]))
+        return chain([lanes[0], *range(end, start + n)])
     split = n // 2 - (n // 2) % 8
-    total = _row_sums(split, column, start)
-    total += _row_sums(n - split, column, start + split)
-    return total
+    return _pairwise_order(split, start), _pairwise_order(n - split, start + split)
 
 
-def _sequential_sum(column, terms: range) -> np.ndarray:
-    total = column(terms[0])
-    for j in terms[1:]:
-        total += column(j)
-    return total
+def _row_sums(n: int, column) -> np.ndarray:
+    """np.sum(x, axis=-1) of a C-contiguous x of n nonnegative terms per row
+    whose j-th term is the array column(j), added in _pairwise_order. Each
+    side of a node is summed in full before the next, and columns are made
+    on demand and added in place, so a few of them are alive at once, not
+    all n."""
+    return _tree_sum(_pairwise_order(n), column)
 
 
-def _lane_sums(column, lanes: range, end: int) -> np.ndarray:
-    """The given lanes, each summed over its terms below end, added pairwise."""
-    if len(lanes) == 1:
-        return _sequential_sum(column, range(lanes[0], end, 8))
-    half = len(lanes) // 2
-    total = _lane_sums(column, lanes[:half], end)
-    total += _lane_sums(column, lanes[half:], end)
-    return total
+def _tree_sum(node, column) -> np.ndarray:
+    if isinstance(node, int):
+        return column(node)
+    left, right = node
+    values = _tree_sum(left, column)
+    values += _tree_sum(right, column)
+    return values
+
+
+def _onset_plan(slots: np.ndarray) -> tuple:
+    """The onset side's row sums over the padded slots (rank x pattern) as a
+    plan of shared partial sums, in _pairwise_order. A node is a tuple of
+    (child, codes) parts; its values are the sum, in order, of each child's
+    values at its codes, and a child None stands for the per-slot values
+    themselves. Below the root a node has one column per distinct pair of
+    its children's columns, so patterns that agree on a subtree's slots
+    share its sum, and a subtree of padding alone is one column; the root
+    has one column per pattern."""
+    tree = _pairwise_order(len(slots))
+    parts = [_shared(tree, slots)] if isinstance(tree, int) else [_shared(t, slots) for t in tree]
+    return tuple((child, np.array(codes)) for child, codes in parts)
+
+
+def _shared(node, slots: np.ndarray) -> tuple:
+    """An _onset_plan node below the root and each pattern's column in its
+    values."""
+    if isinstance(node, int):
+        return None, slots[node].tolist()
+    (left, left_codes), (right, right_codes) = (_shared(child, slots) for child in node)
+    pairs: dict[tuple[int, int], int] = {}
+    codes = [pairs.setdefault(pair, len(pairs)) for pair in zip(left_codes, right_codes)]
+    left_columns, right_columns = map(np.array, zip(*pairs))
+    return ((left, left_columns), (right, right_columns)), codes
+
+
+def _plan_sums(node, leaves: np.ndarray) -> np.ndarray:
+    """The values of an _onset_plan node, given the per-slot values. Each
+    child's values are dropped once gathered into their parent. take gives
+    C-ordered values, where x[:, codes] would give Fortran-ordered ones,
+    which numpy adds to a C-ordered array at a fraction of the speed."""
+    if node is None:
+        return leaves
+    (child, codes), *rest = node
+    values = _plan_sums(child, leaves).take(codes, axis=1)
+    for child, codes in rest:
+        values += _plan_sums(child, leaves).take(codes, axis=1)
+    return values
 
 
 def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     """The per-vocabulary set-up of a table whose columns are patterns with
-    the given onset lists for this half: (width, silent, alphabet, slots,
+    the given onset lists for this half: (width, silent, alphabet, plan,
     below, above). `silent` lists the columns whose half has no onsets; the
     rest are the lookups of `contribution_tables`, over every column, and
     None when no column has an onset. A silent column has only padding
@@ -130,7 +172,7 @@ def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     below = extended[np.maximum.accumulate(np.where(member, position, 0), axis=0)]
     reversed_above = np.where(member, position, len(extended) - 1)[::-1]
     above = extended[np.minimum.accumulate(reversed_above, axis=0)[::-1]]
-    return len(halves), silent, alphabet, slots, below, above
+    return len(halves), silent, alphabet, _onset_plan(slots), below, above
 
 
 class Compiled(NamedTuple):
@@ -202,24 +244,30 @@ def contribution_tables(
     extended by -inf and +inf, the nearest own onset at or below and at or
     above each alphabet position, stored as (position x pattern) so that a
     strum's lookup is one contiguous row. A strum s then needs only two
-    lookups around searchsorted(U, s): since fl(s - u) is monotone in u, the
-    nearest onset below s and the nearest above it hold the minimum |s - u|
-    exactly, and a minimum does not depend on evaluation order. The onset
-    side takes each alphabet member's distance to its nearest strum and
-    gathers its square into the pattern's onset slots, padding with 0. A
-    pattern silent in that half has only the sentinels, so any strum costs
-    it +inf, and each slab is written as whole table rows. These lookups
-    are built once per vocabulary and kept while it lives.
+    lookups around at = searchsorted(U, s): since fl(s - u) is monotone in
+    u, the nearest onset below s and the nearest above it hold the minimum
+    |s - u| exactly, and a minimum does not depend on evaluation order.
+    searchsorted's side "left" puts s in (U[at - 1], U[at]], so s - low and
+    high - s are at least +0, their own absolute values, and the -inf and
+    +inf sentinels give +inf. A pattern silent in that half has only the
+    sentinels, so any strum costs it +inf, and each slab is written as
+    whole table rows. The onset side takes each alphabet member's squared
+    distance to its nearest strum, and 0 for padding, and sums it over the
+    pattern's onset slots through a plan of shared partial sums
+    (_onset_plan), so that a slab adds each distinct partial sum once.
+    These lookups and the plan are built once per vocabulary and kept while
+    it lives.
 
     Played measures are grouped by strum count S and each group is taken in
     slabs of about _SLAB_ELEMENTS (measures x patterns) cells. A cell's two
     sums, over its S strums and over the half's longest onset list, are
-    whole-slab vector adds of one term column at a time (_row_sums), in the
-    order numpy's pairwise sum adds a C-contiguous row of that length. Every
-    other step is the same IEEE operation on the same operands as a dense
-    pattern x strum x onset evaluation: subtract, abs, min, square, add, and
-    the division by 2 sigma^2. So the tables match that evaluation
-    (tests/oracles.py) bit for bit.
+    whole-slab vector adds in the order numpy's pairwise sum adds a
+    C-contiguous row of that length (_pairwise_order). Every other step is
+    the same IEEE operation on the same operands as a dense pattern x strum
+    x onset evaluation: subtract, min, square, add, and the division by
+    2 sigma^2, where that evaluation's abs leaves a nonnegative difference
+    as it is. So the tables match that evaluation (tests/oracles.py) bit
+    for bit.
     """
     n_measures = len(measures)
     denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
@@ -228,7 +276,7 @@ def contribution_tables(
 
     setup = compiled(vocab).tables
     tables = tuple(np.full((n_measures, half[0]), np.inf) for half in setup)
-    for table, (width, silent_columns, alphabet, slots, below, above) in zip(tables, setup):
+    for table, (width, silent_columns, alphabet, plan, below, above) in zip(tables, setup):
         table[np.ix_(silent, silent_columns)] = 0.0
         if alphabet is None:
             continue
@@ -247,16 +295,13 @@ def contribution_tables(
                     strum = s[:, j, None]
                     low = below[at[:, j]]
                     high = above[at[:, j] + 1]
-                    np.abs(np.subtract(strum, low, out=low), out=low)
-                    np.abs(np.subtract(strum, high, out=high), out=high)
+                    np.subtract(strum, low, out=low)
+                    np.subtract(high, strum, out=high)
                     np.minimum(low, high, out=low)
                     return np.multiply(low, low, out=low)
 
-                def from_pattern(k):
-                    return nearest_sq[:, slots[k]]
-
                 mismatch = _row_sums(int(count), to_pattern)
-                mismatch += _row_sums(len(slots), from_pattern)
+                mismatch += _plan_sums(plan, nearest_sq)
                 mismatch /= denom
                 table[chosen] = mismatch
     return tables

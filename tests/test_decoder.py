@@ -378,7 +378,8 @@ class TestRelaxation:
             int(_group_top2(prev_cost, prev_sw, np.flatnonzero(sig_codes == g))[0])
             for g in range(sig_codes.max() + 1)
         ]
-        entry, switched, sources = _enter(prev_cost + 1j * prev_sw, champions, sig_codes, c1, c2)
+        switched = np.zeros(len(prev_cost), dtype=bool)
+        entry, sources = _enter(prev_cost + 1j * prev_sw, champions, sig_codes, c1, c2, switched)
         predecessor = np.where(switched, np.array(sources, dtype=np.int64)[sig_codes],
                                pattern_index)
         want_cost, want_sw, want_prev = _relax_entry(

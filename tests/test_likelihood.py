@@ -19,7 +19,14 @@ from strumscribe import (
     generate_song,
 )
 from strumscribe import likelihood
-from strumscribe.likelihood import _SLAB_ELEMENTS, _row_sums, contribution_tables
+from strumscribe.likelihood import (
+    _SLAB_ELEMENTS,
+    _half_setup,
+    _onset_plan,
+    _plan_sums,
+    _row_sums,
+    contribution_tables,
+)
 
 from conftest import make_pattern
 from oracles import dense_contribution_tables, half_cost
@@ -86,6 +93,9 @@ SEVEN = (0.0, 0.1, 0.26, 0.4, 0.52, 0.7, 0.91)
 EIGHT = tuple(k / 8 + 0.01 for k in range(8))
 EIGHT_LATE = tuple(k / 8 + 0.05 for k in range(8))
 NINE = tuple(k / 9 for k in range(9))
+# 150 onsets or strums, more than one pairwise block of 128: the sums split
+# in two halves
+MANY = tuple(k / 150 for k in range(150))
 
 
 # 2 * sigma^2 == 2 exactly, so twice a cell is the raw two-way mismatch
@@ -402,6 +412,21 @@ class TestContributionTables:
             DecoderConfig(),
         )
     )
+    # a first half of 150 onsets and a measure of 150 strums: both sides of
+    # the sum split, and the short patterns' padding fills whole subtrees
+    @example(
+        (
+            [MeasureStrums(0, MANY), MeasureStrums(1, NINE), MeasureStrums(2, (0.5,))],
+            Vocabulary.build(
+                [
+                    make_pattern("DENSE", "4/4", MANY),
+                    make_pattern("SIXTEENTHS", "4/4", SIXTEENTHS, [0.0]),
+                    make_pattern("ONE", "3/4", [1 / 3]),
+                ]
+            ),
+            DecoderConfig(),
+        )
+    )
     # no pattern plays in either half: a played measure costs every column +inf
     @example(
         (
@@ -486,3 +511,52 @@ class TestRowSums:
             x = np.square(10.0 ** rng.uniform(-4, 4, size=(7, n)))
             got = _row_sums(n, lambda j: x[:, j].copy())
             assert got.tobytes() == np.sum(x, axis=-1).tobytes(), n
+
+
+class TestOnsetPlan:
+    def test_matches_numpy_sum(self):
+        # per-slot values spanning 1e-8 to 1e8, so that any other grouping of
+        # a row's terms shows in its last bits, and a last column of zeros at
+        # the padding index. Each pattern pads its slots from a random rank
+        # on, and the alphabets are small, so that partial sums are shared
+        rng = np.random.default_rng(0)
+        for n in [*range(1, 301), 511, 512, 1031]:
+            pad = int(rng.integers(1, 6))
+            leaves = np.square(10.0 ** rng.uniform(-4, 4, size=(5, pad + 1)))
+            leaves[:, pad] = 0.0
+            slots = rng.integers(0, pad + 1, size=(n, 12))
+            slots[np.arange(n)[:, None] >= rng.integers(0, n + 1, size=12)] = pad
+            got = _plan_sums(_onset_plan(slots), leaves)
+            # each pattern's terms as a C-contiguous (rows x n) array, whose
+            # rows numpy sums pairwise as the dense reference's rows
+            want = [np.sum(np.take(leaves, column, axis=1), axis=-1) for column in slots.T]
+            assert got.tobytes() == np.stack(want, axis=1).tobytes(), n
+
+
+@st.composite
+def bracket_cases(draw):
+    """(halves, strums): one half of up to 6 patterns, at least one of them
+    played, and strums anywhere, on the alphabet, at 0 and just below 1."""
+    halves = draw(st.lists(half_onsets, min_size=1, max_size=6).filter(any))
+    alphabet = sorted({u for half in halves for u in half})
+    strum = st.one_of(anywhere, st.sampled_from(alphabet),
+                      st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]))
+    return halves, draw(st.lists(strum, min_size=1, max_size=20))
+
+
+class TestSentinelBracket:
+    @given(bracket_cases())
+    @example(([(0.0, 0.5), (0.25,), ()], [0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0))]))
+    @example(([(float(np.nextafter(1.0, 0.0)),)], [0.0, float(np.nextafter(1.0, 0.0))]))
+    def test_lookups_bracket_every_strum(self, case):
+        # searchsorted's side "left" puts the nearest onset at or below a
+        # strum at below[at] and the nearest at or above at above[at + 1], so
+        # both differences are at least +0: their own absolute values
+        halves, strums = case
+        _, _, alphabet, _, below, above = _half_setup(halves)
+        s = np.array(strums)[:, None]
+        at = np.searchsorted(alphabet, s[:, 0])
+        low, high = below[at], above[at + 1]
+        assert (low <= s).all() and (s <= high).all()
+        assert (s - low).tobytes() == np.abs(s - low).tobytes()
+        assert (high - s).tobytes() == np.abs(s - high).tobytes()
