@@ -24,42 +24,13 @@ unchanged rather than being uniformly subdivided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .config import PostprocConfig
 from .timeline import BarlineTrack
 
 TEMPO_FREE_BAND = 0.05
 DISCONTINUITY_THRESHOLD = 0.35
-
-
-@dataclass(frozen=True)
-class PostprocConfig:
-    """Edit penalties and search bounds for bar-line cleanup.
-
-    `lookahead` caps how far ahead the next kept estimate may be, i.e. at
-    most lookahead - 1 consecutive estimates can be deleted in one span.
-    """
-
-    subdivision_factors: tuple[int, ...] = (1, 2, 3, 4)
-    deletion_penalty: float = 1.0
-    insertion_penalty: float = 1.0
-    tempo_change_penalty: float = 8.0
-    snap_tolerance_sec: float = 0.07
-    lookahead: int = 4
-
-    def __post_init__(self) -> None:
-        factors = tuple(sorted(set(int(f) for f in self.subdivision_factors)))
-        object.__setattr__(self, "subdivision_factors", factors)
-        if not factors or factors[0] < 1:
-            raise ValueError("subdivision factors must be integers >= 1")
-        for name in ("deletion_penalty", "insertion_penalty", "tempo_change_penalty"):
-            if not getattr(self, name) >= 0:  # NaN compares false
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.snap_tolerance_sec > 0:
-            raise ValueError("snap tolerance must be > 0")
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
 
 
 def tempo_step_cost(prev_len: float, cur_len: float, cfg: PostprocConfig) -> float:

@@ -9,10 +9,15 @@ them only once every stage has succeeded. Exit codes: 0 success,
 
 Within one process the argument parser is built once.
 
-Importing this module does not import numpy (see `_lazy`): it loads at
-the first stage that computes with it. `render`, `barlines`, `--help`, an
-argument error and a run that fails before such a stage never load it,
-which saves such a one-shot process about 0.1 s of start-up.
+Importing this module runs no stage module. It binds `barlines`,
+`decoder`, `metrics`, `onsets`, `render`, `synth` and `timeline` through
+`_lazy.module`, so each runs when a command first reads one of its
+attributes, and RunConfig's sections come from `config`. A command thus
+loads only the stages it uses: `decode` never runs `onsets` or `synth`.
+numpy is bound the same way and loads at the first stage that computes
+with it. `render`, `barlines`, `--help`, an argument error and a run that
+fails before such a stage never load it, which saves such a one-shot
+process about 0.1 s of start-up.
 """
 
 from __future__ import annotations
@@ -31,23 +36,26 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from . import barlines as barlines_mod
-from . import decoder as decoder_mod
-from . import metrics as metrics_mod
-from . import onsets as onsets_mod
-from . import render as render_mod
-from . import synth as synth_mod
-from . import timeline
-from .likelihood import DecoderConfig
+from ._lazy import module
+from .config import DecoderConfig, OnsetConfig, PostprocConfig, RenderOptions
 from .vocabulary import Vocabulary, load_vocabulary
+
+# the stage modules, each run at its first use (see `_lazy`)
+barlines_mod = module("strumscribe.barlines")
+decoder_mod = module("strumscribe.decoder")
+metrics_mod = module("strumscribe.metrics")
+onsets_mod = module("strumscribe.onsets")
+render_mod = module("strumscribe.render")
+synth_mod = module("strumscribe.synth")
+timeline = module("strumscribe.timeline")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     decoder: DecoderConfig = DecoderConfig()
-    barlines: barlines_mod.PostprocConfig = barlines_mod.PostprocConfig()
-    onsets: onsets_mod.OnsetConfig = onsets_mod.OnsetConfig()
-    render: render_mod.RenderOptions = render_mod.RenderOptions()
+    barlines: PostprocConfig = PostprocConfig()
+    onsets: OnsetConfig = OnsetConfig()
+    render: RenderOptions = RenderOptions()
     strum_tolerance_sec: float = 0.05
     seed: int = 0
 

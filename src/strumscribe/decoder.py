@@ -337,7 +337,16 @@ def decode(
 def reconstruct_strums(
     transcription: Transcription, bars: BarlineTrack, vocab: Vocabulary
 ) -> StrumSequence:
-    """Write the decoded patterns back out as nominal strum times."""
+    """Write the decoded patterns back out as nominal strum times. Two of
+    them within 1 ms of each other, as a very short measure can give, are
+    rejected as duplicates (StrumSequence); `nominal_times` keeps them."""
+    return StrumSequence(nominal_times(transcription, bars, vocab))
+
+
+def nominal_times(
+    transcription: Transcription, bars: BarlineTrack, vocab: Vocabulary
+) -> tuple[float, ...]:
+    """The decoded patterns written out as strum times, in ascending order."""
     if len(transcription.entries) != bars.measure_count:
         raise ValueError(
             f"transcription covers {len(transcription.entries)} measures, "
@@ -354,4 +363,4 @@ def reconstruct_strums(
         start = bars.times_sec[entry.measure_index]
         duration = bars.times_sec[entry.measure_index + 1] - start
         times.extend(start + position * duration for position in pattern.onsets[entry.phase])
-    return StrumSequence(tuple(sorted(times)))
+    return tuple(sorted(times))

@@ -16,38 +16,13 @@ costs; the decoder charges them between consecutive pattern instances.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ._lazy import numpy as np
+from .config import DecoderConfig
 from .timeline import MeasureStrums
 from .vocabulary import TimeSignature, Vocabulary
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Knobs governing decoding.
-
-    timing_sigma is the strum timing standard deviation in measure-fraction
-    units. pattern_change_penalty is charged whenever consecutive pattern
-    instances differ; timesig_change_penalty is added on top when their time
-    signatures differ too. Defaults were fixed by grid search on synthetic
-    data.
-    """
-
-    timing_sigma: float = 0.03
-    pattern_change_penalty: float = 2.0
-    timesig_change_penalty: float = 6.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.timing_sigma < math.inf:
-            raise ValueError(f"timing_sigma must be finite and > 0, got {self.timing_sigma}")
-        # an infinite change penalty forbids that change; NaN compares false
-        for name in ("pattern_change_penalty", "timesig_change_penalty"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 # (measures x patterns) elements per slab of an emission table group
@@ -155,7 +130,10 @@ def _half_setup(halves: Sequence[tuple[float, ...]]) -> tuple:
     if not lengths.any():
         return len(halves), silent, None, None, None, None
     onsets = np.concatenate(halves)
-    alphabet = np.unique(onsets)
+    # np.unique(onsets) by its own sorting method: np.unique would import
+    # numpy.ma, for its masked-array check, in every process that decodes
+    ordered = np.sort(onsets)
+    alphabet = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     slot = np.searchsorted(alphabet, onsets)
     owner = np.repeat(np.arange(len(halves)), lengths)
     rank = np.arange(len(onsets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -271,7 +249,7 @@ def contribution_tables(
     """
     n_measures = len(measures)
     denom = 2.0 * cfg.timing_sigma * cfg.timing_sigma
-    counts = np.array([len(m.positions) for m in measures])
+    counts = np.array([len(m.positions) for m in measures], dtype=np.intp)
     silent = np.flatnonzero(counts == 0)
 
     setup = compiled(vocab).tables
@@ -281,7 +259,7 @@ def contribution_tables(
         if alphabet is None:
             continue
         per_slab = max(1, _SLAB_ELEMENTS // width)
-        for count in np.unique(counts[counts > 0]):
+        for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             group = np.flatnonzero(counts == count)
             # the whole number of slabs nearest the group's size, evened out,
             # so no slab is a small remainder: under 1.5 per_slab measures each

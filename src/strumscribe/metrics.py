@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ._lazy import numpy as np
 from .barlines import discontinuity_rate
-from .decoder import Transcription, reconstruct_strums
+from .decoder import Transcription, nominal_times
 from .timeline import BarlineTrack, StrumSequence
 from .vocabulary import Vocabulary
 
@@ -117,11 +117,9 @@ def evaluate_transcription(
 ) -> TranscriptionReport:
     """Score a transcription by writing its patterns back out as strums and
     matching them against ground truth, alongside the discontinuity rates."""
-    reconstructed = reconstruct_strums(transcription, bars, vocab)
+    written_out = nominal_times(transcription, bars, vocab)
     return TranscriptionReport(
-        strum_match=match_events(
-            ground_truth_strums.times_sec, reconstructed.times_sec, tolerance_sec
-        ),
+        strum_match=match_events(ground_truth_strums.times_sec, written_out, tolerance_sec),
         pattern_disc=pattern_discontinuity(transcription),
         timesig_disc=timesig_discontinuity(transcription),
         measure_disc=discontinuity_rate(bars),

@@ -19,6 +19,7 @@ import weakref
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
+from .config import OnsetConfig
 from .timeline import StrumSequence
 
 
@@ -82,44 +83,6 @@ class AudioBuffer:
 
 # samples per block of the finite check of float PCM
 _SCAN_SAMPLES = 1 << 16
-
-
-@dataclass(frozen=True)
-class OnsetConfig:
-    """Envelope and peak-picking parameters.
-
-    Window sizes are in frames. delta is the threshold above the local
-    moving average of the envelope. Defaults were fixed on synthetic pluck
-    trains.
-    """
-
-    frame_size: int = 2048
-    hop_size: int = 512
-    n_mels: int = 128
-    fmin_hz: float = 30.0
-    fmax_hz: float = 11025.0
-    log_compression: float = 1000.0
-    delta: float = 10.0
-    pre_max: int = 3
-    post_max: int = 3
-    pre_avg: int = 8
-    post_avg: int = 8
-    min_gap_sec: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.hop_size > self.frame_size:
-            raise ValueError("hop_size must be <= frame_size")
-        if min(self.frame_size, self.hop_size, self.n_mels) < 1:
-            raise ValueError("frame_size, hop_size, n_mels must be >= 1")
-        if min(self.pre_max, self.post_max, self.pre_avg, self.post_avg) < 1:
-            raise ValueError("peak-picking windows must be >= 1")
-        if not self.min_gap_sec >= 0:  # NaN compares false
-            raise ValueError(f"min_gap_sec must be >= 0, got {self.min_gap_sec}")
-        for name in ("delta", "log_compression"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
-        if not 0 < self.fmin_hz < self.fmax_hz:
-            raise ValueError("need 0 < fmin_hz < fmax_hz")
 
 
 # WAVE format tags: integer PCM, IEEE float, and WAVE_FORMAT_EXTENSIBLE,

@@ -10,25 +10,14 @@ Only attack positions are rendered; the decoder carries no durations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
+from .config import RenderOptions
 from .decoder import Transcription
 from .vocabulary import Vocabulary
 
 
 class LossyRenderWarning(UserWarning):
     """An onset did not sit exactly on the requested grid."""
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    use_repeat_symbol: bool = True
-    grid_resolution: int = 16
-    show_pattern_ids: bool = False
-
-    def __post_init__(self) -> None:
-        if self.grid_resolution < 1:
-            raise ValueError("grid_resolution must be >= 1")
 
 
 def _measure_cell(positions, resolution: int, context: str) -> str:

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import wave
 from pathlib import Path
 
@@ -788,6 +789,33 @@ class TestNumpyOnFirstUse:
         assert numpy_modules == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_decode_loads_no_numpy_ma(self, tmp_path, synth_dir, vocab_file):
+        # np.unique would import numpy.ma for its masked-array check
+        argv = [*song_argv("decode", synth_dir, vocab_file), "--out", str(tmp_path / "t.json")]
+        result = fresh_python(MAIN_AND_NUMPY, json.dumps(argv))
+        assert result.returncode == 0, result.stderr
+        code, numpy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert numpy_modules and "numpy.ma" not in numpy_modules
+
+    def test_cli_start_up_runs_no_stage_module(self):
+        # a stage module cli binds stays an unloaded lazy module (not yet a
+        # plain module) until a command reads one of its attributes
+        script = (
+            "import json, sys, types\n"
+            "import strumscribe.cli as cli\n"
+            "cli.build_parser()\n"
+            "print(json.dumps(sorted(name for name, m in sys.modules.items()\n"
+            "                        if name.startswith('strumscribe')\n"
+            "                        and type(m) is types.ModuleType)))\n"
+        )
+        result = fresh_python(script)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            "strumscribe", "strumscribe._lazy", "strumscribe.cli", "strumscribe.config",
+            "strumscribe.vocabulary",
+        ]
+
     def test_numpy_imported_first_is_the_one_bound(self):
         script = "import sys, numpy, strumscribe.onsets as o; sys.exit(o.np is not numpy)"
         result = fresh_python(script)
@@ -1176,6 +1204,20 @@ def test_non_finite_knob_exit_1(tmp_path, capsys, command, spelling, flag, field
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} ")
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+def test_timing_sigma_out_of_float_range_exit_1(tmp_path, synth_dir, vocab_file, capsys, sigma):
+    # 2 sigma^2 overflows or goes subnormal: the emission costs would be
+    # inf / inf or 0 / 0, so the flag is rejected before any decoding
+    out = tmp_path / "t.json"
+    argv = [*song_argv("decode", synth_dir, vocab_file), "--out", out, "--timing-sigma", sigma]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: timing_sigma is out of range")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--sigma-norm", "--tempo-bpm"])

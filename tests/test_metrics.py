@@ -15,6 +15,7 @@ from strumscribe import (
     evaluate_transcription,
     match_events,
     pattern_discontinuity,
+    reconstruct_strums,
     timesig_discontinuity,
 )
 from strumscribe.metrics import MatchResult, aggregate_reports
@@ -174,6 +175,24 @@ class TestEvaluateTranscription:
         assert report.pattern_disc == 0.0
         assert report.timesig_disc == 0.0
         assert report.measure_disc == 0.0
+
+    def test_very_short_measure_scored(self):
+        # A, A writes out strums 0.75 ms apart in the 1.5 ms first measure:
+        # nominal strums are scored as they are, not through the detector's
+        # 1 ms duplicate rule that reconstruct_strums applies
+        vocab = make_vocab(("A", "4/4", [0.0, 0.5]))
+        bars = BarlineTrack((0.0, 0.0015, 2.0))
+        truth = StrumSequence((0.0, 0.5, 1.5))
+        measures, _ = bin_strums(truth, bars)
+        transcription = decode(measures, vocab, DecoderConfig())
+        assert [e.pattern_id for e in transcription.entries] == ["A", "A"]
+        with pytest.raises(ValueError, match="duplicate strums within 1 ms"):
+            reconstruct_strums(transcription, bars, vocab)
+        report = evaluate_transcription(transcription, bars, vocab, truth, 0.05)
+        match = report.strum_match
+        # written out: 0.0, 0.00075, 0.0015 and 1.00075, of which only 0.0
+        # lies within 50 ms of a true strum
+        assert (match.true_positives, match.false_positives, match.false_negatives) == (1, 3, 2)
 
     def test_report_dict_keys(self):
         vocab = make_vocab(("A", "4/4", [0.0]))
