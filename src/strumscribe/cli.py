@@ -254,15 +254,25 @@ def _commit(files: dict, directory: str | None = None) -> None:
         raise
 
 
-def _load(loader, kind: str, path: str):
-    """loader applied to the UTF-8 text file at path. A file that is not
-    UTF-8 is a ValueError naming the input kind and the path."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            text = fp.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{kind} file {path} is not UTF-8: {exc}") from None
-    return loader(io.StringIO(text))
+def _load(loader, kind: str, path: str, with_text: bool = False):
+    """loader applied to the text file at path, which is read as strict
+    UTF-8 and handed over as a stream whose lines end where open() ends
+    them: at "\n", "\r\n" or a lone "\r", each read as "\n". with_text
+    returns (the file's text, line ends as stored; the result) instead.
+    Every text input comes in here. A file that is not UTF-8, or a JSON
+    file that is not valid JSON, is a ValueError naming the input kind and
+    the path; a UTF-8 BOM is not JSON."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} file {path} is not UTF-8: {exc}") from None
+    try:
+        result = loader(io.StringIO(text, newline=None))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
+    return (text, result) if with_text else result
 
 
 def _encode(save, value) -> bytes:
@@ -283,15 +293,11 @@ def _strums_from_audio(path: str, cfg: RunConfig) -> timeline.StrumSequence:
     return onsets_mod.detect_onsets(onsets_mod.load_wav(path), cfg.onsets)
 
 
-def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[bytes, timeline.BarlineTrack]:
-    """The raw bar-line file's bytes and its track, cleaned if postproc."""
-    with open(path, "rb") as fp:
-        raw_bytes = fp.read()
-    try:
-        raw = timeline.load_barlines(io.BytesIO(raw_bytes))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"bar-line file {path} is not UTF-8: {exc}") from None
-    return raw_bytes, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
+def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[str, timeline.BarlineTrack]:
+    """The raw bar-line file's text, line ends as stored, and its track,
+    cleaned if postproc."""
+    text, raw = _load(timeline.load_barlines, "bar-line", path, with_text=True)
+    return text, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
 def _decode(strums, bars, vocab: Vocabulary, cfg: RunConfig) -> decoder_mod.Transcription:
@@ -328,7 +334,6 @@ def _eval_one(
 def _read_manifest(path: str) -> list[tuple[int, dict]]:
     """The manifest's (line number, record) pairs, skipping blank lines."""
     records = []
-    # list splits the text at "\n" alone, as iterating over the file would
     for line_no, line in enumerate(_load(list, "manifest", path), start=1):
         if not line.strip():
             continue
@@ -368,9 +373,10 @@ def cmd_onsets(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_barlines(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    raw_bytes, bars = _barlines(args.raw, cfg, not args.no_barline_postproc)
-    data = raw_bytes if args.no_barline_postproc else _encode(timeline.save_barlines, bars)
-    return Outputs({args.out: data})
+    text, bars = _barlines(args.raw, cfg, not args.no_barline_postproc)
+    if args.no_barline_postproc:  # strict UTF-8 text encodes back to the file's bytes
+        return Outputs({args.out: text.encode("utf-8")})
+    return Outputs({args.out: _encode(timeline.save_barlines, bars)})
 
 
 def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:

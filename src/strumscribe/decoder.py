@@ -139,8 +139,7 @@ class Transcription:
         records = payload["measures"]
         if not isinstance(records, list):
             raise ValueError(f"transcription measures must be a list, got {records!r}")
-        signatures: dict[str, TimeSignature] = {}
-        entries = tuple(_entry_from_record(i, rec, signatures) for i, rec in enumerate(records))
+        entries = tuple(_entry_from_record(i, rec) for i, rec in enumerate(records))
         return cls(entries, total_cost)
 
 
@@ -162,9 +161,8 @@ def _check_record(i: int, rec) -> None:
             raise ValueError(f"{where}.{key} must be {article}, got {rec[key]!r}")
 
 
-def _entry_from_record(i: int, rec, signatures: dict) -> TranscriptionEntry:
-    """Measure record i as a TranscriptionEntry. `signatures` maps the
-    time-signature strings already parsed by this load to their values."""
+def _entry_from_record(i: int, rec) -> TranscriptionEntry:
+    """Measure record i as a TranscriptionEntry."""
     # the plain JSON types pass without a look at each field; anything else,
     # a subclass included, goes through the full check
     if not (
@@ -175,15 +173,11 @@ def _entry_from_record(i: int, rec, signatures: dict) -> TranscriptionEntry:
         and type(rec.get("time_signature")) is str
     ):
         _check_record(i, rec)
-    text = rec["time_signature"]
-    signature = signatures.get(text)
-    if signature is None:
-        signature = signatures[text] = TimeSignature.parse(text)
     return TranscriptionEntry(
         measure_index=rec["index"],
         pattern_id=rec["pattern_id"],
         phase=rec["phase"],
-        time_signature=signature,
+        time_signature=TimeSignature.parse(rec["time_signature"]),
     )
 
 

@@ -23,7 +23,7 @@ from .config import OnsetConfig
 from .timeline import StrumSequence
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class AudioBuffer:
     """Audio whose signal is pcm / full_scale, channels averaged.
 
@@ -32,31 +32,19 @@ class AudioBuffer:
     `load_wav` read, the file's data chunk itself, whose slices are read
     when they are taken (see _StoredSamples). `onset_strength` converts
     one span of samples at a time into the float64 mono signal in
-    [-1, 1], so a loaded song is never held in memory.
-    `AudioBuffer(samples, sample_rate)` takes that mono signal itself, with
-    full scale 1.0.
+    [-1, 1], so a loaded song is never held in memory. A mono float
+    signal `x` is `AudioBuffer(x, 1.0, sample_rate)`.
     """
 
     pcm: np.ndarray | _StoredSamples
     full_scale: float
     sample_rate: int
 
-    def __init__(self, samples, sample_rate: int) -> None:
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError("samples must be mono (1-D)")
-        self._store(samples, 1.0, sample_rate)
-
-    @classmethod
-    def _from_pcm(cls, pcm: np.ndarray | _StoredSamples, full_scale: float,
-                  sample_rate: int) -> AudioBuffer:
-        audio = cls.__new__(cls)
-        audio._store(pcm, full_scale, sample_rate)
-        return audio
-
-    def _store(self, pcm: np.ndarray | _StoredSamples, full_scale: float,
-               sample_rate: int) -> None:
-        if sample_rate <= 0:
+    def __post_init__(self) -> None:
+        pcm = self.pcm
+        if pcm.ndim not in (1, 2) or 0 in pcm.shape[1:]:
+            raise ValueError("samples must be 1-D, or 2-D with one column per channel")
+        if self.sample_rate <= 0:
             raise ValueError("sample rate must be > 0")
         # integer PCM is finite by construction; float PCM is scanned a
         # block of rows at a time
@@ -65,9 +53,6 @@ class AudioBuffer:
             for lo in range(0, len(pcm), step):
                 if not np.isfinite(pcm[lo : lo + step]).all():
                     raise ValueError("samples must be finite")
-        object.__setattr__(self, "pcm", pcm)
-        object.__setattr__(self, "full_scale", full_scale)
-        object.__setattr__(self, "sample_rate", sample_rate)
 
     def _signal_into(self, lo: int, hi: int, out: np.ndarray, channels: np.ndarray | None) -> None:
         """Write the signal of samples lo .. hi - 1 into out, through the
@@ -364,7 +349,7 @@ def load_wav(path: str) -> AudioBuffer:
                                  "float of 4 or 8 bytes per sample are read")
             dtype, full_scale = sample_format
             pcm = _StoredSamples(path, content, start, frames, dtype, width, channels)
-            return AudioBuffer._from_pcm(pcm, full_scale, int(sample_rate))
+            return AudioBuffer(pcm, full_scale, int(sample_rate))
         except _ShortRead:
             raise
         except (ValueError, OverflowError) as exc:

@@ -2,8 +2,8 @@
 
 A vocabulary is an ordered list of expert-curated strumming patterns. Each
 pattern spans 1 or 2 measures and stores its onsets as fractions of a measure
-in [0, 1). Loading appends one onset-free "empty" pattern per time signature
-so that silent measures can always be covered.
+in [0, 1). A vocabulary appends one onset-free "empty" pattern per time
+signature so that silent measures can always be covered.
 """
 
 from __future__ import annotations
@@ -40,18 +40,31 @@ class TimeSignature:
                 f"got {self.denominator!r}"
             )
 
-    @classmethod
-    def parse(cls, text: str) -> TimeSignature:
-        """Parse an 'N/D' string."""
-        try:
-            num_text, den_text = text.strip().split("/")
-            numerator, denominator = int(num_text), int(den_text)
-        except (ValueError, AttributeError) as exc:
-            raise VocabularyError(f"cannot parse time signature {text!r}") from exc
-        return cls(numerator, denominator)
+    @staticmethod
+    def parse(text: str) -> TimeSignature:
+        """Parse an 'N/D' string. The parses of the last _SIGNATURES_KEPT
+        distinct strings are kept, so a load parses each time signature it
+        reads once and its records share the value."""
+        if not isinstance(text, str):  # before the memo, which would hash it
+            raise VocabularyError(f"cannot parse time signature {text!r}")
+        return _parse_signature(text)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
+
+
+# a vocabulary or a transcription uses a handful of time signatures
+_SIGNATURES_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_SIGNATURES_KEPT)
+def _parse_signature(text: str) -> TimeSignature:
+    try:
+        num_text, den_text = text.strip().split("/")
+        numerator, denominator = int(num_text), int(den_text)
+    except ValueError as exc:
+        raise VocabularyError(f"cannot parse time signature {text!r}") from exc
+    return TimeSignature(numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -120,60 +133,52 @@ def empty_pattern(signature: TimeSignature) -> RhythmicPattern:
 class Vocabulary:
     """Ordered, validated collection of rhythmic patterns.
 
-    Immutable after construction; safe to share across workers. Use
-    Vocabulary.build() or load_vocabulary() rather than the raw constructor
-    so missing empty patterns get appended.
+    Construction appends one empty pattern (see empty_pattern) for every
+    time signature of a non-empty pattern that has none, in the order in
+    which those signatures first appear. Immutable after construction;
+    safe to share across workers.
     """
 
     patterns: tuple[RhythmicPattern, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "patterns", tuple(self.patterns))
+        patterns = list(self.patterns)
         by_id: dict[str, RhythmicPattern] = {}
         seen_shapes: set[tuple] = set()
-        empties_by_sig: dict[TimeSignature, int] = {}
-        for pattern in self.patterns:
+        # TimeSignature equality is componentwise, so its fields key shapes
+        # and signatures without a call of the dataclass __hash__ per pattern
+        signatures: dict[tuple[int, int], TimeSignature] = {}  # of non-empty patterns
+        empties: dict[tuple[int, int], int] = {}
+        for pattern in patterns:
             if pattern.id in by_id:
                 raise VocabularyError(f"duplicate pattern id {pattern.id!r}")
             by_id[pattern.id] = pattern
+            signature = pattern.time_signature
+            key = (signature.numerator, signature.denominator)
             if pattern.is_empty:
-                empties_by_sig[pattern.time_signature] = empties_by_sig.get(pattern.time_signature, 0) + 1
-            else:
-                # TimeSignature equality is componentwise, so its fields key
-                # the shape without a call of the dataclass __hash__ per pattern
-                signature = pattern.time_signature
-                shape = (signature.numerator, signature.denominator, pattern.onsets)
-                if shape in seen_shapes:
-                    raise VocabularyError(
-                        f"pattern {pattern.id!r} duplicates another pattern with the same "
-                        f"time signature and onsets"
-                    )
-                seen_shapes.add(shape)
-        for signature in self._signatures_of_nonempty():
-            if empties_by_sig.get(signature, 0) != 1:
+                empties[key] = empties.get(key, 0) + 1
+                continue
+            shape = (key, pattern.onsets)
+            if shape in seen_shapes:
                 raise VocabularyError(
-                    f"vocabulary needs exactly one empty pattern for {signature}; "
-                    f"use Vocabulary.build() to append them"
+                    f"pattern {pattern.id!r} duplicates another pattern with the same "
+                    f"time signature and onsets"
                 )
-        for signature, count in empties_by_sig.items():
+            seen_shapes.add(shape)
+            signatures.setdefault(key, signature)
+        for key, signature in signatures.items():
+            if key not in empties:
+                empty = empty_pattern(signature)
+                if empty.id in by_id:
+                    raise VocabularyError(f"duplicate pattern id {empty.id!r}")
+                by_id[empty.id] = empty
+                patterns.append(empty)
+        for (numerator, denominator), count in empties.items():
             if count > 1:
-                raise VocabularyError(f"more than one empty pattern for {signature}")
+                raise VocabularyError(f"more than one empty pattern for {numerator}/{denominator}")
+        object.__setattr__(self, "patterns", tuple(patterns))
         object.__setattr__(self, "_by_id", by_id)
-
-    def _signatures_of_nonempty(self) -> list[TimeSignature]:
-        return list(dict.fromkeys(p.time_signature for p in self.patterns if not p.is_empty))
-
-    @classmethod
-    def build(cls, patterns: Iterable[RhythmicPattern]) -> Vocabulary:
-        """Construct a vocabulary, appending empty patterns for any time
-        signature that lacks one. Original pattern order is preserved."""
-        patterns = list(patterns)
-        covered = {p.time_signature for p in patterns if p.is_empty}
-        for signature in dict.fromkeys(p.time_signature for p in patterns if not p.is_empty):
-            if signature not in covered:
-                patterns.append(empty_pattern(signature))
-        return cls(tuple(patterns))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -186,20 +191,6 @@ class Vocabulary:
             return self._by_id[pattern_id]
         except KeyError:
             raise VocabularyError(f"unknown pattern id {pattern_id!r}") from None
-
-    def to_dict(self) -> dict:
-        records = []
-        for p in self.patterns:
-            record: dict = {
-                "id": p.id,
-                "time_signature": str(p.time_signature),
-                "measures": p.measures,
-                "onsets": [list(measure) for measure in p.onsets],
-            }
-            if p.name is not None:
-                record["name"] = p.name
-            records.append(record)
-        return {"patterns": records}
 
 
 _PATTERN_KEYS = {"id", "name", "time_signature", "measures", "onsets"}
@@ -218,9 +209,8 @@ def _position(pattern_id, measure: int, index: int, value) -> float:
         raise VocabularyError(f"{where} is out of range") from None
 
 
-def _pattern_from_record(record: dict, signatures: dict) -> RhythmicPattern:
-    """One JSON pattern record as a RhythmicPattern. `signatures` maps the
-    time-signature strings already parsed by this load to their values."""
+def _pattern_from_record(record: dict) -> RhythmicPattern:
+    """One JSON pattern record as a RhythmicPattern."""
     if not isinstance(record, dict):
         raise VocabularyError(f"pattern record must be an object, got {type(record).__name__}")
     if not record.keys() <= _PATTERN_KEYS:
@@ -238,10 +228,7 @@ def _pattern_from_record(record: dict, signatures: dict) -> RhythmicPattern:
     onsets = record["onsets"]
     if not isinstance(onsets, list) or not all(isinstance(m, list) for m in onsets):
         raise VocabularyError(f"pattern {record['id']!r}: onsets must be a list of lists")
-    text = record["time_signature"]
-    signature = signatures.get(text) if isinstance(text, str) else None
-    if signature is None:  # TimeSignature.parse raises on anything but a string
-        signature = signatures[text] = TimeSignature.parse(text)
+    signature = TimeSignature.parse(record["time_signature"])
     # JSON floats go on as they are, for RhythmicPattern to convert once;
     # anything else is read one position at a time
     if not set(map(type, itertools.chain.from_iterable(onsets))) <= {float}:
@@ -283,5 +270,4 @@ def _parse(text: Union[str, bytes]) -> Vocabulary:
         raise VocabularyError('vocabulary JSON must be an object with a single "patterns" key')
     if not isinstance(payload["patterns"], list):
         raise VocabularyError('"patterns" must be a list')
-    signatures: dict[str, TimeSignature] = {}
-    return Vocabulary.build(_pattern_from_record(r, signatures) for r in payload["patterns"])
+    return Vocabulary(map(_pattern_from_record, payload["patterns"]))

@@ -22,7 +22,18 @@ def make_pattern(pattern_id, sig_text, *measure_onsets):
 
 def make_vocab(*specs):
     """Build a vocabulary from (id, 'N/D', onsets_per_measure...) tuples."""
-    return Vocabulary.build(make_pattern(*spec) for spec in specs)
+    return Vocabulary(make_pattern(*spec) for spec in specs)
+
+
+def vocab_payload(vocab):
+    """The vocabulary file's JSON object for `vocab`: every pattern, the
+    appended empty ones included, as a record that load_vocabulary reads."""
+    return {"patterns": [
+        {"id": p.id, "time_signature": str(p.time_signature), "measures": p.measures,
+         "onsets": [list(measure) for measure in p.onsets],
+         **({} if p.name is None else {"name": p.name})}
+        for p in vocab
+    ]}
 
 
 @pytest.fixture

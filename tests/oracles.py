@@ -258,7 +258,7 @@ def scipy_read_wav(path):
         raise ValueError(f"unsupported WAV sample format: {data.dtype}")
     if samples.ndim > 1:
         samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(sample_rate))
+    return AudioBuffer(samples, 1.0, int(sample_rate))
 
 
 def enumerate_decode(measures, vocab, cfg):

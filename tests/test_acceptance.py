@@ -57,7 +57,7 @@ def report(criterion, detail):
 # 4/4 vocabulary with two near-duplicate pairs 0.02 apart (40 ms at 2 s
 # measures, inside the 50 ms matching tolerance): flips between partners are
 # cheap in accuracy but visible in the discontinuity rate
-VOCAB_44 = Vocabulary.build(
+VOCAB_44 = Vocabulary(
     [
         P("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
         P("QUARTERS_LATE", "4/4", [0.0, 0.25, 0.5, 0.77]),
@@ -69,7 +69,7 @@ VOCAB_44 = Vocabulary.build(
 )
 
 # mutually distinguishable, single signature: exact recovery is unambiguous
-VOCAB_CLEAN = Vocabulary.build(
+VOCAB_CLEAN = Vocabulary(
     [
         P("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
         P("HALF", "4/4", [0.0, 0.5]),
@@ -81,20 +81,20 @@ VOCAB_CLEAN = Vocabulary.build(
 # generation vocabularies for the mixed-signature corpus; the decoding
 # vocabulary pairs every shape across both signatures so that emission ties
 # leave the time signature entirely to the transition costs
-GEN_44 = Vocabulary.build(
+GEN_44 = Vocabulary(
     [
         P("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
         P("BACKBEAT", "4/4", [0.0, 0.375, 0.5, 0.875]),
         P("HALF", "4/4", [0.0, 0.5]),
     ]
 )
-GEN_34 = Vocabulary.build(
+GEN_34 = Vocabulary(
     [
         P("WALTZ", "3/4", [0.0, 1 / 3, 2 / 3]),
         P("WALTZ_SPARSE", "3/4", [0.0, 2 / 3]),
     ]
 )
-VOCAB_MIXED = Vocabulary.build(
+VOCAB_MIXED = Vocabulary(
     [
         P("QUARTERS_34", "3/4", [0.0, 0.25, 0.5, 0.75]),
         P("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
@@ -187,7 +187,7 @@ def random_small_instance(rng):
         patterns.append(P(f"P{i}", pool[int(rng.integers(n_sigs))], grid))
     halves = [sorted(rng.choice(16, size=2, replace=False) / 16) for _ in range(2)]
     patterns.append(P("TWO", pool[int(rng.integers(n_sigs))], *halves))
-    vocab = Vocabulary.build(patterns)
+    vocab = Vocabulary(patterns)
     cfg = DecoderConfig(
         timing_sigma=float(rng.choice([0.03, 0.1, 0.5])),
         pattern_change_penalty=float(rng.choice([0.0, 0.5, 2.0])),
@@ -408,7 +408,7 @@ def test_c09_onset_detector():
     assert f1 >= 0.95
 
     silence = detect_onsets(
-        type(audio)(samples=np.zeros(44100), sample_rate=44100)
+        type(audio)(pcm=np.zeros(44100), full_scale=1.0, sample_rate=44100)
     )
     assert len(silence) == 0
     report(9, f"pluck-train onset F1 {f1*100:.1f}% at 50 ms; silence yields 0 onsets")
@@ -434,7 +434,7 @@ def c10_instance():
         patterns.append(RhythmicPattern(f"P{len(patterns)}", sig, (grid,)))
     patterns.append(RhythmicPattern("T1", signatures[0], ((0.0, 0.5), (0.25, 0.75))))
     patterns.append(RhythmicPattern("T2", signatures[1], ((0.0,), (0.5,))))
-    vocab = Vocabulary.build(patterns)
+    vocab = Vocabulary(patterns)
     song = generate_song(
         SynthSpec(seed=1, vocab=GEN_44, measures=300, sigma_norm=0.02, switch_prob=0.2)
     )

@@ -20,7 +20,7 @@ from strumscribe import cli, vocabulary
 from strumscribe.cli import RunConfig, _config_from_args, build_parser, main
 from strumscribe.render import LossyRenderWarning
 
-from conftest import make_vocab
+from conftest import make_vocab, vocab_payload
 from oracles import mono_signal
 from test_onsets import chunk, fmt_chunk, pluck_train, rf64, riff
 
@@ -28,7 +28,7 @@ from test_onsets import chunk, fmt_chunk, pluck_train, rf64, riff
 @pytest.fixture
 def vocab_file(tmp_path, basic_vocab):
     path = tmp_path / "vocab.json"
-    path.write_text(json.dumps(basic_vocab.to_dict()))
+    path.write_text(json.dumps(vocab_payload(basic_vocab)))
     return str(path)
 
 
@@ -188,7 +188,7 @@ class TestDecodeCommand:
         # the only played pattern spans 2 measures: it covers measures 0-1 of
         # a 3-measure played song and cannot start at the final measure
         vocab = tmp_path / "vocab.json"
-        vocab.write_text(json.dumps(make_vocab(("TWO", "4/4", [0.0], [0.5])).to_dict()))
+        vocab.write_text(json.dumps(vocab_payload(make_vocab(("TWO", "4/4", [0.0], [0.5])))))
         strums = tmp_path / "strums.json"
         strums.write_text(json.dumps({"strums_sec": [0.0, 2.0, 4.0]}))
         barlines = tmp_path / "barlines.json"
@@ -213,7 +213,7 @@ class TestDecodeCommand:
     def test_mistyped_vocab_onset_exit_1(
         self, tmp_path, basic_vocab, synth_dir, capsys, literal
     ):
-        payload = basic_vocab.to_dict()
+        payload = vocab_payload(basic_vocab)
         twobar = next(p for p in payload["patterns"] if p["id"] == "TWOBAR")
         twobar["onsets"][1][0] = "SLOT"
         vocab = tmp_path / "bad_vocab.json"
@@ -240,7 +240,7 @@ class TestDecodeCommand:
     def test_mistyped_vocab_field_exit_1(
         self, tmp_path, basic_vocab, synth_dir, capsys, key, literal
     ):
-        payload = basic_vocab.to_dict()
+        payload = vocab_payload(basic_vocab)
         quarters = next(p for p in payload["patterns"] if p["id"] == "QUARTERS")
         quarters[key] = "SLOT"
         vocab = tmp_path / "bad_vocab.json"
@@ -521,6 +521,40 @@ def test_config_or_manifest_not_utf8_exit_1(tmp_path, synth_dir, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+@pytest.mark.parametrize("command", ["barlines", "barlines_bypass", "pipeline", "decode", "eval"])
+def test_bar_lines_with_bom_or_not_utf8_exit_1(tmp_path, synth_dir, vocab_file, silent_song,
+                                               capsys, command, encoding):
+    # every command reads its bar-line file as UTF-8 without a BOM, so a
+    # byte order mark, or a UTF-16 or UTF-32 file, is one error line
+    # naming the bar-line input, whichever command reads it
+    bad = tmp_path / "bom.json"
+    bad.write_bytes((synth_dir / "barlines.json").read_text().encode(encoding))
+    wav, _, _ = silent_song
+    out = tmp_path / "o.json"
+    args = {
+        "barlines": ["barlines", "--raw", bad, "--out", out],
+        "barlines_bypass": ["barlines", "--raw", bad, "--out", out, "--no-barline-postproc"],
+        "pipeline": ["pipeline", "--audio", wav, "--raw-barlines", bad, "--vocab", vocab_file,
+                     "--out", out],
+        "decode": ["decode", "--strums", synth_dir / "strums.json", "--barlines", bad,
+                   "--vocab", vocab_file, "--out", out],
+        "eval": ["eval", "--transcription", synth_dir / "transcription.json", "--barlines", bad,
+                 "--vocab", vocab_file, "--ground-truth", synth_dir / "nominal_strums.json",
+                 "--out", out],
+    }[command]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    if encoding == "utf-8-sig":
+        assert captured.err.startswith("error: bar-line file is not valid JSON: "
+                                       "Unexpected UTF-8 BOM")
+    else:
+        assert captured.err.startswith(f"error: bar-line file {bad} is not UTF-8: ")
+    assert not out.exists()
+
+
 class TestBarlinesCommand:
     def test_cleanup(self, tmp_path):
         raw = tmp_path / "raw.json"
@@ -535,6 +569,19 @@ class TestBarlinesCommand:
         out = tmp_path / "echo.json"
         assert run(["barlines", "--raw", raw, "--out", out, "--no-barline-postproc"]) == 0
         assert out.read_bytes() == raw.read_bytes()
+
+    def test_bypass_keeps_crlf_and_lone_cr_line_ends(self, tmp_path):
+        raw = tmp_path / "raw.json"
+        raw.write_bytes(b'{\r\n  "barlines_sec": [0.0,\r 2.0, 4.0]\r\n}\r\n')
+        out, clean = tmp_path / "echo.json", tmp_path / "clean.json"
+        assert run(["barlines", "--raw", raw, "--out", out, "--no-barline-postproc"]) == 0
+        assert out.read_bytes() == raw.read_bytes()
+        # cleaned, the same track is written with "\n" line ends
+        lf = tmp_path / "lf.json"
+        lf.write_bytes(raw.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        assert run(["barlines", "--raw", raw, "--out", clean]) == 0
+        assert run(["barlines", "--raw", lf, "--out", out]) == 0
+        assert clean.read_bytes() == out.read_bytes()
 
 
 class TestEvalCommand:
@@ -685,6 +732,33 @@ class TestEvalCommand:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {label}: ")
         assert not out.exists()
+
+    def test_manifest_crlf_and_lone_cr_split_as_lf(self, tmp_path, vocab_file, synth_dir,
+                                                   capsys):
+        # a manifest's lines end where open() ends them, so "\r\n" and a
+        # lone "\r" give the records and the error line numbers of "\n"
+        record = json.dumps({
+            "transcription": str(synth_dir / "transcription.json"),
+            "barlines": str(synth_dir / "barlines.json"),
+            "ground_truth": str(synth_dir / "nominal_strums.json"),
+        })
+        lines = [record, "", record, "{broken"]
+        reports = []
+        for ends in (["\n"] * 4, ["\r\n", "\r", "\r\n", "\r"]):
+            for count, code in ((3, 0), (4, 1)):
+                manifest = tmp_path / "m.jsonl"
+                manifest.write_bytes("".join(map(str.__add__, lines[:count], ends)).encode())
+                out = tmp_path / f"report{len(reports)}.json"
+                assert run(["eval", "--manifest", manifest, "--vocab", vocab_file,
+                            "--out", out]) == code
+                err = capsys.readouterr().err
+                if code:
+                    assert err.startswith("error: manifest line 4: ")
+                    assert len(err.splitlines()) == 1 and not out.exists()
+                else:
+                    reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[0])["songs"]) == 2
 
     def test_jobs_capped_at_record_count(self, tmp_path, vocab_file, synth_dir, monkeypatch):
         assert run(
@@ -1113,6 +1187,24 @@ class TestConfigFile:
         assert f" {field} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"seed": 1\n', "Expecting ',' delimiter: line 2 column 1 (char 11)"),
+         ('\ufeff{"seed": 1}', "Unexpected UTF-8 BOM")],
+        ids=["truncated", "bom"],
+    )
+    def test_malformed_json_names_config(self, tmp_path, capsys, text, reason):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"barlines_sec": [0.0, 2.0, 4.0]}))
+        out = tmp_path / "o.json"
+        assert run(["barlines", "--raw", raw, "--out", out, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: config file {config} is not valid JSON: {reason}")
+        assert not out.exists()
+
     def test_int_accepted_for_float_field(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"decoder": {"timing_sigma": 1}, "strum_tolerance_sec": 0}))
@@ -1488,7 +1580,7 @@ class TestOnsetsAndPipeline:
         vocab = make_vocab(("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
                            ("HALVES", "4/4", [0.0, 0.5]))
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(json.dumps(vocab.to_dict()))
+        vocab_path.write_text(json.dumps(vocab_payload(vocab)))
         bars = [2.0 * i for i in range(9)]
         times = [m + 0.5 * b for m in bars[:-1] for b in range(4)]
         audio = pluck_train(times, seed=4, tail=0.6)
@@ -1515,7 +1607,7 @@ class TestOnsetsAndPipeline:
     def test_pipeline_silence_gives_empty_patterns(self, tmp_path):
         vocab = make_vocab(("A", "4/4", [0.0, 0.5]))
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(json.dumps(vocab.to_dict()))
+        vocab_path.write_text(json.dumps(vocab_payload(vocab)))
         wav = tmp_path / "silence.wav"
         write_wav(wav, np.zeros(44100 * 4))
         raw_bars = tmp_path / "bars.json"
@@ -1541,7 +1633,7 @@ class TestOnsetsAndPipeline:
     def test_pipeline_composes_from_individual_commands(self, tmp_path):
         vocab = make_vocab(("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]))
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(json.dumps(vocab.to_dict()))
+        vocab_path.write_text(json.dumps(vocab_payload(vocab)))
         bars = [2.0 * i for i in range(5)]
         times = [m + 0.5 * b for m in bars[:-1] for b in range(4)]
         wav = tmp_path / "song.wav"
@@ -1570,7 +1662,7 @@ class TestOnsetsAndPipeline:
 def silent_song(tmp_path):
     """(wav, raw bar lines, vocab) of a 2-measure silent song."""
     vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps(make_vocab(("A", "4/4", [0.0, 0.5])).to_dict()))
+    vocab.write_text(json.dumps(vocab_payload(make_vocab(("A", "4/4", [0.0, 0.5])))))
     wav = tmp_path / "silence.wav"
     write_wav(wav, np.zeros(44100 * 4))
     raw_bars = tmp_path / "bars.json"
@@ -1677,7 +1769,7 @@ class TestDecodeGoldenCases:
             ("HALVES", "4/4", [0.0, 0.5]),
         )
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(json.dumps(vocab.to_dict()))
+        vocab_path.write_text(json.dumps(vocab_payload(vocab)))
         song_dir = tmp_path / "song"
         assert run(
             ["synth", "--vocab", vocab_path, "--out-dir", song_dir,
@@ -1696,7 +1788,7 @@ class TestDecodeGoldenCases:
     def test_empty_song_all_empty_patterns(self, tmp_path):
         vocab = make_vocab(("A", "4/4", [0.0, 0.5]))
         vocab_path = tmp_path / "vocab.json"
-        vocab_path.write_text(json.dumps(vocab.to_dict()))
+        vocab_path.write_text(json.dumps(vocab_payload(vocab)))
         strums = tmp_path / "strums.json"
         strums.write_text(json.dumps({"strums_sec": []}))
         bars = tmp_path / "bars.json"

@@ -48,7 +48,7 @@ def random_instance(
     """A random decode problem: small vocabulary (one 2-measure pattern,
     empties included) plus measures drawn from it with optional noise. A
     one-measure pattern that repeats an earlier one's time signature and
-    onsets is redrawn, since Vocabulary.build rejects it."""
+    onsets is redrawn, since Vocabulary rejects it."""
     patterns = []
     n_one = int(rng.integers(2, 4))
     while len(patterns) < n_one:
@@ -64,7 +64,7 @@ def random_instance(
     patterns.append(
         make_pattern("TWO", signatures[int(rng.integers(len(signatures)))], *halves)
     )
-    vocab = Vocabulary.build(patterns)
+    vocab = Vocabulary(patterns)
     cfg = DecoderConfig(
         timing_sigma=float(rng.choice(sigma_choices)),
         pattern_change_penalty=float(rng.choice([0.0, 0.5, 2.0])),
@@ -251,7 +251,7 @@ def relaxation_cases(draw):
             unique=True,
         )
     )
-    vocab = Vocabulary.build(
+    vocab = Vocabulary(
         make_pattern(f"P{i}", SIGNATURES[sig], *halves) for i, (sig, halves) in enumerate(shapes)
     )
     copied = st.sampled_from([half for p in vocab.patterns for half in p.onsets])
@@ -292,7 +292,7 @@ def eighth_grid_cases(draw):
     for halves in shapes:
         for sig in sorted(draw(sigs)):
             patterns.append(make_pattern(f"P{len(patterns)}", SIGNATURES[sig], *halves))
-    vocab = Vocabulary.build(patterns)
+    vocab = Vocabulary(patterns)
     strums = draw(st.lists(st.one_of(st.just(()), pool, eighth_half), min_size=1, max_size=8))
     cfg = DecoderConfig(
         timing_sigma=draw(st.sampled_from([0.125, 0.25, 0.5])),

@@ -59,7 +59,7 @@ def emission_cases(draw):
             unique=True,
         )
     )
-    vocab = Vocabulary.build(make_pattern(f"P{i}", "4/4", *shape) for i, shape in enumerate(shapes))
+    vocab = Vocabulary(make_pattern(f"P{i}", "4/4", *shape) for i, shape in enumerate(shapes))
     alphabet = sorted({u for shape in shapes for half in shape for u in half})
     midpoints = [(a + b) / 2 for a, b in zip(alphabet, alphabet[1:])]
     strum = st.one_of(
@@ -106,7 +106,7 @@ def cells(observed, *halves, cfg=SIGMA_ONE):
     """Table cells of one pattern whose measures hold `halves`, each half
     against its own measure of `observed`: [first[0, p]] or
     [first[0, p], second[1, p]]."""
-    vocab = Vocabulary.build([make_pattern("P", "4/4", *halves)])
+    vocab = Vocabulary([make_pattern("P", "4/4", *halves)])
     measures = [MeasureStrums(m, tuple(obs)) for m, obs in enumerate(observed)]
     first, second = contribution_tables(measures, vocab, cfg)
     return [first[0, 0]] + ([second[1, 0]] if len(halves) == 2 else [])
@@ -206,7 +206,7 @@ class TestEmissionCost:
 
     def test_no_per_pattern_prior(self):
         # same onsets, different id and signature: identical finite cost
-        vocab = Vocabulary.build(
+        vocab = Vocabulary(
             [make_pattern("A", "4/4", [0.0, 0.5]), make_pattern("B", "3/4", [0.0, 0.5])]
         )
         cfg = DecoderConfig()
@@ -261,7 +261,7 @@ class TestTransitionCost:
             make_pattern(f"P{i}", sigs[int(rng.integers(2))], [x / 16 for x in grid_pairs[pick]])
             for i, pick in enumerate(picks)
         ]
-        vocab = Vocabulary.build(pats)
+        vocab = Vocabulary(pats)
         for a in pats:
             for b in pats:
                 expected = (
@@ -323,7 +323,7 @@ class TestContributionTables:
             make_pattern("C", "4/4", [0.0, 0.25], [0.5]),
             make_pattern("D", "4/4", [], [0.25]),
         ]
-        vocab = Vocabulary.build(pats)
+        vocab = Vocabulary(pats)
         cfg = DecoderConfig(timing_sigma=float(rng.uniform(0.02, 0.4)))
         measures = []
         for m in range(4):
@@ -357,7 +357,7 @@ class TestContributionTables:
                 MeasureStrums(1, ()),
                 MeasureStrums(2, (0.0, 1 / 3, 0.5, 0.5, 2 / 3, 0.99)),
             ],
-            Vocabulary.build(
+            Vocabulary(
                 [
                     make_pattern("FULL", "4/4", SIXTEENTHS),
                     make_pattern("TWO", "4/4", [0.0, 0.5], []),
@@ -372,7 +372,7 @@ class TestContributionTables:
     @example(
         (
             [MeasureStrums(m, s) for m, s in enumerate([SEVEN, EIGHT, NINE, ON_AND_BETWEEN])],
-            Vocabulary.build(
+            Vocabulary(
                 [
                     make_pattern("QUARTERS", "4/4", [0.0, 0.25, 0.5, 0.75]),
                     make_pattern("EIGHTHS", "4/4", [k / 8 for k in range(8)]),
@@ -386,7 +386,7 @@ class TestContributionTables:
     @example(
         (
             [MeasureStrums(0, SEVEN), MeasureStrums(1, NINE), MeasureStrums(2, (0.3,))],
-            Vocabulary.build(
+            Vocabulary(
                 [
                     make_pattern("LONG", "4/4", [0.0, 0.5], SIXTEENTHS),
                     make_pattern("SHORT", "4/4", [0.25], [0.0, 0.75]),
@@ -402,7 +402,7 @@ class TestContributionTables:
                 MeasureStrums(m, s)
                 for m, s in enumerate([EIGHT, (), (0.0, 0.5), (), EIGHT_LATE, (0.2, 0.7), ()])
             ],
-            Vocabulary.build(
+            Vocabulary(
                 [
                     make_pattern("HALVES", "4/4", [0.0, 0.5]),
                     make_pattern("TWO", "4/4", [0.0, 0.25, 0.5], [0.5]),
@@ -417,7 +417,7 @@ class TestContributionTables:
     @example(
         (
             [MeasureStrums(0, MANY), MeasureStrums(1, NINE), MeasureStrums(2, (0.5,))],
-            Vocabulary.build(
+            Vocabulary(
                 [
                     make_pattern("DENSE", "4/4", MANY),
                     make_pattern("SIXTEENTHS", "4/4", SIXTEENTHS, [0.0]),
@@ -431,7 +431,7 @@ class TestContributionTables:
     @example(
         (
             [MeasureStrums(0, ()), MeasureStrums(1, (0.5,)), MeasureStrums(2, ())],
-            Vocabulary.build([make_pattern("R", "4/4", []), make_pattern("T", "3/4", [], [])]),
+            Vocabulary([make_pattern("R", "4/4", []), make_pattern("T", "3/4", [], [])]),
             DecoderConfig(),
         )
     )
@@ -444,7 +444,7 @@ class TestContributionTables:
         rng = np.random.default_rng(3)
         # distinct nonempty subsets of the 16th grid, as bit masks
         masks = rng.choice(np.arange(1, 1 << 16), size=_SLAB_ELEMENTS + 5, replace=False)
-        vocab = Vocabulary.build(
+        vocab = Vocabulary(
             make_pattern(f"P{i}", "4/4", [k / 16 for k in range(16) if mask >> k & 1])
             for i, mask in enumerate(masks)
         )
@@ -470,7 +470,7 @@ class TestContributionTables:
                 patterns.append(RhythmicPattern(f"P{len(patterns)}", sig, (grid,)))
         patterns.append(RhythmicPattern("T1", signatures[0], ((0.0, 0.5), (0.25, 0.75))))
         patterns.append(RhythmicPattern("T2", signatures[1], ((0.0,), (0.5,))))
-        vocab = Vocabulary.build(patterns)
+        vocab = Vocabulary(patterns)
         song = generate_song(
             SynthSpec(seed=1, vocab=vocab, measures=300, sigma_norm=0.02, switch_prob=0.2,
                       miss_rate=0.02, spurious_rate=0.02)
@@ -481,7 +481,7 @@ class TestContributionTables:
     def test_setup_dropped_with_its_vocabulary(self):
         # the lookups are kept by the vocabulary's id, which a later
         # vocabulary may take once this one is collected
-        vocab = Vocabulary.build([make_pattern("A", "4/4", [0.0, 0.5])])
+        vocab = Vocabulary([make_pattern("A", "4/4", [0.0, 0.5])])
         contribution_tables([MeasureStrums(0, (0.25,))], vocab, DecoderConfig())
         key = id(vocab)
         assert key in likelihood._SETUPS

@@ -53,7 +53,7 @@ def pluck_train(times, sr=SR, decay=0.03, seed=0, amp=0.5, tail=1.0):
         burst = rng.standard_normal(length) * np.exp(-np.arange(length) / (decay * sr))
         end = min(start + length, total)
         samples[start:end] += amp * burst[: end - start]
-    return AudioBuffer(samples, sr)
+    return AudioBuffer(samples, 1.0, sr)
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +69,38 @@ def test_onset_config_rejects_nan(field):
         OnsetConfig(**{field: np.nan})
 
 
+class TestAudioBuffer:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_int16_pcm_gives_the_envelope_of_its_signal(self, channels):
+        rng = np.random.default_rng(11)
+        pcm = rng.integers(-32768, 32768, (SR, channels), dtype=np.int16)
+        pcm = pcm[:, 0] if channels == 1 else pcm
+        signal = pcm / 32768.0
+        signal = signal.mean(axis=1) if channels > 1 else signal
+        want = onset_strength(AudioBuffer(signal, 1.0, SR))
+        assert onset_strength(AudioBuffer(pcm, 32768.0, SR)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "pcm, sample_rate, message",
+        [(np.zeros((10, 2, 2)), SR, "samples must be 1-D, or 2-D"),
+         (np.zeros((10, 0)), SR, "samples must be 1-D, or 2-D"),
+         (np.zeros(10), 0, "sample rate must be > 0"),
+         (np.array([0.0, np.nan, 0.0]), SR, "samples must be finite")],
+        ids=["ndim_3", "no_channel", "rate_0", "nan"],
+    )
+    def test_rejected(self, pcm, sample_rate, message):
+        with pytest.raises(ValueError, match=message):
+            AudioBuffer(pcm, 1.0, sample_rate)
+
+
 class TestOnsetStrength:
     def test_silence_is_all_zero(self):
-        env = onset_strength(AudioBuffer(np.zeros(SR), SR))
+        env = onset_strength(AudioBuffer(np.zeros(SR), 1.0, SR))
         assert env.min() == env.max() == 0.0
 
     def test_too_short_audio(self):
         with pytest.raises(ValueError):
-            onset_strength(AudioBuffer(np.zeros(100), SR))
+            onset_strength(AudioBuffer(np.zeros(100), 1.0, SR))
 
     def test_envelope_non_negative_and_frame_count(self):
         audio = pluck_train([0.3, 0.8], seed=1)
@@ -89,17 +113,17 @@ class TestOnsetStrength:
             samples = np.zeros(SR)
             k = int(position * SR)
             samples[k] = 1.0
-            env = onset_strength(AudioBuffer(samples, SR))
+            env = onset_strength(AudioBuffer(samples, 1.0, SR))
             assert abs(int(env.argmax()) - k / HOP) <= 1.0
 
     @pytest.mark.parametrize("sample_rate", [40, 60])
     def test_fmin_at_or_above_nyquist_rejected(self, sample_rate):
-        audio = AudioBuffer(np.zeros(200 * sample_rate), sample_rate)
+        audio = AudioBuffer(np.zeros(200 * sample_rate), 1.0, sample_rate)
         with pytest.raises(ValueError, match=rf"onsets\.fmin_hz.*Nyquist.*\({sample_rate // 2} Hz\)"):
             onset_strength(audio)
 
     def test_steady_sine_quiet_after_attack(self):
-        sine = AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * np.arange(SR) / SR), SR)
+        sine = AudioBuffer(0.5 * np.sin(2 * np.pi * 440 * np.arange(SR) / SR), 1.0, SR)
         env = onset_strength(sine)
         attack = env[:8].max()
         # the final frames see the test signal's hard cutoff, which is a
@@ -183,7 +207,7 @@ class TestBlockedMagnitudes:
     @example(case=(OnsetConfig(n_mels=196), (2 * BLOCK - 2) * HOP, SR, "noise", 11))
     def test_bit_exact_against_dense(self, case):
         cfg, n_samples, sample_rate, kind, seed = case
-        audio = AudioBuffer(make_signal(n_samples, kind, seed), sample_rate)
+        audio = AudioBuffer(make_signal(n_samples, kind, seed), 1.0, sample_rate)
         assert_bit_exact(audio, cfg)
 
     def test_bit_exact_at_bench_size(self):
@@ -196,7 +220,7 @@ class TestBlockedMagnitudes:
         assert_bit_exact(audio, OnsetConfig())
 
     def test_peak_memory_below_dense(self):
-        audio = AudioBuffer(make_signal(60 * 22050, "noise", 60), 22050)
+        audio = AudioBuffer(make_signal(60 * 22050, "noise", 60), 1.0, 22050)
         assert traced_peak(onset_strength, audio) < 0.6 * traced_peak(dense_onset_strength, audio)
 
     @pytest.mark.parametrize("n_mels", [128, 8, 2, 196])
@@ -210,7 +234,7 @@ class TestBlockedMagnitudes:
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counted_matmul)
-        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), SR)
+        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), 1.0, SR)
         onset_strength(audio, OnsetConfig(n_mels=n_mels))
         # a band count with a partial BLAS tile keeps one whole-song product
         height = n_frames if n_mels % _BLAS_TILE_COLUMNS else min(n_frames, BLOCK)
@@ -221,7 +245,7 @@ class TestBlockedMagnitudes:
     def test_stft_batch_size_leaves_the_envelope_unchanged(self, monkeypatch, n_frames, n_mels):
         # batches that do not divide the product's rows, and the last
         # block, which overlaps the one before it
-        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), SR)
+        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), 1.0, SR)
         envelopes = set()
         for batch in (1, 3, 32, BLOCK - 1, BLOCK):
             monkeypatch.setattr("strumscribe.onsets._STFT_BLOCK_FRAMES", batch)
@@ -242,7 +266,7 @@ class TestBlockedMagnitudes:
         # 140 s is a long benchmark song, 600 s a long take of a whole song
         def song(seconds):
             return AudioBuffer(np.random.default_rng(seconds).uniform(-0.5, 0.5, seconds * 22050),
-                               22050)
+                               1.0, 22050)
 
         at_140 = traced_peak(onset_strength, song(140))
         assert at_140 < 0.25 * traced_peak(dense_onset_strength, song(140))
@@ -411,7 +435,7 @@ class TestPickPeaks:
         samples = np.zeros(SR)
         for t in (0.3, 0.32):
             samples[int(t * SR)] = 1.0
-        detected = detect_onsets(AudioBuffer(samples, SR))
+        detected = detect_onsets(AudioBuffer(samples, 1.0, SR))
         assert len(detected) == 1
 
     def test_empty_envelope(self):
@@ -462,7 +486,7 @@ class TestRobustness:
         _, audio = pluck_fixture
         reference = detect_onsets(audio)
         for k in (0.5, 2.0):
-            scaled = detect_onsets(AudioBuffer(mono_signal(audio) * k, SR))
+            scaled = detect_onsets(AudioBuffer(mono_signal(audio) * k, 1.0, SR))
             assert len(scaled) == len(reference)
             assert np.allclose(
                 scaled.times_sec, reference.times_sec, atol=HOP / SR + 1e-9
@@ -472,7 +496,7 @@ class TestRobustness:
         _, audio = pluck_fixture
         reference = detect_onsets(audio)
         n = 7
-        shifted = AudioBuffer(np.concatenate([np.zeros(n * HOP), mono_signal(audio)]), SR)
+        shifted = AudioBuffer(np.concatenate([np.zeros(n * HOP), mono_signal(audio)]), 1.0, SR)
         detected = detect_onsets(shifted)
         assert np.allclose(
             detected.times_sec,
@@ -615,7 +639,7 @@ class TestWavIO:
         cfg = OnsetConfig(frame_size=64, hop_size=2, n_mels=16)
         audio = load_wav(str(parity_case(name, tmp_path)))
         assert audio.pcm.dtype.kind == ("f" if "float" in name else "i")
-        want = onset_strength(AudioBuffer(mono_signal(audio), audio.sample_rate), cfg)
+        want = onset_strength(AudioBuffer(mono_signal(audio), 1.0, audio.sample_rate), cfg)
         assert onset_strength(audio, cfg).tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")

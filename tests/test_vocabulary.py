@@ -15,7 +15,7 @@ from strumscribe import (
 )
 from strumscribe.vocabulary import empty_pattern
 
-from conftest import make_pattern
+from conftest import make_pattern, vocab_payload
 
 
 def load_from(payload) -> Vocabulary:
@@ -41,6 +41,21 @@ class TestTimeSignature:
     def test_unparseable(self, text):
         with pytest.raises(VocabularyError):
             TimeSignature.parse(text)
+
+    @pytest.mark.parametrize("value", [None, 44, ["4/4"], {"4": 4}],
+                             ids=["null", "number", "list", "object"])
+    def test_non_string_rejected_before_the_memo(self, value):
+        # a list or a dict cannot be hashed, so the memo would raise TypeError
+        with pytest.raises(VocabularyError, match="cannot parse time signature"):
+            TimeSignature.parse(value)
+
+    def test_parses_are_shared_and_bounded(self):
+        assert TimeSignature.parse("7/8") is TimeSignature.parse("7/8")
+        kept = vocabulary._parse_signature.cache_parameters()["maxsize"]
+        assert kept is not None
+        for numerator in range(1, kept + 2):
+            TimeSignature.parse(f"{numerator}/4")
+        assert vocabulary._parse_signature.cache_info().currsize == kept
 
 
 class TestRhythmicPattern:
@@ -206,7 +221,7 @@ class TestMemo:
     """load_vocabulary keeps the parses of its last few distinct texts."""
 
     def test_same_text_gives_the_same_object(self, basic_vocab, counted_parses):
-        text = json.dumps(basic_vocab.to_dict())
+        text = json.dumps(vocab_payload(basic_vocab))
         first = load_vocabulary(text)
         assert load_vocabulary(io.StringIO(text)) is first
         assert load_vocabulary(text) is first
@@ -224,7 +239,7 @@ class TestMemo:
 
     def test_bounded(self, basic_vocab, counted_parses):
         kept = vocabulary._parse.cache_parameters()["maxsize"]
-        texts = [json.dumps(basic_vocab.to_dict()) + " " * i for i in range(kept + 1)]
+        texts = [json.dumps(vocab_payload(basic_vocab)) + " " * i for i in range(kept + 1)]
         first = load_vocabulary(texts[0])
         for text in texts[1:]:
             load_vocabulary(text)
@@ -238,7 +253,7 @@ class TestMemo:
 def test_round_trip(basic_vocab):
     # basic_vocab holds a 2-measure pattern, which the property test below
     # does not draw
-    assert load_vocabulary(json.dumps(basic_vocab.to_dict(), indent=2)) == basic_vocab
+    assert load_vocabulary(json.dumps(vocab_payload(basic_vocab), indent=2)) == basic_vocab
 
 
 @given(
@@ -260,8 +275,8 @@ def test_round_trip_property(specs):
             continue
         seen.add((sig, onsets))
         patterns.append(make_pattern(f"P{i}", sig, onsets))
-    vocab = Vocabulary.build(patterns)
-    assert load_vocabulary(json.dumps(vocab.to_dict())) == vocab
+    vocab = Vocabulary(patterns)
+    assert load_vocabulary(json.dumps(vocab_payload(vocab))) == vocab
     empties = sum(1 for p in vocab if p.is_empty)
     assert empties == len({p.time_signature for p in vocab if not p.is_empty})
 
@@ -270,6 +285,29 @@ def test_empty_pattern_id_format():
     assert empty_pattern(TimeSignature(6, 8)).id == "EMPTY_6_8"
 
 
-def test_vocabulary_requires_empties_for_raw_constructor():
-    with pytest.raises(VocabularyError):
-        Vocabulary((make_pattern("P", "4/4", [0.0]),))
+def test_constructor_appends_empties_as_a_load_does():
+    # the empties go after the patterns, in the order their time signatures
+    # first appear
+    patterns = (make_pattern("P", "4/4", [0.0]), make_pattern("W", "3/4", [0.0]),
+                make_pattern("Q", "4/4", [0.5]))
+    vocab = Vocabulary(patterns)
+    assert [p.id for p in vocab] == ["P", "W", "Q", "EMPTY_4_4", "EMPTY_3_4"]
+    assert vocab == load_from({"patterns": [
+        {"id": "P", "time_signature": "4/4", "measures": 1, "onsets": [[0.0]]},
+        {"id": "W", "time_signature": "3/4", "measures": 1, "onsets": [[0.0]]},
+        {"id": "Q", "time_signature": "4/4", "measures": 1, "onsets": [[0.5]]},
+    ]})
+    assert Vocabulary(vocab) == vocab
+
+
+def test_constructor_keeps_a_given_empty_pattern():
+    silent = make_pattern("SILENT", "4/4", [])
+    vocab = Vocabulary((make_pattern("P", "4/4", [0.0]), silent))
+    assert [p.id for p in vocab] == ["P", "SILENT"]
+    with pytest.raises(VocabularyError, match="more than one empty pattern for 4/4"):
+        Vocabulary((silent, make_pattern("QUIET", "4/4", [])))
+
+
+def test_appended_empty_pattern_id_must_be_free():
+    with pytest.raises(VocabularyError, match="duplicate pattern id 'EMPTY_4_4'"):
+        Vocabulary((make_pattern("EMPTY_4_4", "4/4", [0.0]),))
