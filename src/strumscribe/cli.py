@@ -259,9 +259,10 @@ def _load(loader, kind: str, path: str, with_text: bool = False):
     UTF-8 and handed over as a stream whose lines end where open() ends
     them: at "\n", "\r\n" or a lone "\r", each read as "\n". with_text
     returns (the file's text, line ends as stored; the result) instead.
-    Every text input comes in here. A file that is not UTF-8, or a JSON
-    file that is not valid JSON, is a ValueError naming the input kind and
-    the path; a UTF-8 BOM is not JSON."""
+    Every text input comes in here, and this is the one place that names
+    it in an error: a file that is not UTF-8 or not valid JSON, and any
+    ValueError of the loader, is a ValueError that starts "<kind> file
+    <path>" and keeps the loader's message. A UTF-8 BOM is not JSON."""
     with open(path, "rb") as fp:
         data = fp.read()
     try:
@@ -272,6 +273,8 @@ def _load(loader, kind: str, path: str, with_text: bool = False):
         result = loader(io.StringIO(text, newline=None))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from None
     return (text, result) if with_text else result
 
 

@@ -182,11 +182,7 @@ def _entry_from_record(i: int, rec) -> TranscriptionEntry:
 
 
 def load_transcription(source: IO) -> Transcription:
-    try:
-        payload = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"transcription is not valid JSON: {exc}") from exc
-    return Transcription.from_dict(payload)
+    return Transcription.from_dict(json.load(source))
 
 
 # one measure record as json.dump(..., indent=2, sort_keys=True) lays it out

@@ -111,10 +111,7 @@ def bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureS
 def _load_times(source: IO, what: str, key: str) -> tuple[float, ...]:
     """Read a JSON object whose single key holds a list of numbers."""
     # integers parse as floats, so one too large for a float reads as inf
-    try:
-        payload = json.load(source, parse_int=float)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} file is not valid JSON: {exc}") from exc
+    payload = json.load(source, parse_int=float)
     if not isinstance(payload, dict) or set(payload) != {key}:
         raise ValueError(f'{what} JSON must be an object with a single "{key}" key')
     values = payload[key]

@@ -243,8 +243,8 @@ def _pattern_from_record(record: dict) -> RhythmicPattern:
     return pattern
 
 
-def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary:
-    """Load and validate a vocabulary from a JSON stream or string.
+def load_vocabulary(source: Union[IO[str], str]) -> Vocabulary:
+    """Load and validate a vocabulary from a JSON text or text stream.
 
     Empty patterns (ids EMPTY_<num>_<den>) are appended for every time
     signature that appears on a non-empty pattern and has no empty pattern
@@ -253,19 +253,21 @@ def load_vocabulary(source: Union[IO[bytes], IO[str], str, bytes]) -> Vocabulary
     A stream is read and loaded as its text. The parses of the last 4
     distinct texts are kept, so the same text gives back the same, shared
     and immutable, Vocabulary while it is kept. A failed parse is not kept.
+    Text that is not JSON raises json's decode error; bytes, or a stream
+    that reads bytes, raise TypeError.
     """
-    return _parse(source if isinstance(source, (str, bytes)) else source.read())
+    text = source.read() if hasattr(source, "read") else source
+    if not isinstance(text, str):
+        raise TypeError(f"load_vocabulary takes text, got {type(text).__name__}")
+    return _parse(text)
 
 
 # each kept parse holds about 1.1 MiB at 1002 patterns: the Vocabulary, its
 # text and the likelihood set-up that lives as long as the Vocabulary does
 @functools.lru_cache(maxsize=4)
-def _parse(text: Union[str, bytes]) -> Vocabulary:
+def _parse(text: str) -> Vocabulary:
     """The validated Vocabulary of one JSON text."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise VocabularyError(f"vocabulary is not valid JSON: {exc}") from exc
+    payload = json.loads(text)
     if not isinstance(payload, dict) or set(payload) != {"patterns"}:
         raise VocabularyError('vocabulary JSON must be an object with a single "patterns" key')
     if not isinstance(payload["patterns"], list):

@@ -164,7 +164,7 @@ class TestDecodeCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         if text == "{broken":
             kind = {"strums": "strum", "barlines": "bar-line"}[which]
-            assert err.startswith(f"error: {kind} file is not valid JSON: ")
+            assert err.startswith(f"error: {kind} file {bad} is not valid JSON: ")
 
 
     @pytest.mark.parametrize("command", ["barlines", "decode"])
@@ -497,7 +497,7 @@ def test_transcription_not_json_exit_1(tmp_path, vocab_file, synth_dir, capsys, 
     assert run(args) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: transcription is not valid JSON: ")
+    assert err.startswith(f"error: transcription file {bad} is not valid JSON: ")
     assert not out.exists()
 
 
@@ -548,10 +548,75 @@ def test_bar_lines_with_bom_or_not_utf8_exit_1(tmp_path, synth_dir, vocab_file, 
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     if encoding == "utf-8-sig":
-        assert captured.err.startswith("error: bar-line file is not valid JSON: "
+        assert captured.err.startswith(f"error: bar-line file {bad} is not valid JSON: "
                                        "Unexpected UTF-8 BOM")
     else:
         assert captured.err.startswith(f"error: bar-line file {bad} is not UTF-8: ")
+    assert not out.exists()
+
+
+# every JSON input of every command, as (command, input kind, input); an
+# "eval_manifest" input is named in a manifest record
+JSON_INPUTS = [
+    ("decode", "strum", "strums"),
+    ("decode", "bar-line", "barlines"),
+    ("decode", "vocabulary", "vocab"),
+    ("render", "transcription", "transcription"),
+    ("render", "vocabulary", "vocab"),
+    *[(command, kind, key) for command in ("eval", "eval_manifest") for kind, key in (
+        ("transcription", "transcription"), ("bar-line", "barlines"),
+        ("vocabulary", "vocab"), ("ground-truth", "ground_truth"))],
+    ("barlines", "bar-line", "raw"),
+    ("pipeline", "bar-line", "raw"),
+    ("pipeline", "vocabulary", "vocab"),
+    ("synth", "vocabulary", "vocab"),
+]
+
+
+@pytest.mark.parametrize("fault", ["truncated", "empty_object"])
+@pytest.mark.parametrize("command, kind, key", JSON_INPUTS)
+def test_malformed_json_input_names_kind_and_path(tmp_path, synth_dir, vocab_file, silent_song,
+                                                  capsys, command, kind, key, fault):
+    # cli._load names the input kind and path of every fault in a loaded
+    # file: "<kind> file <path> is not valid JSON: " for text that is not
+    # JSON, "<kind> file <path>: " and the loader's message for the rest
+    inputs = {"strums": synth_dir / "strums.json", "barlines": synth_dir / "barlines.json",
+              "raw": synth_dir / "barlines.json", "vocab": Path(vocab_file),
+              "transcription": synth_dir / "transcription.json",
+              "ground_truth": synth_dir / "nominal_strums.json"}
+    text = inputs[key].read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[: len(text) // 2] if fault == "truncated" else "{}")
+    inputs[key] = bad
+    wav, _, _ = silent_song
+    out = tmp_path / "out"
+    # eval names its inputs by their resolved paths
+    label, path = "", bad.resolve() if command.startswith("eval") else bad
+    if command == "eval_manifest":
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"song_id": "s1", **{
+            name: str(inputs[name])
+            for name in ("transcription", "barlines", "vocab", "ground_truth")}}) + "\n")
+        label = "song_id 's1': "
+    argv = {
+        "decode": ["decode", "--strums", inputs["strums"], "--barlines", inputs["barlines"],
+                   "--vocab", inputs["vocab"], "--out", out],
+        "render": ["render", "--transcription", inputs["transcription"],
+                   "--vocab", inputs["vocab"], "--out", out],
+        "eval": ["eval", "--transcription", inputs["transcription"],
+                 "--barlines", inputs["barlines"], "--vocab", inputs["vocab"],
+                 "--ground-truth", inputs["ground_truth"], "--out", out],
+        "eval_manifest": ["eval", "--manifest", tmp_path / "m.jsonl", "--out", out],
+        "barlines": ["barlines", "--raw", inputs["raw"], "--out", out],
+        "pipeline": ["pipeline", "--audio", wav, "--raw-barlines", inputs["raw"],
+                     "--vocab", inputs["vocab"], "--out", out],
+        "synth": ["synth", "--vocab", inputs["vocab"], "--out-dir", out],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    reason = " is not valid JSON: " if fault == "truncated" else ": "
+    assert err.startswith(f"error: {label}{kind} file {path}{reason}")
     assert not out.exists()
 
 

@@ -206,15 +206,18 @@ class TestLoadVocabulary:
                                      "measures": 1, "onsets": [[0.0]]}]})
 
     def test_bad_json(self):
-        with pytest.raises(VocabularyError):
-            load_vocabulary(b"{not json")
+        with pytest.raises(json.JSONDecodeError):
+            load_vocabulary("{not json")
 
-    def test_byte_stream(self):
-        stream = io.BytesIO(json.dumps(
+    @pytest.mark.parametrize("source", ["bytes", "byte_stream"])
+    def test_bytes_rejected_before_the_memo(self, counted_parses, source):
+        data = json.dumps(
             {"patterns": [{"id": "P", "time_signature": "4/4",
                            "measures": 1, "onsets": [[0.0]]}]}
-        ).encode())
-        assert len(load_vocabulary(stream)) == 2
+        ).encode()
+        with pytest.raises(TypeError, match="load_vocabulary takes text, got bytes"):
+            load_vocabulary(data if source == "bytes" else io.BytesIO(data))
+        assert counted_parses == []
 
 
 class TestMemo:
