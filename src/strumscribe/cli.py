@@ -92,10 +92,15 @@ def _defaults(cls) -> dict:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse a JSON config file, rejecting any unknown key or mistyped value.
-    RunConfig's dataclass fields are the file's sections, its other fields
+    """The RunConfig of a JSON config file; a fault names the file."""
+    return _load(_run_config, "config", path)
+
+
+def _run_config(text: str) -> RunConfig:
+    """Parse a JSON config text, rejecting any unknown key or mistyped value.
+    RunConfig's dataclass fields are the text's sections, its other fields
     the scalars; keys are checked in RunConfig's field order."""
-    payload = _load(json.load, "config", path)
+    payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
     defaults = _defaults(RunConfig)
@@ -254,15 +259,13 @@ def _commit(files: dict, directory: str | None = None) -> None:
         raise
 
 
-def _load(loader, kind: str, path: str, with_text: bool = False):
-    """loader applied to the text file at path, which is read as strict
-    UTF-8 and handed over as a stream whose lines end where open() ends
-    them: at "\n", "\r\n" or a lone "\r", each read as "\n". with_text
-    returns (the file's text, line ends as stored; the result) instead.
-    Every text input comes in here, and this is the one place that names
-    it in an error: a file that is not UTF-8 or not valid JSON, and any
-    ValueError of the loader, is a ValueError that starts "<kind> file
-    <path>" and keeps the loader's message. A UTF-8 BOM is not JSON."""
+def _load(loader, kind: str, path: str):
+    """loader applied to the text of the file at path, read as strict UTF-8
+    with its line ends as stored. Every input file but a WAV comes in here,
+    and this is the one place that names it in an error: a file that is
+    not UTF-8 or not valid JSON, and any ValueError of the loader, is a
+    ValueError that starts "<kind> file <path>" and keeps the loader's
+    message. A UTF-8 BOM is not JSON."""
     with open(path, "rb") as fp:
         data = fp.read()
     try:
@@ -270,19 +273,11 @@ def _load(loader, kind: str, path: str, with_text: bool = False):
     except UnicodeDecodeError as exc:
         raise ValueError(f"{kind} file {path} is not UTF-8: {exc}") from None
     try:
-        result = loader(io.StringIO(text, newline=None))
+        return loader(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{kind} file {path}: {exc}") from None
-    return (text, result) if with_text else result
-
-
-def _encode(save, value) -> bytes:
-    """What save(value, fp) writes to a text file, as UTF-8 bytes."""
-    buffer = io.StringIO()
-    save(value, buffer)
-    return buffer.getvalue().encode("utf-8")
 
 
 def _lines(text: str) -> bytes:
@@ -299,7 +294,7 @@ def _strums_from_audio(path: str, cfg: RunConfig) -> timeline.StrumSequence:
 def _barlines(path: str, cfg: RunConfig, postproc: bool) -> tuple[str, timeline.BarlineTrack]:
     """The raw bar-line file's text, line ends as stored, and its track,
     cleaned if postproc."""
-    text, raw = _load(timeline.load_barlines, "bar-line", path, with_text=True)
+    text, raw = _load(lambda text: (text, timeline.load_barlines(text)), "bar-line", path)
     return text, barlines_mod.postprocess_barlines(raw, cfg.barlines) if postproc else raw
 
 
@@ -335,9 +330,11 @@ def _eval_one(
 
 
 def _read_manifest(path: str) -> list[tuple[int, dict]]:
-    """The manifest's (line number, record) pairs, skipping blank lines."""
+    """The manifest's (line number, record) pairs, skipping blank lines.
+    Lines end where open() ends them: at "\n", "\r\n" or a lone "\r"."""
     records = []
-    for line_no, line in enumerate(_load(list, "manifest", path), start=1):
+    lines = _load(lambda text: io.StringIO(text, newline=None), "manifest", path)
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -372,14 +369,14 @@ def _eval_record(
 def cmd_onsets(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     strums = _strums_from_audio(args.audio, cfg)
     print(f"detected {len(strums)} onsets", file=sys.stderr)
-    return Outputs({args.out: _encode(timeline.save_strums, strums)})
+    return Outputs({args.out: timeline.save_strums(strums).encode()})
 
 
 def cmd_barlines(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     text, bars = _barlines(args.raw, cfg, not args.no_barline_postproc)
     if args.no_barline_postproc:  # strict UTF-8 text encodes back to the file's bytes
         return Outputs({args.out: text.encode("utf-8")})
-    return Outputs({args.out: _encode(timeline.save_barlines, bars)})
+    return Outputs({args.out: timeline.save_barlines(bars).encode()})
 
 
 def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
@@ -387,7 +384,7 @@ def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     strums = _load(timeline.load_strums, "strum", args.strums)
     bars = _load(timeline.load_barlines, "bar-line", args.barlines)
     transcription = _decode(strums, bars, vocab, cfg)
-    return Outputs({args.out: _encode(decoder_mod.save_transcription, transcription)})
+    return Outputs({args.out: decoder_mod.save_transcription(transcription).encode()})
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -451,10 +448,10 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
         "observed_sec": list(song.observed.times_sec),
     }
     files = {
-        out_dir / "strums.json": _encode(timeline.save_strums, song.observed),
-        out_dir / "nominal_strums.json": _encode(timeline.save_strums, song.nominal),
-        out_dir / "barlines.json": _encode(timeline.save_barlines, song.barlines),
-        out_dir / "transcription.json": _encode(decoder_mod.save_transcription, song.ground_truth),
+        out_dir / "strums.json": timeline.save_strums(song.observed).encode(),
+        out_dir / "nominal_strums.json": timeline.save_strums(song.nominal).encode(),
+        out_dir / "barlines.json": timeline.save_barlines(song.barlines).encode(),
+        out_dir / "transcription.json": decoder_mod.save_transcription(song.ground_truth).encode(),
         out_dir / "ground_truth.json": _lines(json.dumps(bundle, indent=2, sort_keys=True)),
     }
     return Outputs(files, directory=args.out_dir)
@@ -473,14 +470,14 @@ def cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     _, bars = _barlines(args.raw_barlines, cfg, not args.no_barline_postproc)
     transcription = _decode(strums, bars, vocab, cfg)
     text = render_mod.render_text(transcription, vocab, cfg.render)
-    saved = _encode(decoder_mod.save_transcription, transcription)
+    saved = decoder_mod.save_transcription(transcription).encode()
     files = {args.out: saved}
     if args.out_text:
         files[args.out_text] = _lines(text)
     if args.dump_dir:
         dump = Path(args.dump_dir)
-        files[dump / "strums.json"] = _encode(timeline.save_strums, strums)
-        files[dump / "barlines.json"] = _encode(timeline.save_barlines, bars)
+        files[dump / "strums.json"] = timeline.save_strums(strums).encode()
+        files[dump / "barlines.json"] = timeline.save_barlines(bars).encode()
         files[dump / "transcription.json"] = saved
         files[dump / "rendered.txt"] = _lines(text)
     return Outputs(files, None if args.out_text else text, args.dump_dir)

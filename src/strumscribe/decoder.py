@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 from ._lazy import numpy as np
 from .likelihood import DecoderConfig, compiled, contribution_tables
@@ -181,8 +181,9 @@ def _entry_from_record(i: int, rec) -> TranscriptionEntry:
     )
 
 
-def load_transcription(source: IO) -> Transcription:
-    return Transcription.from_dict(json.load(source))
+def load_transcription(text: str) -> Transcription:
+    """The transcription of a JSON text, as save_transcription writes it."""
+    return Transcription.from_dict(json.loads(text))
 
 
 # one measure record as json.dump(..., indent=2, sort_keys=True) lays it out
@@ -190,9 +191,9 @@ _RECORD = ('    {\n      "index": %s,\n      "pattern_id": %s,\n      "phase": %
            '      "time_signature": %s\n    }')
 
 
-def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
-    """Write `transcription.to_dict()` as `json.dump(..., indent=2,
-    sort_keys=True)` and a newline would, byte for byte.
+def save_transcription(transcription: Transcription) -> str:
+    """`transcription.to_dict()` as the text that `json.dump(..., indent=2,
+    sort_keys=True)` and a newline write, character for character.
 
     `indent` would select the pure-Python encoder, so the fixed schema is
     laid out here and the values are encoded by the C encoder
@@ -209,8 +210,8 @@ def save_transcription(transcription: Transcription, fp: IO[str]) -> None:
         _RECORD % (i, ids[e.pattern_id], p, signatures[e.time_signature])
         for i, p, e in zip(index, phase, entries)
     ])
-    fp.write('{\n  "measures": [\n%s\n  ],\n  "total_cost": %s\n}\n'
-             % (records, json.dumps(transcription.total_cost)))
+    return ('{\n  "measures": [\n%s\n  ],\n  "total_cost": %s\n}\n'
+            % (records, json.dumps(transcription.total_cost)))
 
 
 def _enter(end, champions, sig_codes, c1, c2, switched):

@@ -11,7 +11,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 MIN_STRUM_GAP_SEC = 1e-3
 
@@ -108,12 +108,14 @@ def bin_strums(strums: StrumSequence, bars: BarlineTrack) -> tuple[list[MeasureS
     )
 
 
-def _load_times(source: IO, what: str, key: str) -> tuple[float, ...]:
-    """Read a JSON object whose single key holds a list of numbers."""
+def _load_times(text: str, key: str) -> tuple[float, ...]:
+    """The numbers listed under the one key of a JSON object text. The
+    strum and bar-line codecs below take and return text; `cli` reads and
+    writes their files."""
     # integers parse as floats, so one too large for a float reads as inf
-    payload = json.load(source, parse_int=float)
+    payload = json.loads(text, parse_int=float)
     if not isinstance(payload, dict) or set(payload) != {key}:
-        raise ValueError(f'{what} JSON must be an object with a single "{key}" key')
+        raise ValueError(f'JSON must be an object with a single "{key}" key')
     values = payload[key]
     if not isinstance(values, list) or any(
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
@@ -122,19 +124,17 @@ def _load_times(source: IO, what: str, key: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def load_strums(source: IO) -> StrumSequence:
-    return StrumSequence(_load_times(source, "strum", "strums_sec"))
+def load_strums(text: str) -> StrumSequence:
+    return StrumSequence(_load_times(text, "strums_sec"))
 
 
-def save_strums(strums: StrumSequence, fp: IO[str]) -> None:
-    json.dump({"strums_sec": list(strums.times_sec)}, fp, sort_keys=True)
-    fp.write("\n")
+def save_strums(strums: StrumSequence) -> str:
+    return json.dumps({"strums_sec": list(strums.times_sec)}, sort_keys=True) + "\n"
 
 
-def load_barlines(source: IO) -> BarlineTrack:
-    return BarlineTrack(_load_times(source, "bar-line", "barlines_sec"))
+def load_barlines(text: str) -> BarlineTrack:
+    return BarlineTrack(_load_times(text, "barlines_sec"))
 
 
-def save_barlines(bars: BarlineTrack, fp: IO[str]) -> None:
-    json.dump({"barlines_sec": list(bars.times_sec)}, fp, sort_keys=True)
-    fp.write("\n")
+def save_barlines(bars: BarlineTrack) -> str:
+    return json.dumps({"barlines_sec": list(bars.times_sec)}, sort_keys=True) + "\n"

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -573,8 +574,26 @@ JSON_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("fault", ["truncated", "empty_object"])
-@pytest.mark.parametrize("command, kind, key", JSON_INPUTS)
+# faults whose whole message is pinned, as {fault: (the file's text, the
+# message after "<kind> file <path>")}
+EXACT_FAULTS = {
+    "array": ("[]", ": config must be a JSON object"),
+    "unknown_key": ('{"seed": 1, "bogus": 2}', ": unknown config keys: ['bogus']"),
+    "schema": ("{}", ': JSON must be an object with a single "strums_sec" key'),
+    # a JSON error counts the characters of the file as stored, "\r" included
+    "truncated_crlf": ('{\r\n  "barlines_sec": [\r\n    0.0,\r\n',
+                       " is not valid JSON: Expecting value: line 4 column 1 (char 34)"),
+}
+
+
+@pytest.mark.parametrize("command, kind, key, fault", [
+    *[(*case, fault) for fault in ("truncated", "empty_object") for case in JSON_INPUTS],
+    ("barlines", "config", "config", "array"),
+    ("decode", "config", "config", "unknown_key"),
+    ("eval", "ground-truth", "ground_truth", "schema"),
+    ("eval_manifest", "ground-truth", "ground_truth", "schema"),
+    ("barlines", "bar-line", "raw", "truncated_crlf"),
+])
 def test_malformed_json_input_names_kind_and_path(tmp_path, synth_dir, vocab_file, silent_song,
                                                   capsys, command, kind, key, fault):
     # cli._load names the input kind and path of every fault in a loaded
@@ -583,10 +602,14 @@ def test_malformed_json_input_names_kind_and_path(tmp_path, synth_dir, vocab_fil
     inputs = {"strums": synth_dir / "strums.json", "barlines": synth_dir / "barlines.json",
               "raw": synth_dir / "barlines.json", "vocab": Path(vocab_file),
               "transcription": synth_dir / "transcription.json",
-              "ground_truth": synth_dir / "nominal_strums.json"}
-    text = inputs[key].read_text()
+              "ground_truth": synth_dir / "nominal_strums.json", "config": None}
     bad = tmp_path / "bad.json"
-    bad.write_text(text[: len(text) // 2] if fault == "truncated" else "{}")
+    if fault in EXACT_FAULTS:
+        text, message = EXACT_FAULTS[fault]
+        bad.write_bytes(text.encode())
+    else:
+        text = inputs[key].read_text()
+        bad.write_text(text[: len(text) // 2] if fault == "truncated" else "{}")
     inputs[key] = bad
     wav, _, _ = silent_song
     out = tmp_path / "out"
@@ -612,11 +635,16 @@ def test_malformed_json_input_names_kind_and_path(tmp_path, synth_dir, vocab_fil
                      "--vocab", inputs["vocab"], "--out", out],
         "synth": ["synth", "--vocab", inputs["vocab"], "--out-dir", out],
     }[command]
+    if inputs["config"]:
+        argv += ["--config", inputs["config"]]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    reason = " is not valid JSON: " if fault == "truncated" else ": "
-    assert err.startswith(f"error: {label}{kind} file {path}{reason}")
+    if fault in EXACT_FAULTS:
+        assert err == f"error: {label}{kind} file {path}{message}\n"
+    else:
+        reason = " is not valid JSON: " if fault == "truncated" else ": "
+        assert err.startswith(f"error: {label}{kind} file {path}{reason}")
     assert not out.exists()
 
 
@@ -1287,7 +1315,8 @@ class TestConfigFile:
         # RunConfig's field order picks the fault named, whatever the file's
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"^config field decoder\.timing_sigma "):
+        with pytest.raises(ValueError, match=rf"^config file {re.escape(str(config))}: "
+                                             r"config field decoder\.timing_sigma "):
             cli.load_run_config(str(config))
 
     def test_config_applies_and_flag_overrides(self, tmp_path, vocab_file, synth_dir):
@@ -1347,19 +1376,19 @@ NON_FINITE_CASES = [
 def test_non_finite_knob_exit_1(tmp_path, capsys, command, spelling, flag, field, literal):
     section, name = field.split(".")
     if spelling == "flag":
-        extra = [flag, {"NaN": "nan", "Infinity": "inf"}[literal]]
+        extra, where = [flag, {"NaN": "nan", "Infinity": "inf"}[literal]], ""
     else:
         # Python's json reads the NaN and Infinity literals
         config = tmp_path / "config.json"
         config.write_text(f'{{"{section}": {{"{name}": {literal}}}}}')
-        extra = ["--config", config]
+        extra, where = ["--config", config], f"config file {config}: "
     # the config is checked before any input is read, so none needs to exist
     argv = [command, *REQUIRED[command], *extra]
     argv[argv.index("--out") + 1] = tmp_path / "o.json"
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} ")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}{name} ")
     assert not (tmp_path / "o.json").exists()
 
 

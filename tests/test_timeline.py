@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -180,18 +179,14 @@ def test_binning_matches_numpy_scalars(case):
 class TestJson:
     def test_strums_round_trip(self):
         strums = StrumSequence((0.5, 1.5))
-        buffer = io.StringIO()
-        save_strums(strums, buffer)
-        assert load_strums(io.StringIO(buffer.getvalue())) == strums
+        assert load_strums(save_strums(strums)) == strums
 
     def test_barlines_round_trip(self):
         bars = BarlineTrack((0.0, 2.0))
-        buffer = io.StringIO()
-        save_barlines(bars, buffer)
-        assert load_barlines(io.StringIO(buffer.getvalue())) == bars
+        assert load_barlines(save_barlines(bars)) == bars
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
-            load_strums(io.StringIO(json.dumps({"strums_sec": [], "extra": 1})))
+            load_strums(json.dumps({"strums_sec": [], "extra": 1}))
         with pytest.raises(ValueError):
-            load_barlines(io.StringIO(json.dumps({"bars": [0, 1]})))
+            load_barlines(json.dumps({"bars": [0, 1]}))
