@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import queue
 import struct
 import sys
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -412,6 +414,57 @@ def _frames(audio: AudioBuffer, first: int, count: int, frame: int, hop: int,
                                            writeable=False)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stft_buffers(audio: AudioBuffer, batch: int, frame: int, hop: int) -> tuple:
+    """One thread's scratch for _stft_rows: a batch's span of signal, its
+    frames x channels copy when there is more than one channel, and its
+    windowed frames."""
+    signal = np.empty((batch - 1) * hop + frame)
+    channels = None if audio.pcm.ndim == 1 else np.empty((len(signal), audio.pcm.shape[1]))
+    return signal, channels, np.empty((batch, frame))
+
+
+def _stft_rows(audio: AudioBuffer, first: int, out: np.ndarray, window: np.ndarray, hop: int,
+               signal: np.ndarray, channels: np.ndarray | None, windowed: np.ndarray) -> None:
+    """Write the STFT magnitudes of frames first .. first + len(out) - 1
+    into the rows of `out`, len(windowed) frames at a time, through the
+    scratch buffers of _stft_buffers."""
+    batch, frame = windowed.shape
+    for sub in range(0, len(out), batch):
+        count = min(batch, len(out) - sub)
+        frames = _frames(audio, first + sub, count, frame, hop, signal, channels)
+        np.multiply(frames, window, out=windowed[:count])
+        np.abs(np.fft.rfft(windowed[:count], axis=1), out=out[sub : sub + count])
+
+
+def _stft_helper(tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+    """Run _stft_rows on each argument tuple taken from `tasks` until a
+    None comes, and put None, or the exception it raised, into `results`."""
+    while (task := tasks.get()) is not None:
+        try:
+            _stft_rows(*task)
+        except BaseException as exc:  # the caller waits for one result per task
+            results.put(exc)
+        else:
+            results.put(None)
+
+
+def _reraise(failure: BaseException | None) -> None:
+    """Raise `failure`, if it is one, leaving no reference to it in this
+    frame, which its traceback holds."""
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            failure = None
+
+
 def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.ndarray:
     """Per-frame onset-strength envelope (non-negative, first frame 0).
 
@@ -425,30 +478,39 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     signal, without any of the three existing. BLAS can give a row of a product different
     bits depending on how many rows the product has, so every mel product
     has the same row count, min(n_frames, _MAGNITUDE_BLOCK_FRAMES): the
-    last block is the song's final frames and recomputes, with the same
-    values, the rows it shares with the block before it. For some band
-    counts the bits also depend on the whole song's row count, so unless
-    n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays one
-    product over all frames. A product's magnitudes are filled
+    last block is the song's final frames, and the magnitudes of the rows
+    it shares with the block before it are moved, not recomputed. For some
+    band counts the bits also depend on the whole song's row count, so
+    unless n_mels is a multiple of _BLAS_TILE_COLUMNS the projection stays
+    one product over all frames. A product's new magnitudes are filled
     _STFT_BLOCK_FRAMES frames at a time, each batch into its own rows.
     A batch's span of samples is read from the stored PCM (from the file,
     for a buffer that load_wav made), converted into one float64 buffer
-    made once per call (pcm / full_scale, then the mean over channels, per
-    sample the operations that build the whole signal) and zero-filled past
-    either end, and its frames are windowed into a second such buffer;
-    windowing, rfft along a row and abs act on one frame alone, so any
-    batching gives the same magnitudes. The log compression
-    works in place on the mel matrix, and the flux of each block of frames
-    is summed straight into the envelope, one row per frame as in a
-    whole-song sum.
+    (pcm / full_scale, then the mean over channels, per sample the
+    operations that build the whole signal) and zero-filled past either
+    end, and its frames are windowed into a second such buffer; windowing,
+    rfft along a row and abs act on one frame alone, so any batching gives
+    the same magnitudes.
+
+    When the process may run on two or more CPUs, one helper thread,
+    started and joined within the call, fills the second half of each
+    product's new batches through buffers of its own while the calling
+    thread fills the first half. The mel products run on the calling
+    thread alone, after both halves are done, so BLAS sees the same calls
+    as on one CPU. A failed read raises the calling thread's error first,
+    so a file cut short is named at the byte offset a single thread would
+    reach first. The log compression works in place on the mel matrix, and
+    the flux of each block of frames is summed straight into the envelope,
+    one row per frame as in a whole-song sum.
 
     Live at once, besides the caller's PCM when it is an array: the n_mels
     x frequency bins filter bank, the n_frames x n_mels mel matrix, and
-    either the magnitudes of one product's rows together with one batch's
-    span of samples as stored and as float64 (with its frames x channels
-    copy when there is more than one channel), windowed frames and complex
-    spectrum, or the envelope and one block's flux. No float64 copy of the
-    song is made, and with a band count that is a multiple of
+    either the magnitudes of one product's rows together with up to two
+    batch-buffer sets, the calling thread's and the helper's, each one
+    batch's span of samples as stored and as float64 (with its frames x
+    channels copy when there is more than one channel), windowed frames
+    and complex spectrum, or the envelope and one block's flux. No float64
+    copy of the song is made, and with a band count that is a multiple of
     _BLAS_TILE_COLUMNS no array scales as frames x frequency bins.
     """
     cfg = cfg or OnsetConfig()
@@ -470,19 +532,44 @@ def onset_strength(audio: AudioBuffer, cfg: OnsetConfig | None = None) -> np.nda
     batch = min(rows, _STFT_BLOCK_FRAMES)
     window = np.hanning(frame)
     bank_t = _mel_filterbank(audio.sample_rate, frame, cfg).T
-    signal = np.empty((batch - 1) * hop + frame)
-    channels = None if audio.pcm.ndim == 1 else np.empty((len(signal), audio.pcm.shape[1]))
-    windowed = np.empty((batch, frame))
+    own = _stft_buffers(audio, batch, frame, hop)
     magnitudes = np.empty((rows, frame // 2 + 1))
     mel = np.ndarray((n_frames, cfg.n_mels), buffer=_mapped(n_frames * cfg.n_mels * 8))
-    for start in (*range(0, n_frames - rows, rows), n_frames - rows):
-        for sub in range(0, rows, batch):
-            count = min(batch, rows - sub)
-            frames = _frames(audio, start + sub, count, frame, hop, signal, channels)
-            np.multiply(frames, window, out=windowed[:count])
-            np.abs(np.fft.rfft(windowed[:count], axis=1), out=magnitudes[sub : sub + count])
-        np.matmul(magnitudes, bank_t, out=mel[start : start + rows])
-    del signal, channels, windowed, magnitudes
+    theirs = helper = None
+    if rows > batch and _usable_cpus() > 1:
+        theirs = _stft_buffers(audio, batch, frame, hop)
+        tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+        helper = threading.Thread(target=_stft_helper, args=(tasks, results), daemon=True)
+        helper.start()
+    try:
+        done = 0  # frames whose magnitudes fill the last rows of `magnitudes`
+        for start in (*range(0, n_frames - rows, rows), n_frames - rows):
+            shared = max(done - start, 0)
+            if shared:
+                # flat views move overlapping rows without a temporary copy
+                flat, width = magnitudes.reshape(-1), magnitudes.shape[1]
+                np.copyto(flat[: shared * width], flat[(rows - shared) * width :])
+            split = rows
+            if helper is not None:
+                new_batches = -(-(rows - shared) // batch)
+                split = min(rows, shared + (new_batches + 1) // 2 * batch)
+            if split < rows:
+                tasks.put((audio, start + split, magnitudes[split:], window, hop, *theirs))
+            try:
+                _stft_rows(audio, start + shared, magnitudes[shared:split], window, hop, *own)
+            except BaseException:
+                if split < rows:
+                    results.get()  # the calling thread's error comes first
+                raise
+            if split < rows:
+                _reraise(results.get())
+            np.matmul(magnitudes, bank_t, out=mel[start : start + rows])
+            done = start + rows
+    finally:
+        if helper is not None:
+            tasks.put(None)
+            helper.join()
+    del own, theirs, magnitudes
     # floor relative to the signal peak: spectral-leakage bins oscillate by
     # orders of magnitude and would otherwise dominate the log-scale flux
     floor = mel.max() * 1e-4

@@ -1,6 +1,9 @@
+import gc
+import hashlib
 import os
 import re
 import struct
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -187,24 +190,37 @@ def assert_bit_exact(audio, cfg):
     assert got.tobytes() == want.tobytes()
 
 
+ENVELOPE_EXAMPLES = [
+    (OnsetConfig(), BLOCK * HOP - 1, SR, "noise", 0),
+    (OnsetConfig(), (BLOCK - 2) * HOP, SR, "noise", 1),
+    (OnsetConfig(), BLOCK * HOP, 22050, "clicks", 2),
+    (OnsetConfig(), 2 * BLOCK * HOP, 8000, "noise", 3),
+    (OnsetConfig(frame_size=64, hop_size=64), 64, 44100, "noise", 4),
+    # the last block overlaps the one before it by all but 1, 2 and
+    # BLOCK - 1 rows
+    (OnsetConfig(), BLOCK * HOP + 7, SR, "noise", 5),
+    (OnsetConfig(), (BLOCK + 1) * HOP, SR, "clicks", 6),
+    (OnsetConfig(), (2 * BLOCK - 2) * HOP, 22050, "noise", 7),
+    (OnsetConfig(n_mels=1), (BLOCK + 1) * HOP, SR, "noise", 8),
+    (OnsetConfig(n_mels=2), (2 * BLOCK - 2) * HOP, 8000, "noise", 9),
+    (OnsetConfig(frame_size=64, hop_size=64), (2 * BLOCK - 2) * 64 + 5, 44100, "noise", 10),
+    (OnsetConfig(n_mels=196), (2 * BLOCK - 2) * HOP, SR, "noise", 11),
+]
+
+
+def with_examples(cases):
+    """Hypothesis @example for each case, in order."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
 class TestBlockedMagnitudes:
     @settings(max_examples=60, deadline=None)
     @given(envelope_cases())
-    @example(case=(OnsetConfig(), BLOCK * HOP - 1, SR, "noise", 0))
-    @example(case=(OnsetConfig(), (BLOCK - 2) * HOP, SR, "noise", 1))
-    @example(case=(OnsetConfig(), BLOCK * HOP, 22050, "clicks", 2))
-    @example(case=(OnsetConfig(), 2 * BLOCK * HOP, 8000, "noise", 3))
-    @example(case=(OnsetConfig(frame_size=64, hop_size=64), 64, 44100, "noise", 4))
-    # the last block overlaps the one before it by all but 1, 2 and
-    # BLOCK - 1 rows
-    @example(case=(OnsetConfig(), BLOCK * HOP + 7, SR, "noise", 5))
-    @example(case=(OnsetConfig(), (BLOCK + 1) * HOP, SR, "clicks", 6))
-    @example(case=(OnsetConfig(), (2 * BLOCK - 2) * HOP, 22050, "noise", 7))
-    @example(case=(OnsetConfig(n_mels=1), (BLOCK + 1) * HOP, SR, "noise", 8))
-    @example(case=(OnsetConfig(n_mels=2), (2 * BLOCK - 2) * HOP, 8000, "noise", 9))
-    @example(case=(OnsetConfig(frame_size=64, hop_size=64), (2 * BLOCK - 2) * 64 + 5, 44100,
-                   "noise", 10))
-    @example(case=(OnsetConfig(n_mels=196), (2 * BLOCK - 2) * HOP, SR, "noise", 11))
+    @with_examples(ENVELOPE_EXAMPLES)
     def test_bit_exact_against_dense(self, case):
         cfg, n_samples, sample_rate, kind, seed = case
         audio = AudioBuffer(make_signal(n_samples, kind, seed), 1.0, sample_rate)
@@ -423,6 +439,125 @@ class TestSamplesReadFromTheFile:
         # view of the file, which must not be what keeps the file open
         assert failure.traceback
         assert open_descriptors() == before
+
+
+def thread_recorder(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends (thread id, rows of its
+    first argument) to the returned list."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def record(a, *args, **kwargs):
+        calls.append((threading.get_ident(), len(a)))
+        return wrapped(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+class TestStftHelperThread:
+    """With two or more CPUs one helper thread fills the second half of
+    each mel product's STFT batches; the envelope's bits, the thread that
+    runs BLAS and the error a short read gives are those of one CPU."""
+
+    @staticmethod
+    def envelope(monkeypatch, cpus, audio, cfg):
+        monkeypatch.setattr(onsets_module, "_usable_cpus", lambda: cpus)
+        return onset_strength(audio, cfg).tobytes()
+
+    # the dense examples; one product of 32 rows or fewer, where no helper
+    # starts; and products of 5 batches and of 7 batches and a half
+    @pytest.mark.parametrize("case", ENVELOPE_EXAMPLES + [
+        (OnsetConfig(), 31 * HOP, SR, "noise", 12),
+        (OnsetConfig(), 159 * HOP, SR, "noise", 13),
+        (OnsetConfig(), (BLOCK + 239) * HOP, 22050, "noise", 14),
+    ])
+    def test_one_cpu_and_two_give_the_same_envelope(self, monkeypatch, case):
+        cfg, n_samples, sample_rate, kind, seed = case
+        audio = AudioBuffer(make_signal(n_samples, kind, seed), 1.0, sample_rate)
+        assert (self.envelope(monkeypatch, 1, audio, cfg)
+                == self.envelope(monkeypatch, 2, audio, cfg))
+
+    @pytest.mark.parametrize("n_mels", [128, 2])
+    @pytest.mark.parametrize("n_frames", [5, 33, BLOCK + 1, 2 * BLOCK, 3 * BLOCK - 5])
+    def test_blas_runs_on_the_calling_thread(self, monkeypatch, n_frames, n_mels):
+        matmuls = thread_recorder(monkeypatch, np, "matmul")
+        rffts = thread_recorder(monkeypatch, np.fft, "rfft")
+        threads = threading.active_count()
+        audio = AudioBuffer(make_signal((n_frames - 1) * HOP, "noise", n_frames), 1.0, SR)
+        self.envelope(monkeypatch, 2, audio, OnsetConfig(n_mels=n_mels))
+        assert {thread for thread, _ in matmuls} == {threading.get_ident()}
+        # a helper ran once a product has more than one batch, and each
+        # frame's spectrum was computed once, the last block's shared rows
+        # being moved, not recomputed
+        assert len({thread for thread, _ in rffts}) == (1 if n_frames <= 32 else 2)
+        assert sum(rows for _, rows in rffts) == n_frames
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_under_fast_thread_switching(self, monkeypatch):
+        # four callers and their helpers, more threads than the host has
+        # cores, switching every microsecond: each product's magnitudes, as
+        # handed to BLAS, must be those of one CPU
+        products = {}
+        matmul = np.matmul
+
+        def hashed_matmul(a, *args, **kwargs):
+            products.setdefault(threading.get_ident(), []).append(hashlib.sha256(a).digest())
+            return matmul(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", hashed_matmul)
+        audio = AudioBuffer(make_signal((3 * BLOCK - 6) * HOP, "noise", 15), 1.0, SR)
+        self.envelope(monkeypatch, 1, audio, OnsetConfig())
+        (want,) = products.values()
+        products.clear()
+        monkeypatch.setattr(onsets_module, "_usable_cpus", lambda: 2)
+        callers = [threading.Thread(target=onset_strength, args=(audio,)) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(products.values()) == [want] * 4
+
+    @needs_descriptor_list
+    # samples kept: a cut inside the calling thread's half of block 0,
+    # where the helper's half fails too, and one inside the helper's half
+    @pytest.mark.parametrize("kept", [30000, 70000])
+    def test_short_read_gives_the_one_cpu_error(self, tmp_path, monkeypatch, kept):
+        path = tmp_path / "song.wav"
+        pcm = np.random.default_rng(3).integers(-(2**15), 2**15, 3 * BLOCK * HOP, dtype="<i2")
+        wav = riff(fmt_chunk(), chunk(b"data", pcm.tobytes()))
+
+        def failure(cpus):
+            monkeypatch.setattr(onsets_module, "_usable_cpus", lambda: cpus)
+            path.write_bytes(wav)
+            audio = load_wav(str(path))
+            os.truncate(path, 44 + 2 * kept)
+            try:
+                onset_strength(audio)
+            except ValueError as exc:
+                return str(exc)
+            pytest.fail("a short read raised nothing")
+
+        # the first sample of the first 32-frame batch that reads past the cut
+        frame = OnsetConfig().frame_size
+        first = next(lo for lo in range(HOP - frame, kept, 32 * HOP)
+                     if lo + 31 * HOP + frame > kept)
+        # collection is off, so a reference cycle would keep the file open
+        gc.disable()
+        try:
+            before, threads = open_descriptors(), threading.active_count()
+            text = failure(1)
+            assert failure(2) == text
+            assert f"at byte {44 + 2 * first})" in text
+            assert (open_descriptors(), threading.active_count()) == (before, threads)
+        finally:
+            gc.enable()
 
 
 class TestPickPeaks:
